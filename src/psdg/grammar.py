@@ -28,6 +28,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Callable
 
 from .errors import Diagnostic, GrammarError, SetTooLarge
 
@@ -104,11 +106,21 @@ class CptRow:
 
 @dataclass(frozen=True)
 class FeatureSpec:
+    """A validated feature.  `table` is the CPT compiled at validation:
+    table[terminal][parent_key(prev)] is the first row of `cpt` matching
+    that terminal and those previous parent values.  `parent_key` reads
+    the parent values of a full previous state: a bare value index for
+    one parent, a tuple for several, () for none."""
+
     name: str
     values: tuple[str, ...]
     prior: tuple[float, ...]
     parent_indices: tuple[int, ...]       # feature indices at the previous step
     cpt: tuple[CptRow, ...]
+    table: dict[str, dict[object, tuple[float, ...]]] = field(
+        compare=False, repr=False)
+    parent_key: Callable[[tuple[int, ...]], object] = field(
+        compare=False, repr=False)
 
     def value_index(self, label: str) -> int:
         return self.values.index(label)
@@ -312,18 +324,9 @@ def prior_probability(psdg: Psdg, state) -> float:
 
 
 def _feature_transition(psdg: Psdg, fi: int, prev: tuple[int, ...], terminal: str):
+    """Feature fi's distribution after `prev` emits `terminal`."""
     feat = psdg.features[fi]
-    for row in feat.cpt:
-        if row.terminal is not None and row.terminal != terminal:
-            continue
-        ok = True
-        for slot, pv in enumerate(row.parent_values):
-            if pv is not None and prev[feat.parent_indices[slot]] != pv:
-                ok = False
-                break
-        if ok:
-            return row.probs
-    return None
+    return feat.table[terminal][feat.parent_key(prev)]
 
 
 def transition_probability(psdg: Psdg, prev, terminal: str, nxt) -> float:
@@ -334,15 +337,17 @@ def transition_probability(psdg: Psdg, prev, terminal: str, nxt) -> float:
     ni = _as_idx(nxt)
     p = 1.0
     for fi in range(len(psdg.features)):
-        probs = _feature_transition(psdg, fi, pi, terminal)
-        if probs is None:       # validation guarantees coverage
-            raise ValueError(
-                f"no CPT row covers feature {psdg.features[fi].name!r}"
-            )
-        p *= probs[ni[fi]]
+        p *= _feature_transition(psdg, fi, pi, terminal)[ni[fi]]
         if p == 0.0:
             return 0.0
     return p
+
+
+def _key_getter(indices):
+    """Reads a CPT table key out of a sequence of value indices."""
+    if indices:
+        return itemgetter(*indices)
+    return lambda _: ()
 
 
 def enumerate_states(psdg: Psdg, constraint: StateSet | None = None,
@@ -518,8 +523,8 @@ def validate_grammar(raw: RawGrammar,
     if diags:
         return None, diags
 
-    # Build resolved features, synthesizing identity CPTs where omitted.
-    features = []
+    # Resolve CPT rows, synthesizing identity CPTs where omitted.
+    resolved = []
     for f in raw.features:
         parents = f.parents if f.parents is not None else [f.name]
         pidx = tuple(feature_index[p] for p in parents)
@@ -545,37 +550,41 @@ def validate_grammar(raw: RawGrammar,
                        tuple(row.probs))
                 for row in f.cpt
             )
-        features.append(FeatureSpec(f.name, tuple(f.values), tuple(f.prior),
-                                    pidx, rows))
+        resolved.append((f, pidx, rows))
     if diags:
         return None, diags
-    features = tuple(features)
 
-    # CPT coverage: every (parent combo, terminal) must match a row.
-    for f, rawf in zip(features, raw.features):
-        domains = [range(len(features[pi].values)) for pi in f.parent_indices]
+    # CPT coverage and compilation: every (parent combo, terminal) must
+    # match a row, and the first match is stored as the table entry.
+    features = []
+    for f, pidx, rows in resolved:
+        slot_key = _key_getter(range(len(pidx)))
+        table: dict[str, dict] = {term: {} for term in terminals}
+        domains = [range(len(raw.features[pi].values)) for pi in pidx]
         for combo in itertools.product(*domains):
+            key = slot_key(combo)
             for term in terminals:
-                matched = False
-                for row in f.cpt:
+                for row in rows:
                     if row.terminal is not None and row.terminal != term:
                         continue
                     if all(pv is None or pv == combo[s]
                            for s, pv in enumerate(row.parent_values)):
-                        matched = True
+                        table[term][key] = row.probs
                         break
-                if not matched:
-                    parents = [features[pi].name for pi in f.parent_indices]
+                else:
                     vals = ", ".join(
-                        f"{n}={features[pi].values[c]}"
-                        for n, pi, c in zip(parents, f.parent_indices, combo))
+                        f"{raw.features[pi].name}={raw.features[pi].values[c]}"
+                        for pi, c in zip(pidx, combo))
                     diags.append(Diagnostic(
                         "BadDistribution",
                         f"feature {f.name!r} has no CPT row for "
                         f"({vals}) with terminal {term!r}",
-                        rawf.line, rawf.column))
+                        f.line, f.column))
+        features.append(FeatureSpec(f.name, tuple(f.values), tuple(f.prior),
+                                    pidx, rows, table, _key_getter(pidx)))
     if diags:
         return None, diags
+    features = tuple(features)
 
     # Build productions.
     productions = []

@@ -23,6 +23,7 @@ frozen and later observations simply constrain that frozen value.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -30,7 +31,8 @@ from typing import Optional
 from .errors import (SupportTooLarge, UndefinedConditional, ZeroEvidence)
 from .generate import enumerate_chains
 from .grammar import (Psdg, StatePoint, StateSet, _as_idx,
-                      prior_probability, transition_probability)
+                      _feature_transition, prior_probability,
+                      transition_probability)
 
 DEFAULT_SUPPORT_BOUND = 100_000
 SIZE_CONSTANT = 8       # public-table entries stay under 8·|R|·|P|·d·m
@@ -145,9 +147,13 @@ class BeliefState:
                 * len(g.productions) * g.depth * g.max_rhs)
 
     def check_invariants(self, tol: float = 1e-9):
-        assert self.entry_count() <= self.entry_bound(), "belief size blew up"
+        """Raise AssertionError when the published tables are inconsistent.
+        Explicit raises, so the checks also run under `python -O`."""
+        if not self.entry_count() <= self.entry_bound():
+            raise AssertionError("belief size blew up")
         total = math.fsum(self.b_q.values())
-        assert abs(total - 1.0) <= tol, f"state mass {total}"
+        if not abs(total - 1.0) <= tol:
+            raise AssertionError(f"state mass {total}")
         per_level_n: dict[tuple, float] = {}
         per_level_p: dict[tuple, float] = {}
         for (lvl, _, q), v in self.b_n.items():
@@ -155,12 +161,18 @@ class BeliefState:
         for (lvl, _, q), v in self.b_p.items():
             per_level_p[(lvl, q)] = per_level_p.get((lvl, q), 0.0) + v
         for key, v in per_level_n.items():
-            assert v <= 1.0 + tol, f"symbol row {key} sums to {v}"
-            assert abs(v - per_level_p.get(key, 0.0)) <= tol
+            if not v <= 1.0 + tol:
+                raise AssertionError(f"symbol row {key} sums to {v}")
+            if not abs(v - per_level_p.get(key, 0.0)) <= tol:
+                raise AssertionError
+        sigma_rows: dict[State, list[float]] = {}
+        for (_, q), v in self.b_sigma.items():
+            sigma_rows.setdefault(q, []).append(v)
         for q in self.b_q:
-            row = math.fsum(v for (x, q2), v in self.b_sigma.items() if q2 == q)
+            row = math.fsum(sigma_rows.get(q, ()))
             row += self.completed_given_q.get(q, 0.0)
-            assert abs(row - 1.0) <= tol, f"terminal row of {q} sums to {row}"
+            if not abs(row - 1.0) <= tol:
+                raise AssertionError(f"terminal row of {q} sums to {row}")
 
 
 def _project(belief: BeliefState):
@@ -277,9 +289,13 @@ def explain(psdg: Psdg, belief: BeliefState, observation: Observation
         raise SupportTooLarge(
             f"observation set of {constraint.size()} states exceeds "
             f"{belief.support_bound}")
-    obs_states = list(constraint.iter_states())
+    allowed = [sorted(s) for s in constraint.allowed]
 
-    # transition rows, one per (state, emitted terminal) actually alive
+    # Transition rows, one per (state, emitted terminal) actually alive.
+    # The dynamics are factored, so a row is the product of each feature's
+    # nonzero allowed entries; multiplying from 1.0 in feature order and
+    # iterating lexicographically gives the same keys, order and floats
+    # as transition_probability over constraint.iter_states().
     transitions: dict[tuple, dict[State, float]] = {}
     sigma_mass: dict[tuple, float] = {}
     for q, row in belief.chart.items():
@@ -290,9 +306,16 @@ def explain(psdg: Psdg, belief: BeliefState, observation: Observation
             sigma_mass[key] = sigma_mass.get(key, 0.0) + mass
     for key in sigma_mass:
         q, x = key
+        values, probs = [], []
+        for fi, vals in enumerate(allowed):
+            cpt_row = _feature_transition(psdg, fi, q, x)
+            kept = [v for v in vals if cpt_row[v] > 0.0]
+            values.append(kept)
+            probs.append([cpt_row[v] for v in kept])
         out: dict[State, float] = {}
-        for q2 in obs_states:
-            p = transition_probability(psdg, q, x, q2)
+        for q2, ps in zip(itertools.product(*values),
+                          itertools.product(*probs)):
+            p = math.prod(ps, start=1.0)
             if p > 0.0:
                 out[q2] = p
         transitions[key] = out

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -274,4 +275,14 @@ class TestConsoleScript:
         proc = subprocess.run(["psdg", "validate", str(TRAFFIC_PATH)],
                               capture_output=True, text=True)
         assert proc.returncode == 0
+        assert json.loads(proc.stdout)["states"] == 18
+
+    def test_module_runs(self):
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "psdg", "validate",
+             "src/psdg/data/traffic.psdg"],
+            capture_output=True, text=True, cwd=root,
+            env={"PYTHONPATH": "src"})
+        assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["states"] == 18

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from helpers import (build, feature, production, single_production_grammar,
                      traffic, unit_feature)
 from psdg.errors import GrammarError, SetTooLarge
-from psdg.grammar import (StatePoint, StateSet, enumerate_states,
-                          prior_probability, production_probability,
-                          transition_probability, validate_grammar,
-                          RawGrammar)
+from psdg.grammar import (StatePoint, StateSet, _feature_transition,
+                          enumerate_states, prior_probability,
+                          production_probability, transition_probability,
+                          validate_grammar, RawGrammar)
 
 
 def two_flip_features():
@@ -168,6 +168,87 @@ class TestTransitionProbability:
                 total = math.fsum(transition_probability(g, prev, x, nxt)
                                   for nxt in enumerate_states(g))
                 assert abs(total - 1.0) <= 1e-9
+
+
+def first_match_row(feat, prev, terminal):
+    """Reference CPT semantics: the first declared row whose terminal and
+    parent values match, walked row by row."""
+    for row in feat.cpt:
+        if row.terminal is not None and row.terminal != terminal:
+            continue
+        if all(pv is None or prev[pi] == pv
+               for pi, pv in zip(feat.parent_indices, row.parent_values)):
+            return row.probs
+    raise AssertionError(f"no row of {feat.name!r} matches")
+
+
+def shadowed_rows_grammar():
+    """`b` has a `* | *` row ahead of a specific row that it shadows, and
+    `a` has two parents with partly wildcarded rows, so the table is only
+    right if it keeps the first match."""
+    a = feature("a", ["a0", "a1"], [0.5, 0.5], parents=["a", "b"], cpt=[
+        (["a0", "*"], "x", [0.9, 0.1]),
+        (["*", "b1"], "*", [0.2, 0.8]),
+        (["*", "*"], "*", [0.6, 0.4]),
+        (["a0", "b1"], "x", [0.0, 1.0]),
+    ])
+    b = feature("b", ["b0", "b1", "b2"], [0.2, 0.3, 0.5], parents=["b"], cpt=[
+        (["b0"], "y", [0.0, 0.5, 0.5]),
+        (["*"], "*", [0.25, 0.25, 0.5]),
+        (["b1"], "x", [1.0, 0.0, 0.0]),
+    ])
+    prods = [production(0, "S", ["x", "S"], default=0.4),
+             production(1, "S", ["y"], default=0.3),
+             production(2, "S", ["z"], default=0.3)]
+    return build([a, b], prods, "S")
+
+
+class TestCompiledTables:
+    @pytest.mark.parametrize("make", [traffic, shadowed_rows_grammar])
+    def test_table_equals_first_match_walk(self, make):
+        g = make()
+        for prev in enumerate_states(g):
+            for x in g.terminals:
+                for fi, feat in enumerate(g.features):
+                    assert (_feature_transition(g, fi, prev, x)
+                            == first_match_row(feat, prev, x))
+                for nxt in enumerate_states(g):
+                    want = 1.0
+                    for feat, v in zip(g.features, nxt):
+                        want *= first_match_row(feat, prev, x)[v]
+                    assert transition_probability(g, prev, x, nxt) == want
+
+    def test_earlier_wildcard_row_shadows_later_row(self):
+        g = shadowed_rows_grammar()
+        # (a0, b1) under x: the a0-and-x row comes first
+        assert _feature_transition(g, 0, (0, 1), "x") == (0.9, 0.1)
+        # (a1, b1) under x: the b1 row beats the later specific row
+        assert _feature_transition(g, 0, (1, 1), "x") == (0.2, 0.8)
+        # b1 under x: `* | *` beats the later b1 row
+        assert _feature_transition(g, 1, (0, 1), "x") == (0.25, 0.25, 0.5)
+        assert _feature_transition(g, 1, (0, 0), "y") == (0.0, 0.5, 0.5)
+
+    def test_uncovered_combination_is_diagnosed(self):
+        a = feature("a", ["a0", "a1"], [0.5, 0.5], parents=["a", "b"], cpt=[
+            (["a0", "*"], "*", [0.5, 0.5]),
+            (["a1", "b1"], "*", [0.5, 0.5]),
+            (["*", "*"], "y", [0.5, 0.5]),
+        ])
+        b = feature("b", ["b0", "b1"], [0.5, 0.5])
+        prods = [production(0, "S", ["x"], default=0.5),
+                 production(1, "S", ["y"], default=0.5)]
+        with pytest.raises(GrammarError) as e:
+            build([a, b], prods, "S")
+        assert [(d.kind, d.message) for d in e.value.diagnostics] == [
+            ("BadDistribution", "feature 'a' has no CPT row for "
+                                "(a=a1, b=b0) with terminal 'x'")]
+
+    def test_unknown_terminal_rejected(self):
+        g = traffic()
+        q = enumerate_states(g)[0]
+        for bad in ("nope", "Drive", "*"):
+            with pytest.raises(ValueError):
+                transition_probability(g, q, bad, q)
 
 
 class TestPriorProbability:

@@ -1,5 +1,8 @@
 """Belief initialization, explain/predict/update, and full recognition runs."""
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +10,7 @@ from helpers import (build, engine_reports, feature, forcing_grammar,
                      production, random_stream, repeated_child_grammar,
                      single_production_grammar, sized_random_psdg,
                      tail_recursive_grammar, traffic, unit_feature)
+import psdg
 from psdg.errors import SupportTooLarge, UndefinedConditional, ZeroEvidence
 from psdg.grammar import StateSet, prior_probability, transition_probability
 from psdg.infer import (Observation, conditional_production_given_symbol,
@@ -177,6 +181,44 @@ class TestExplain:
         want = exact_posterior(joint, [], Query("state", 1, value=(0,)))
         assert e.evidence == pytest.approx(want, abs=1e-12)
         assert e.state_posterior == {(0,): pytest.approx(1.0)}
+
+    def test_factored_rows_equal_per_state_products(self):
+        # Three stochastic features, `c` with two parents; the observation
+        # pins `a` and `c` to proper subsets and leaves `b` open.  The
+        # probabilities are irregular, so multiplying in another order
+        # would change the low bits of some entries.
+        a = feature("a", ["a0", "a1", "a2"], [0.3, 0.3, 0.4], parents=["a"],
+                    cpt=[(["a0"], "*", [0.1, 0.7, 0.2]),
+                         (["a2"], "x", [0.15, 0.35, 0.5]),
+                         (["*"], "*", [0.3, 0.3, 0.4])])
+        b = feature("b", ["b0", "b1", "b2"], [0.5, 0.25, 0.25],
+                    parents=["b"],
+                    cpt=[(["b0"], "y", [0.13, 0.57, 0.3]),
+                         (["*"], "*", [0.7, 0.1, 0.2])])
+        c = feature("c", ["c0", "c1", "c2"], [0.2, 0.5, 0.3],
+                    parents=["a", "c"],
+                    cpt=[(["a0", "*"], "*", [0.11, 0.29, 0.6]),
+                         (["*", "c1"], "x", [0.05, 0.9, 0.05]),
+                         (["*", "*"], "*", [0.33, 0.33, 0.34])])
+        g = build([a, b, c],
+                  [production(0, "S", ["x", "S"], default=0.6),
+                   production(1, "S", ["y", "S"], default=0.3),
+                   production(2, "S", ["y"], default=0.1)], "S")
+        belief = init_belief(g)
+        _, belief = step(g, belief, Observation.vacuous(g, 1))
+        constraint = StateSet.from_labels(
+            g, {"a": ["a0", "a2"], "c": ["c1", "c2"]})
+        e = explain(g, belief, Observation(2, constraint))
+        assert len(e.transitions) == 2 * g.state_count
+        for (q, x), row in e.transitions.items():
+            want = {}
+            for q2 in constraint.iter_states():
+                p = transition_probability(g, q, x, q2)
+                if p > 0.0:
+                    want[q2] = p
+            assert want
+            assert list(row) == list(want)
+            assert list(row.values()) == list(want.values())
 
 
 class TestPredict:
@@ -391,6 +433,41 @@ class TestConditionalProductionGivenSymbol:
         belief = init_belief(g)
         with pytest.raises(UndefinedConditional):
             conditional_production_given_symbol(belief, 3, (2, 1), "C", (0,))
+
+
+class TestCheckInvariants:
+    def test_corrupted_belief_raises_under_optimize(self):
+        """The checks are explicit raises, so `python -O` keeps them."""
+        script = """if True:
+            import sys
+            from pathlib import Path
+            import psdg
+            from psdg.infer import init_belief
+            from psdg.parse import load_file
+            if __debug__:
+                sys.exit("not running under -O")
+            g = load_file(Path(psdg.__file__).parent / "data" / "traffic.psdg")
+            for table in ("b_q", "b_sigma"):
+                b = init_belief(g)
+                setattr(b, table, {k: 0.5 * v
+                                   for k, v in getattr(b, table).items()})
+                try:
+                    b.check_invariants()
+                except AssertionError as e:
+                    print(e)
+                else:
+                    sys.exit(f"halved {table} passed the checks")
+        """
+        src = Path(psdg.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True,
+                              env={"PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        mass, terminal = proc.stdout.splitlines()
+        assert mass.startswith("state mass ")
+        assert float(mass.split()[-1]) == pytest.approx(0.5)
+        assert terminal.startswith("terminal row of ")
+        assert float(terminal.split()[-1]) == pytest.approx(0.5)
 
 
 class TestInvariantsOverRandomRuns:
