@@ -24,8 +24,8 @@ from .errors import (ExplosionBound, GrammarError, PsdgError, SetTooLarge,
 from .generate import observation_json_lines, sample_trajectory, \
     trajectory_json_lines
 from .grammar import Psdg
-from .infer import (BeliefState, Observation, _project, belief_slice_marginals,
-                    init_belief, step)
+from .infer import (BeliefState, Observation, _project, _report_block,
+                    belief_slice_marginals, init_belief, step)
 from .oracle import (compare_reports, enumerate_joint, pcfg_text,
                      reference_reports, to_pcfg)
 from .parse import load_text, validate_text
@@ -133,16 +133,12 @@ def _advance_to(psdg: Psdg, belief: BeliefState, time: int) -> BeliefState:
 
 
 def _reinit_report(psdg: Psdg, belief: BeliefState, time: int) -> dict:
-    def state_key(q):
-        return "|".join(f.values[v] for f, v in zip(psdg.features, q))
-
     return {
         "t": time,
         "evidence_likelihood": 0.0,
         "log_evidence": 0.0,
-        "state": {state_key(q): p for q, p in belief.b_q.items()},
-        "explain": {"symbols": {}, "productions": {}, "terminal": {},
-                    "completed": 0.0},
+        "state": {psdg.state_key(q): p for q, p in belief.b_q.items()},
+        "explain": _report_block({}, {}, {}, 0.0),
         "predict": belief_slice_marginals(belief),
     }
 

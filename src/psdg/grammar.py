@@ -36,7 +36,6 @@ from .errors import Diagnostic, GrammarError, SetTooLarge
 NORMALIZATION_TOL = 1e-9
 DISTRIBUTION_TOL = 1e-12
 DEFAULT_SET_BOUND = 10**6
-DEFAULT_JOINT_BOUND = 10**6
 
 
 ### Raw (pre-validation) declarations.  The text parser and the test
@@ -252,6 +251,7 @@ class Psdg:
         self.feature_index = {f.name: i for i, f in enumerate(features)}
         self.start = start
         self.productions = productions
+        self._by_index = {p.index: p for p in productions}
         self.terminals = terminals
         self.terminal_set = frozenset(terminals)
         self.nonterminals = nonterminals
@@ -268,13 +268,8 @@ class Psdg:
         return sym in self.terminal_set
 
     def production(self, index: int) -> Production:
-        p = self.productions[index]
-        if p.index != index:        # indices are dense in practice; fall back
-            for q in self.productions:
-                if q.index == index:
-                    return q
-            raise KeyError(index)
-        return p
+        """The production with this index; KeyError for an unknown one."""
+        return self._by_index[index]
 
     def state_from_labels(self, mapping: dict[str, str]) -> StatePoint:
         idx = []
@@ -289,6 +284,10 @@ class Psdg:
 
     def state_labels(self, idx: tuple[int, ...]) -> dict[str, str]:
         return {f.name: f.values[v] for f, v in zip(self.features, idx)}
+
+    def state_key(self, idx: tuple[int, ...]) -> str:
+        """The state's value labels joined by `|`, as reports print it."""
+        return "|".join(f.values[v] for f, v in zip(self.features, idx))
 
     def summary(self) -> dict[str, int]:
         return {
@@ -366,9 +365,7 @@ def enumerate_states(psdg: Psdg, constraint: StateSet | None = None,
 ### Validation.
 
 
-def validate_grammar(raw: RawGrammar,
-                     joint_bound: int = DEFAULT_JOINT_BOUND
-                     ) -> tuple[Psdg | None, list[Diagnostic]]:
+def validate_grammar(raw: RawGrammar) -> tuple[Psdg | None, list[Diagnostic]]:
     """Check a raw grammar and build the validated model.
 
     Returns (psdg, []) on success or (None, diagnostics) with every
@@ -616,7 +613,7 @@ def validate_grammar(raw: RawGrammar,
     while frontier:
         sym, lvl = frontier.pop()
         for pi in psdg_tmp.by_lhs[sym]:
-            prod = productions[pi]
+            prod = psdg_tmp.production(pi)
             last = len(prod.rhs) - 1
             for i, child in enumerate(prod.rhs):
                 if child in psdg_tmp.terminal_set:
@@ -638,24 +635,15 @@ def validate_grammar(raw: RawGrammar,
             + " -> ".join(cycle)))
         return None, diags
 
-    # Normalization of production probabilities for every state.
-    relevant: dict[str, frozenset[int]] = {}
+    # Normalization of production probabilities for every state.  The
+    # functions read only their guard scopes, so the scope features alone
+    # (the rest pinned to value 0) cover every distinct value, and the
+    # first failure found is the lexicographically least failing state.
     for nt in nonterminals:
-        scope = frozenset()
-        for pi in psdg_tmp.by_lhs[nt]:
-            scope |= productions[pi].prob.scope()
-        relevant[nt] = scope
-    total_states = psdg_tmp.state_count
-    for nt in nonterminals:
-        if total_states <= joint_bound:
-            space = itertools.product(*(range(len(f.values)) for f in features))
-        else:
-            # The functions only read their guard scopes, so enumerating the
-            # scope features (others pinned) still covers every distinct value.
-            space = _scoped_states(features, relevant[nt])
-        for idx in space:
-            s = sum(productions[pi].prob.evaluate(idx)
-                    for pi in psdg_tmp.by_lhs[nt])
+        funcs = [psdg_tmp.production(pi).prob for pi in psdg_tmp.by_lhs[nt]]
+        scope = frozenset().union(*(f.scope() for f in funcs))
+        for idx in _scoped_states(features, scope):
+            s = sum(f.evaluate(idx) for f in funcs)
             if abs(s - 1.0) > NORMALIZATION_TOL:
                 labels = ", ".join(f"{f.name}={f.values[v]}"
                                    for f, v in zip(features, idx))

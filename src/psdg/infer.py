@@ -25,14 +25,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import (SupportTooLarge, UndefinedConditional, ZeroEvidence)
-from .generate import enumerate_chains
-from .grammar import (Psdg, StatePoint, StateSet, _as_idx,
-                      _feature_transition, prior_probability,
-                      transition_probability)
+from .generate import (ExpansionFrame, advance_skeleton, enumerate_chains,
+                       leaf_terminal, termination_flags)
+from .grammar import (Psdg, StateSet, _as_idx, _feature_transition,
+                      prior_probability, transition_probability)
 
 DEFAULT_SUPPORT_BOUND = 100_000
 SIZE_CONSTANT = 8       # public-table entries stay under 8·|R|·|P|·d·m
@@ -57,56 +58,169 @@ class Observation:
         return cls(time, StateSet.from_labels(psdg, mapping))
 
 
-def _branch_leaf(psdg: Psdg, branch: Branch) -> str:
-    a, b = branch[-1]
-    return psdg.production(a).rhs[b - 1]
+@dataclass(frozen=True, eq=False, slots=True)
+class BranchEntry:
+    """What a branch does at every step, whatever the state.  The table
+    holds one per branch, so entries hash and compare by identity."""
+    branch: Branch
+    leaf: str                       # the terminal it emits
+    keys: tuple[int, ...]           # slice keys: (ℓ, X), (ℓ, ⟨a,b⟩) per level, leaf
+    terminating: tuple[int, ...]    # levels that terminate (a suffix)
+    project_keys: tuple[int, ...]   # keys plus (ℓ) and terminated (ℓ, X) keys
+    skeleton: Optional[tuple[Branch, Optional[str]]]
 
 
-def _branch_flags(psdg: Psdg, branch: Branch) -> tuple[bool, ...]:
-    flags = [False] * len(branch)
-    below = True
-    for i in range(len(branch) - 1, -1, -1):
-        a, b = branch[i]
-        flags[i] = below and b == len(psdg.production(a).rhs)
-        below = flags[i]
-    return tuple(flags)
+# Kinds of slice key.  Each is also the index of the table it fills in
+# `_project`: b_n, b_p, b_sigma, b_t and the b_tn numerators.
+SYMBOL, PRODUCTION, TERMINAL, TERMINATES, TERMINATED = range(5)
 
 
-def _branch_skeleton(psdg: Psdg, branch: Branch
-                     ) -> Optional[tuple[Branch, Optional[str]]]:
-    """Compact mirror of the generator's advance rule.
+class BranchTable:
+    """The grammar's branch alphabet, filled lazily.
 
-    None once the root terminates; otherwise (kept prefix, symbol that
-    needs a fresh expansion or None).  The fresh symbol's level is always
-    len(kept) + 1.
+    `entries` maps each branch seen so far to its BranchEntry, derived once
+    from the generator's stack rules on the branch's frame form (level =
+    position + 1); validation bounds depth and rhs length, so it stays
+    finite.  A skeleton is None once the root terminates, else (kept
+    prefix, symbol needing a fresh chain at level len(kept) + 1, or None).
+    `chains` holds the fresh expansions of each (symbol, state), and
+    `moves` the branches each (skeleton, new state) leads to.  Slice
+    key id k stands for `slots[k]`, a (kind, key) pair.  The table holds
+    no reference to its grammar, so the two die together by reference
+    counting.
     """
-    flags = _branch_flags(psdg, branch)
-    if flags[0]:
-        return None
-    d = 0
-    while d < len(branch) and not flags[d]:
-        d += 1
-    a, b = branch[d - 1]
-    prod = psdg.production(a)
-    nxt = b + 1
-    if prod.tail_recursive and nxt == len(prod.rhs):
-        return branch[:d - 1], prod.lhs
-    moved = branch[:d - 1] + ((a, nxt),)
-    sym = prod.rhs[nxt - 1]
-    if psdg.is_terminal(sym):
-        return moved, None
-    return moved, sym
+
+    def __init__(self, psdg: Psdg):
+        self.slots = (
+            [(TERMINAL, (x,)) for x in psdg.terminals]
+            + [(TERMINATES, (lvl,)) for lvl in range(1, psdg.depth + 1)]
+            + [(kind, (lvl, nt)) for nt in psdg.nonterminals
+               for lvl in psdg.levels[nt] for kind in (SYMBOL, TERMINATED)]
+            + [(PRODUCTION, (lvl, (p.index, b))) for p in psdg.productions
+               for lvl in psdg.levels[p.lhs] for b in range(1, len(p.rhs) + 1)])
+        self.key_id = {slot: k for k, slot in enumerate(self.slots)}
+        self.entries: dict[Branch, BranchEntry] = {}
+        self.chains: dict[tuple[str, State], tuple[tuple, tuple]] = {}
+        self.moves: dict[tuple, tuple[tuple[BranchEntry, ...], tuple]] = {}
+
+    def entry(self, psdg: Psdg, branch: Branch) -> BranchEntry:
+        hit = self.entries.get(branch)
+        if hit is None:     # setdefault keeps one entry if two threads race
+            hit = self.entries.setdefault(branch, self._compile(psdg, branch))
+        return hit
+
+    def _compile(self, psdg: Psdg, branch: Branch) -> BranchEntry:
+        stack = tuple(ExpansionFrame(pos + 1, psdg.production(a).lhs, a, b)
+                      for pos, (a, b) in enumerate(branch))
+        leaf = leaf_terminal(psdg, stack)
+        ids = self.key_id
+        keys, project_keys, terminating = [], [], []
+        for f, done in zip(stack, termination_flags(psdg, stack)):
+            pair = [ids[SYMBOL, (f.level, f.symbol)],
+                    ids[PRODUCTION, (f.level, (f.production, f.cursor))]]
+            keys += pair
+            project_keys += pair
+            if done:
+                terminating.append(f.level)
+                project_keys += [ids[TERMINATES, (f.level,)],
+                                 ids[TERMINATED, (f.level, f.symbol)]]
+        keys.append(ids[TERMINAL, (leaf,)])
+        project_keys.append(keys[-1])
+        advance = advance_skeleton(psdg, stack)
+        skeleton = None if advance is None else (
+            tuple((f.production, f.cursor) for f in advance[0]), advance[1])
+        return BranchEntry(branch, leaf, tuple(keys),
+                           tuple(terminating), tuple(project_keys), skeleton)
+
+    def fresh_chains(self, psdg: Psdg, symbol: str, state: State
+                     ) -> tuple[tuple[Branch, ...], tuple[float, ...]]:
+        """Fresh expansions of `symbol` at `state`, with probabilities."""
+        hit = self.chains.get((symbol, state))
+        if hit is None:
+            chains = enumerate_chains(psdg, symbol, 1, state)
+            hit = self.chains[symbol, state] = (
+                tuple(tuple((f.production, f.cursor) for f in chain)
+                      for chain, _ in chains),
+                tuple(p for _, p in chains))
+        return hit
+
+    def successors(self, psdg: Psdg, entry: BranchEntry, state: State
+                   ) -> tuple[tuple[BranchEntry, ...], tuple[float, ...]]:
+        """The entries a live, not terminated `entry` advances to when the
+        new state is `state`, and their chain probabilities."""
+        hit = self.moves.get((entry.skeleton, state))
+        if hit is None:
+            kept, fresh_symbol = entry.skeleton
+            tails, probs = (((),), (1.0,)) if fresh_symbol is None else \
+                self.fresh_chains(psdg, fresh_symbol, state)
+            hit = self.moves[entry.skeleton, state] = (
+                tuple(self.entry(psdg, kept + tail) for tail in tails),
+                probs)
+        return hit
 
 
-def _fresh_chains(psdg: Psdg, symbol: str, state: State,
-                  cache: dict) -> list[tuple[Branch, float]]:
-    key = (symbol, state)
-    hit = cache.get(key)
-    if hit is None:
-        hit = [(tuple((f.production, f.cursor) for f in chain), p)
-               for chain, p in enumerate_chains(psdg, symbol, 1, state)]
-        cache[key] = hit
-    return hit
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def branch_table(psdg: Psdg) -> BranchTable:
+    """The grammar's branch table, made on first use and dropped with the
+    grammar."""
+    table = _TABLES.get(psdg)
+    if table is None:
+        table = _TABLES[psdg] = BranchTable(psdg)
+    return table
+
+
+class _SliceSums:
+    """The one accumulator behind every slice marginal and belief table.
+
+    Weights go into flat slots indexed by slice-key id, so each key's sum
+    takes its addends in the order they are added (chart order at every
+    call site).  `drain` yields (kind, key, sum) for the keys touched, in
+    first-touch order, and clears them for reuse.
+    """
+
+    def __init__(self, table: BranchTable):
+        self.slots = table.slots
+        self.acc: list[Optional[float]] = [None] * len(table.slots)
+        self.touched: list[int] = []
+
+    def add(self, keys: tuple[int, ...], weight: float):
+        acc = self.acc
+        for k in keys:
+            v = acc[k]
+            if v is None:
+                self.touched.append(k)
+                acc[k] = 0.0 + weight
+            else:
+                acc[k] = v + weight
+
+    def drain(self):
+        acc, slots = self.acc, self.slots
+        for k in self.touched:
+            yield *slots[k], acc[k]
+            acc[k] = None
+        self.touched = []
+
+    def marginals(self) -> tuple[dict, dict, dict]:
+        """Drain into per-level symbols and productions, and terminal."""
+        symbols, productions, terminal = {}, {}, {}
+        for kind, key, v in self.drain():
+            if kind == TERMINAL:
+                terminal[key[0]] = v
+            else:
+                out = symbols if kind == SYMBOL else productions
+                out.setdefault(key[0], {})[key[1]] = v
+        return symbols, productions, terminal
+
+
+def _report_block(symbols, productions, terminal, completed) -> dict:
+    """A report's `explain` or `predict` block, in its JSON shape."""
+    return {"symbols": symbols,
+            "productions": {lvl: {f"{a}:{b}": p for (a, b), p in row.items()}
+                            for lvl, row in productions.items()},
+            "terminal": terminal,
+            "completed": completed}
 
 
 @dataclass
@@ -178,38 +292,22 @@ class BeliefState:
 def _project(belief: BeliefState):
     """Rebuild the published tables from chart + completed mass."""
     psdg = belief.psdg
-    belief.b_q = {}
-    belief.b_n = {}
-    belief.b_p = {}
-    belief.b_sigma = {}
-    belief.b_t = {}
-    belief.b_tn = {}
-    belief.completed_given_q = {}
+    table = branch_table(psdg)
+    belief.b_q, belief.b_tn, belief.completed_given_q = {}, {}, {}
+    belief.b_n, belief.b_p, belief.b_sigma, belief.b_t = {}, {}, {}, {}
     tn_num: dict[tuple, float] = {}
+    by_kind = (belief.b_n, belief.b_p, belief.b_sigma, belief.b_t, tn_num)
+    sums = _SliceSums(table)
     for q, row in belief.chart.items():
         cq = math.fsum(row.values()) + belief.completed.get(q, 0.0)
         if cq <= 0.0:
             continue
         belief.b_q[q] = cq
         for branch, mass in row.items():
-            if mass <= 0.0:
-                continue
-            share = mass / cq
-            flags = _branch_flags(psdg, branch)
-            for pos, (a, b) in enumerate(branch):
-                lvl = pos + 1
-                sym = psdg.production(a).lhs
-                nk = (lvl, sym, q)
-                belief.b_n[nk] = belief.b_n.get(nk, 0.0) + share
-                pk = (lvl, (a, b), q)
-                belief.b_p[pk] = belief.b_p.get(pk, 0.0) + share
-                if flags[pos]:
-                    tk = (lvl, q)
-                    belief.b_t[tk] = belief.b_t.get(tk, 0.0) + share
-                    tn_num[nk] = tn_num.get(nk, 0.0) + share
-            x = _branch_leaf(psdg, branch)
-            sk = (x, q)
-            belief.b_sigma[sk] = belief.b_sigma.get(sk, 0.0) + share
+            if mass > 0.0:
+                sums.add(table.entry(psdg, branch).project_keys, mass / cq)
+        for kind, key, v in sums.drain():
+            by_kind[kind][key + (q,)] = v
     for q, c in belief.completed.items():
         if c <= 0.0:
             continue
@@ -243,11 +341,11 @@ def init_belief(psdg: Psdg, support_bound: int = DEFAULT_SUPPORT_BOUND,
     total = math.fsum(weights.values())
     if total <= 0.0:
         raise ZeroEvidence(0, "the prior puts no mass on the initial support")
-    cache: dict = {}
+    table = branch_table(psdg)
     chart: dict[State, dict[Branch, float]] = {}
     for q, p0 in weights.items():
         row: dict[Branch, float] = {}
-        for branch, cp in _fresh_chains(psdg, psdg.start, q, cache):
+        for branch, cp in zip(*table.fresh_chains(psdg, psdg.start, q)):
             row[branch] = (p0 / total) * cp
         chart[q] = row
     belief = BeliefState(psdg, time, support, support_bound, chart, {})
@@ -262,14 +360,12 @@ class Explanation:
     observation: Observation
     evidence: float                      # Pr(Q^t ∈ R^t | earlier evidence)
     state_posterior: dict[State, float]
-    post: dict[tuple, float]             # (q, branch) -> posterior mass
     completed_post: dict[State, float]
     transitions: dict[tuple, dict[State, float]]   # (q, x) -> {q': π1}
-    symbol_transitions: dict[tuple, dict[State, float]]  # (ℓ, X, q) -> row
-    symbols: dict[int, dict[str, float]] = field(default_factory=dict)
-    productions: dict[int, dict[tuple, float]] = field(default_factory=dict)
-    terminal: dict[str, float] = field(default_factory=dict)
-    completed: float = 0.0
+    symbols: dict[int, dict[str, float]]
+    productions: dict[int, dict[tuple, float]]
+    terminal: dict[str, float]
+    completed: float
 
 
 def explain(psdg: Psdg, belief: BeliefState, observation: Observation
@@ -296,14 +392,18 @@ def explain(psdg: Psdg, belief: BeliefState, observation: Observation
     # nonzero allowed entries; multiplying from 1.0 in feature order and
     # iterating lexicographically gives the same keys, order and floats
     # as transition_probability over constraint.iter_states().
+    table = branch_table(psdg)
     transitions: dict[tuple, dict[State, float]] = {}
     sigma_mass: dict[tuple, float] = {}
+    live: list[tuple[tuple, BranchEntry, float]] = []
     for q, row in belief.chart.items():
         for branch, mass in row.items():
             if mass <= 0.0:
                 continue
-            key = (q, _branch_leaf(psdg, branch))
+            entry = table.entry(psdg, branch)
+            key = (q, entry.leaf)
             sigma_mass[key] = sigma_mass.get(key, 0.0) + mass
+            live.append((key, entry, mass))
     for key in sigma_mass:
         q, x = key
         values, probs = [], []
@@ -335,48 +435,20 @@ def explain(psdg: Psdg, belief: BeliefState, observation: Observation
             observation.time,
             f"observation at t={observation.time} has probability 0")
 
-    exp = Explanation(
-        observation=observation,
-        evidence=evidence,
-        state_posterior={q: v / evidence for q, v in state_posterior.items()},
-        post={},
-        completed_post={q: c / evidence for q, c in completed_post.items()},
-        transitions=transitions,
-        symbol_transitions={},
-    )
-
-    # per-branch posteriors and the slice-t marginals
-    st_num: dict[tuple, dict[State, float]] = {}
-    st_den: dict[tuple, float] = {}
-    for q, row in belief.chart.items():
-        for branch, mass in row.items():
-            if mass <= 0.0:
-                continue
-            x = _branch_leaf(psdg, branch)
-            trow = transitions[(q, x)]
-            tsum = math.fsum(trow.values())
-            post = mass * tsum / evidence
-            if post > 0.0:
-                exp.post[(q, branch)] = post
-                for pos, (a, b) in enumerate(branch):
-                    lvl = pos + 1
-                    sym = psdg.production(a).lhs
-                    srow = exp.symbols.setdefault(lvl, {})
-                    srow[sym] = srow.get(sym, 0.0) + post
-                    prow = exp.productions.setdefault(lvl, {})
-                    prow[(a, b)] = prow.get((a, b), 0.0) + post
-                exp.terminal[x] = exp.terminal.get(x, 0.0) + post
-            for pos, (a, _) in enumerate(branch):
-                nk = (pos + 1, psdg.production(a).lhs, q)
-                st_den[nk] = st_den.get(nk, 0.0) + mass
-                acc = st_num.setdefault(nk, {})
-                for q2, p in trow.items():
-                    acc[q2] = acc.get(q2, 0.0) + mass * p
-    exp.completed = math.fsum(exp.completed_post.values())
-    for nk, acc in st_num.items():
-        den = st_den[nk]
-        exp.symbol_transitions[nk] = {q2: v / den for q2, v in acc.items()}
-    return exp
+    # Each branch's posterior mass at slice t, summed into the marginals.
+    sums = _SliceSums(table)
+    tsums = {key: math.fsum(trow.values())
+             for key, trow in transitions.items()}
+    for key, entry, mass in live:
+        post = mass * tsums[key] / evidence
+        if post > 0.0:
+            sums.add(entry.keys, post)
+    completed_post = {q: c / evidence for q, c in completed_post.items()}
+    return Explanation(
+        observation, evidence,
+        {q: v / evidence for q, v in state_posterior.items()},
+        completed_post, transitions, *sums.marginals(),
+        completed=math.fsum(completed_post.values()))
 
 
 def symbol_transition(psdg: Psdg, belief: BeliefState, symbol: str,
@@ -387,22 +459,17 @@ def symbol_transition(psdg: Psdg, belief: BeliefState, symbol: str,
     the emitted terminal and applies the state transition.  Returns 0.0
     when the belief puts no mass on the symbol there.
     """
-    qp = _as_idx(q_prev)
-    qn = _as_idx(q_next)
-    row = belief.chart.get(qp)
-    if not row:
-        return 0.0
-    num = 0.0
-    den = 0.0
-    for branch, mass in row.items():
+    qp, qn = _as_idx(q_prev), _as_idx(q_next)
+    table = branch_table(psdg)
+    kid = table.key_id.get((SYMBOL, (level, symbol)))
+    num = den = 0.0
+    for branch, mass in belief.chart.get(qp, {}).items():
         if mass <= 0.0:
             continue
-        for pos, (a, _) in enumerate(branch):
-            if pos + 1 == level and psdg.production(a).lhs == symbol:
-                den += mass
-                num += mass * transition_probability(
-                    psdg, qp, _branch_leaf(psdg, branch), qn)
-                break
+        entry = table.entry(psdg, branch)
+        if kid in entry.keys:
+            den += mass
+            num += mass * transition_probability(psdg, qp, entry.leaf, qn)
     return num / den if den > 0.0 else 0.0
 
 
@@ -411,10 +478,10 @@ class Prediction:
     """The belief chart pushed one step forward, before re-projection."""
     chart: dict[State, dict[Branch, float]]
     completed: dict[State, float]
-    symbols: dict[int, dict[str, float]] = field(default_factory=dict)
-    productions: dict[int, dict[tuple, float]] = field(default_factory=dict)
-    terminal: dict[str, float] = field(default_factory=dict)
-    completed_mass: float = 0.0
+    symbols: dict[int, dict[str, float]]
+    productions: dict[int, dict[tuple, float]]
+    terminal: dict[str, float]
+    completed_mass: float
 
 
 def predict(psdg: Psdg, belief: BeliefState, explanation: Explanation
@@ -427,53 +494,34 @@ def predict(psdg: Psdg, belief: BeliefState, explanation: Explanation
     state.  Already-completed mass stays frozen.
     """
     evidence = explanation.evidence
-    chain_cache: dict = {}
-    skeleton_cache: dict[Branch, object] = {}
-    chart: dict[State, dict[Branch, float]] = {}
+    table = branch_table(psdg)
+    rows: dict[State, dict[BranchEntry, float]] = {}    # by new state
     completed: dict[State, float] = {}
     for q, row in belief.chart.items():
         for branch, mass in row.items():
             if mass <= 0.0:
                 continue
-            trow = explanation.transitions[(q, _branch_leaf(psdg, branch))]
-            if not trow:
-                continue
-            if branch in skeleton_cache:
-                skeleton = skeleton_cache[branch]
-            else:
-                skeleton = _branch_skeleton(psdg, branch)
-                skeleton_cache[branch] = skeleton
-            for q2, p in trow.items():
+            entry = table.entry(psdg, branch)
+            for q2, p in explanation.transitions[(q, entry.leaf)].items():
                 share = mass * p / evidence
-                if skeleton is None:
+                if entry.skeleton is None:
                     completed[q2] = completed.get(q2, 0.0) + share
                     continue
-                kept, fresh_symbol = skeleton
-                target = chart.setdefault(q2, {})
-                if fresh_symbol is None:
-                    target[kept] = target.get(kept, 0.0) + share
-                else:
-                    for tail, cp in _fresh_chains(psdg, fresh_symbol, q2,
-                                                  chain_cache):
-                        nb = kept + tail
-                        target[nb] = target.get(nb, 0.0) + share * cp
+                target = rows.setdefault(q2, {})
+                for nxt, cp in zip(*table.successors(psdg, entry, q2)):
+                    target[nxt] = target.get(nxt, 0.0) + share * cp
     for q, c in explanation.completed_post.items():
         completed[q] = completed.get(q, 0.0) + c
 
-    pred = Prediction(chart, completed)
-    for q, row in chart.items():
-        for branch, mass in row.items():
-            for pos, (a, b) in enumerate(branch):
-                lvl = pos + 1
-                sym = psdg.production(a).lhs
-                srow = pred.symbols.setdefault(lvl, {})
-                srow[sym] = srow.get(sym, 0.0) + mass
-                prow = pred.productions.setdefault(lvl, {})
-                prow[(a, b)] = prow.get((a, b), 0.0) + mass
-            x = _branch_leaf(psdg, branch)
-            pred.terminal[x] = pred.terminal.get(x, 0.0) + mass
-    pred.completed_mass = math.fsum(completed.values())
-    return pred
+    chart: dict[State, dict[Branch, float]] = {}
+    sums = _SliceSums(table)
+    for q2, masses in rows.items():
+        row = chart[q2] = {}
+        for entry, mass in masses.items():
+            row[entry.branch] = mass
+            sums.add(entry.keys, mass)
+    return Prediction(chart, completed, *sums.marginals(),
+                      completed_mass=math.fsum(completed.values()))
 
 
 def update(psdg: Psdg, belief: BeliefState, explanation: Explanation,
@@ -513,30 +561,17 @@ class StepReport:
     predict_completed: float
 
     def to_dict(self, psdg: Psdg) -> dict:
-        def state_key(q):
-            return "|".join(f.values[v] for f, v in zip(psdg.features, q))
-
-        def prods(d):
-            return {lvl: {f"{a}:{b}": p for (a, b), p in row.items()}
-                    for lvl, row in d.items()}
-
         return {
             "t": self.time,
             "evidence_likelihood": self.evidence_likelihood,
             "log_evidence": self.log_evidence,
-            "state": {state_key(q): p for q, p in self.state.items()},
-            "explain": {
-                "symbols": self.explain_symbols,
-                "productions": prods(self.explain_productions),
-                "terminal": self.explain_terminal,
-                "completed": self.explain_completed,
-            },
-            "predict": {
-                "symbols": self.predict_symbols,
-                "productions": prods(self.predict_productions),
-                "terminal": self.predict_terminal,
-                "completed": self.predict_completed,
-            },
+            "state": {psdg.state_key(q): p for q, p in self.state.items()},
+            "explain": _report_block(
+                self.explain_symbols, self.explain_productions,
+                self.explain_terminal, self.explain_completed),
+            "predict": _report_block(
+                self.predict_symbols, self.predict_productions,
+                self.predict_terminal, self.predict_completed),
         }
 
 
@@ -568,29 +603,14 @@ def belief_slice_marginals(belief: BeliefState) -> dict:
     the report's JSON shape.  Used where a prediction block is needed but
     no explanation exists (stream restart after zero evidence)."""
     psdg = belief.psdg
-    symbols: dict[int, dict[str, float]] = {}
-    productions: dict[int, dict[str, float]] = {}
-    terminal: dict[str, float] = {}
-    for q, row in belief.chart.items():
+    table = branch_table(psdg)
+    sums = _SliceSums(table)
+    for row in belief.chart.values():
         for branch, mass in row.items():
-            if mass <= 0.0:
-                continue
-            for pos, (a, b) in enumerate(branch):
-                lvl = pos + 1
-                sym = psdg.production(a).lhs
-                srow = symbols.setdefault(lvl, {})
-                srow[sym] = srow.get(sym, 0.0) + mass
-                prow = productions.setdefault(lvl, {})
-                key = f"{a}:{b}"
-                prow[key] = prow.get(key, 0.0) + mass
-            x = _branch_leaf(psdg, branch)
-            terminal[x] = terminal.get(x, 0.0) + mass
-    return {
-        "symbols": symbols,
-        "productions": productions,
-        "terminal": terminal,
-        "completed": math.fsum(belief.completed.values()),
-    }
+            if mass > 0.0:
+                sums.add(table.entry(psdg, branch).keys, mass)
+    return _report_block(*sums.marginals(),
+                         math.fsum(belief.completed.values()))
 
 
 def conditional_production_given_symbol(belief: BeliefState, level: int,

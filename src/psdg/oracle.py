@@ -203,10 +203,6 @@ def exact_posterior(joint: JointTable, evidence, query: Query) -> float:
 ### Reference step reports.
 
 
-def _state_key(psdg: Psdg, idx: tuple[int, ...]) -> str:
-    return "|".join(f.values[v] for f, v in zip(psdg.features, idx))
-
-
 def _slice_marginals(psdg: Psdg, alive: list[tuple[Trajectory, float]],
                      mass: float, t: int) -> dict:
     """Symbol/production/terminal marginals of slice t, plus completed mass."""
@@ -271,7 +267,7 @@ def reference_reports(psdg: Psdg, joint: JointTable, observations) -> list[dict]
             continue
         state: dict[str, float] = {}
         for traj, p in kept:
-            key = _state_key(psdg, state_at(traj, obs.time))
+            key = psdg.state_key(state_at(traj, obs.time))
             state[key] = state.get(key, 0.0) + p
         report = {
             "t": obs.time,
@@ -323,13 +319,13 @@ def joint_json_lines(joint: JointTable) -> Iterator[str]:
             "prob": e.prob,
             "log_prob": e.log_prob,
             "complete": e.trajectory.complete,
-            "q0": _state_key(psdg, e.trajectory.initial_state.idx),
+            "q0": psdg.state_key(e.trajectory.initial_state.idx),
             "steps": [{
                 "t": t,
                 "stack": [[f.level, f.symbol, f.production, f.cursor]
                           for f in s.stack],
                 "terminal": s.terminal,
-                "state": _state_key(psdg, s.state.idx),
+                "state": psdg.state_key(s.state.idx),
             } for t, s in enumerate(e.trajectory.steps, start=1)],
         })
 

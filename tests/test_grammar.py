@@ -1,4 +1,5 @@
 """Model layer: probability functions, state sets, validation."""
+import itertools
 import math
 
 import pytest
@@ -97,6 +98,60 @@ class TestValidate:
         assert [p.rhs for p in g1.productions] == \
                [p.rhs for p in g2.productions]
         assert g1.levels == g2.levels
+
+    def test_scoped_normalization_witness_equals_full_product(self):
+        """Guards that skip a feature: the scoped check names the same
+        first failing state as a loop over the full product."""
+        features = [feature("u", ["u0", "u1"], [0.5, 0.5]),
+                    feature("v", ["v0", "v1", "v2"], [0.2, 0.3, 0.5]),
+                    feature("w", ["w0", "w1"], [0.5, 0.5])]
+        prods = [
+            production(0, "S", ["a", "A"],
+                       rules=[([("u", ["u1"]), ("w", ["w0"])], 0.4)],
+                       default=0.5),
+            production(1, "S", ["b"], default=0.5),
+            production(2, "A", ["c"], rules=[([("v", ["v2"])], 0.7)],
+                       default=0.25),
+            production(3, "A", ["d"], rules=[([("w", ["w1"])], 0.25)],
+                       default=0.75),
+        ]
+        _, diags = validate_grammar(RawGrammar(features, prods, "S"))
+
+        def evaluate(p, state):
+            for rule in p.rules:
+                if all(state[f] in vals for f, vals in rule.guard):
+                    return rule.value
+            return p.default
+
+        names = [f.name for f in features]
+        want = []
+        for nt in sorted({p.lhs for p in prods}):
+            for combo in itertools.product(*(f.values for f in features)):
+                state = dict(zip(names, combo))
+                s = sum(evaluate(p, state) for p in prods if p.lhs == nt)
+                if abs(s - 1.0) > 1e-9:
+                    labels = ", ".join(f"{n}={state[n]}" for n in names)
+                    want.append(f"productions of {nt!r} sum to {s:.12g} "
+                                f"at state ({labels})")
+                    break
+        assert len(want) == 2
+        assert [d.message for d in diags
+                if d.kind == "NormalizationViolation"] == want
+
+    def test_production_indices_may_have_gaps(self):
+        g = build([unit_feature()],
+                  [production(1, "S", ["a", "B"]),
+                   production(3, "B", ["b"])], "S")
+        assert g.production(3).rhs == ("b",)
+        assert g.levels == {"B": (2,), "S": (1,)}
+        with pytest.raises(KeyError):
+            g.production(2)
+
+    def test_state_key_joins_value_labels(self):
+        g = traffic()
+        q = g.state_from_labels(
+            {"lane": "left-lane", "speed": "fast", "exit": "far"}).idx
+        assert g.state_key(q) == "left-lane|fast|far"
 
 
 class TestProductionProbability:

@@ -1,21 +1,31 @@
 """Belief initialization, explain/predict/update, and full recognition runs."""
+import gc
+import io
 import math
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
-from helpers import (build, engine_reports, feature, forcing_grammar,
-                     production, random_stream, repeated_child_grammar,
-                     single_production_grammar, sized_random_psdg,
-                     tail_recursive_grammar, traffic, unit_feature)
+from helpers import (TRAFFIC_PATH, build, engine_reports, feature,
+                     forcing_grammar, production, random_stream,
+                     repeated_child_grammar, single_production_grammar,
+                     sized_random_psdg, tail_recursive_grammar, traffic,
+                     unit_feature)
 import psdg
+import psdg.infer as infer_module
+from psdg.cli import main as cli_main
 from psdg.errors import SupportTooLarge, UndefinedConditional, ZeroEvidence
+from psdg.generate import (ExpansionFrame, advance_skeleton, enumerate_chains,
+                           leaf_terminal, observation_json_lines,
+                           sample_trajectory, termination_flags)
 from psdg.grammar import StateSet, prior_probability, transition_probability
-from psdg.infer import (Observation, conditional_production_given_symbol,
-                        explain, init_belief, predict, step,
-                        symbol_transition)
+from psdg.infer import (PRODUCTION, SYMBOL, TERMINAL, TERMINATED, TERMINATES,
+                        Observation, belief_slice_marginals, branch_table,
+                        conditional_production_given_symbol, explain,
+                        init_belief, predict, step, symbol_transition, update)
 from psdg.oracle import (Query, enumerate_joint, exact_posterior,
                          reference_reports, state_at)
 
@@ -490,3 +500,323 @@ class TestInvariantsOverRandomRuns:
                 for q in belief.chart:
                     assert q in o.constraint
                 assert belief.entry_count() <= belief.entry_bound()
+
+
+### The compiled branch table and its one accumulator, against plain
+### per-branch loops over the generator's stack rules.
+
+
+def branchy_grammar():
+    """A tail-recursive root T over a repeated child (C -> D D) whose own
+    expansions have one or two symbols, plus a root exit (T -> b): many
+    branches share a kept prefix and a fresh symbol, and some mass
+    completes."""
+    g = feature("g", ["go", "halt"], [0.6, 0.4], parents=["g"], cpt=[
+        (["go"], "a", [0.7, 0.3]),
+        (["go"], "*", [0.9, 0.1]),
+        (["halt"], "d", [0.5, 0.5]),
+        (["halt"], "*", [0.2, 0.8]),
+    ])
+    prods = [
+        production(0, "T", ["a", "T"],
+                   rules=[([("g", ["go"])], 0.5)], default=0.2),
+        production(1, "T", ["C", "T"],
+                   rules=[([("g", ["go"])], 0.4)], default=0.5),
+        production(2, "T", ["b"],
+                   rules=[([("g", ["go"])], 0.1)], default=0.3),
+        production(3, "C", ["D", "D"]),
+        production(4, "D", ["d"],
+                   rules=[([("g", ["halt"])], 0.7)], default=0.4),
+        production(5, "D", ["e", "f"],
+                   rules=[([("g", ["halt"])], 0.3)], default=0.6),
+    ]
+    return build([g], prods, "T")
+
+
+def frames(g, branch):
+    return tuple(ExpansionFrame(pos + 1, g.production(a).lhs, a, b)
+                 for pos, (a, b) in enumerate(branch))
+
+
+def compact(stack):
+    return tuple((f.production, f.cursor) for f in stack)
+
+
+def sampled_stream(g, seed, steps):
+    """Point observations of one sampled run, every third time vacuous;
+    past the run's end the frozen last state is observed."""
+    traj = sample_trajectory(g, steps, seed)
+    out = []
+    for t in range(1, steps + 1):
+        if t % 3 == 0:
+            out.append(Observation.vacuous(g, t))
+        else:
+            state = traj.steps[min(t, len(traj.steps)) - 1].state.idx
+            out.append(Observation(t, point(state)))
+    return out
+
+
+def ref_marginals(g, weighted):
+    """Symbols and productions per level and the terminal, one branch at
+    a time in the order given."""
+    symbols, productions, terminal = {}, {}, {}
+    for branch, w in weighted:
+        for pos, (a, b) in enumerate(branch):
+            srow = symbols.setdefault(pos + 1, {})
+            sym = g.production(a).lhs
+            srow[sym] = srow.get(sym, 0.0) + w
+            prow = productions.setdefault(pos + 1, {})
+            prow[(a, b)] = prow.get((a, b), 0.0) + w
+        x = leaf_terminal(g, frames(g, branch))
+        terminal[x] = terminal.get(x, 0.0) + w
+    return symbols, productions, terminal
+
+
+def ref_explain(g, belief, exp):
+    weighted = []
+    for q, row in belief.chart.items():
+        for branch, mass in row.items():
+            if mass <= 0.0:
+                continue
+            x = leaf_terminal(g, frames(g, branch))
+            post = (mass * math.fsum(exp.transitions[(q, x)].values())
+                    / exp.evidence)
+            if post > 0.0:
+                weighted.append((branch, post))
+    return ref_marginals(g, weighted)
+
+
+def ref_predict(g, belief, exp):
+    chart, completed = {}, {}
+    for q, row in belief.chart.items():
+        for branch, mass in row.items():
+            if mass <= 0.0:
+                continue
+            stack = frames(g, branch)
+            skeleton = advance_skeleton(g, stack)
+            trow = exp.transitions[(q, leaf_terminal(g, stack))]
+            for q2, p in trow.items():
+                share = mass * p / exp.evidence
+                if skeleton is None:
+                    completed[q2] = completed.get(q2, 0.0) + share
+                    continue
+                kept, fresh_symbol, fresh_level = skeleton
+                kept = compact(kept)
+                target = chart.setdefault(q2, {})
+                if fresh_symbol is None:
+                    target[kept] = target.get(kept, 0.0) + share
+                    continue
+                for chain, cp in enumerate_chains(g, fresh_symbol,
+                                                  fresh_level, q2):
+                    nb = kept + compact(chain)
+                    target[nb] = target.get(nb, 0.0) + share * cp
+    for q, c in exp.completed_post.items():
+        completed[q] = completed.get(q, 0.0) + c
+    return chart, completed
+
+
+def ref_tables(g, chart, completed):
+    """The seven published tables, one branch at a time."""
+    b_q, b_n, b_p, b_sigma, b_t, tn, given_q = {}, {}, {}, {}, {}, {}, {}
+    for q, row in chart.items():
+        cq = math.fsum(row.values()) + completed.get(q, 0.0)
+        if cq <= 0.0:
+            continue
+        b_q[q] = cq
+        for branch, mass in row.items():
+            if mass <= 0.0:
+                continue
+            share = mass / cq
+            stack = frames(g, branch)
+            for f, done in zip(stack, termination_flags(g, stack)):
+                nk = (f.level, f.symbol, q)
+                b_n[nk] = b_n.get(nk, 0.0) + share
+                pk = (f.level, (f.production, f.cursor), q)
+                b_p[pk] = b_p.get(pk, 0.0) + share
+                if done:
+                    b_t[(f.level, q)] = b_t.get((f.level, q), 0.0) + share
+                    tn[nk] = tn.get(nk, 0.0) + share
+            sk = (leaf_terminal(g, stack), q)
+            b_sigma[sk] = b_sigma.get(sk, 0.0) + share
+    for q, c in completed.items():
+        if c <= 0.0:
+            continue
+        if q not in b_q:
+            b_q[q] = c
+        given_q[q] = c / b_q[q]
+    b_tn = {nk: num / b_n[nk] for nk, num in tn.items()}
+    return b_q, b_n, b_p, b_sigma, b_t, b_tn, given_q
+
+
+def published(belief):
+    return (belief.b_q, belief.b_n, belief.b_p, belief.b_sigma, belief.b_t,
+            belief.b_tn, belief.completed_given_q)
+
+
+class TestBranchTable:
+    @pytest.mark.parametrize("make, seed", [(branchy_grammar, 3),
+                                            (repeated_child_grammar, 1),
+                                            (traffic, 5)])
+    def test_entries_follow_the_generator(self, make, seed):
+        g = make()
+        belief = init_belief(g)
+        for obs in sampled_stream(g, seed, 12):
+            _, belief = step(g, belief, obs)
+        table = branch_table(g)
+        assert len(table.entries) > 3
+        for branch, entry in table.entries.items():
+            stack = frames(g, branch)
+            assert entry.branch == branch
+            assert table.entry(g, branch) is entry
+            assert entry.leaf == leaf_terminal(g, stack)
+            flags = termination_flags(g, stack)
+            assert entry.terminating == tuple(
+                f.level for f, done in zip(stack, flags) if done)
+            skeleton = advance_skeleton(g, stack)
+            if skeleton is None:
+                assert entry.skeleton is None
+            else:
+                kept, fresh_symbol, fresh_level = skeleton
+                assert entry.skeleton == (compact(kept), fresh_symbol)
+                if fresh_symbol is not None:
+                    assert fresh_level == len(kept) + 1
+            want = [s for f in stack
+                    for s in ((SYMBOL, (f.level, f.symbol)),
+                              (PRODUCTION, (f.level,
+                                            (f.production, f.cursor))))]
+            want.append((TERMINAL, (entry.leaf,)))
+            assert [table.slots[k] for k in entry.keys] == want
+            terminated = [s for f, done in zip(stack, flags) if done
+                          for s in ((TERMINATES, (f.level,)),
+                                    (TERMINATED, (f.level, f.symbol)))]
+            assert (sorted(table.slots[k] for k in entry.project_keys)
+                    == sorted(want + terminated))
+
+    def test_successors_are_kept_prefix_plus_fresh_chains(self):
+        g = branchy_grammar()
+        belief = init_belief(g)
+        for obs in sampled_stream(g, 4, 10):
+            _, belief = step(g, belief, obs)
+        table = branch_table(g)
+        assert table.moves
+        for (skeleton, q2), (entries, probs) in table.moves.items():
+            kept, fresh_symbol = skeleton
+            if fresh_symbol is None:
+                want = [(kept, 1.0)]
+            else:
+                want = [(kept + compact(chain), cp) for chain, cp in
+                        enumerate_chains(g, fresh_symbol, len(kept) + 1, q2)]
+            assert [(e.branch, p) for e, p in zip(entries, probs)] == want
+            assert all(table.entries[e.branch] is e for e in entries)
+
+    @pytest.mark.parametrize("seed", [2, 3, 8])
+    def test_stream_equals_per_branch_reference(self, seed):
+        """Marginals, predicted chart and all seven published tables are
+        the same floats a plain per-branch loop gives."""
+        g = branchy_grammar()
+        belief = init_belief(g)
+        assert published(belief) == ref_tables(g, belief.chart, {})
+        most = 0
+        stream = sampled_stream(g, seed, 14)
+        assert len(stream) >= 10
+        for obs in stream:
+            exp = explain(g, belief, obs)
+            assert (exp.symbols, exp.productions, exp.terminal) == \
+                ref_explain(g, belief, exp)
+            pred = predict(g, belief, exp)
+            assert (pred.chart, pred.completed) == ref_predict(g, belief, exp)
+            assert (pred.symbols, pred.productions, pred.terminal) == \
+                ref_marginals(g, ((branch, mass)
+                                  for row in pred.chart.values()
+                                  for branch, mass in row.items()))
+            belief = update(g, belief, exp, pred, obs)
+            assert published(belief) == ref_tables(g, belief.chart,
+                                                   belief.completed)
+            symbols, productions, terminal = ref_marginals(
+                g, ((branch, mass) for row in belief.chart.values()
+                    for branch, mass in row.items() if mass > 0.0))
+            assert belief_slice_marginals(belief) == {
+                "symbols": symbols,
+                "productions": {lvl: {f"{a}:{b}": p
+                                      for (a, b), p in row.items()}
+                                for lvl, row in productions.items()},
+                "terminal": terminal,
+                "completed": math.fsum(belief.completed.values()),
+            }
+            most = max(most, sum(map(len, belief.chart.values())))
+        assert most >= 8
+
+    def test_grammar_dies_with_its_beliefs(self):
+        """No reference cycle keeps a grammar alive: the table holds no
+        reference to it, so dropping the grammar and its beliefs frees
+        both by reference counting alone."""
+        gc.disable()
+        try:
+            g = branchy_grammar()
+            belief = init_belief(g)
+            for obs in sampled_stream(g, 3, 6):
+                report, belief = step(g, belief, obs)
+            assert branch_table(g).entries
+            ref = weakref.ref(g)
+            del g, belief, report, obs
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_cli_invocation_leaves_no_table_behind(self, capsys,
+                                                   monkeypatch):
+        g = traffic()
+        lines = "".join(line + "\n" for line in observation_json_lines(
+            g, sample_trajectory(g, 6, 2)))
+        gc.disable()
+        try:
+            before = len(infer_module._TABLES)
+            monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+            assert cli_main(["infer", str(TRAFFIC_PATH)]) == 0
+            assert len(infer_module._TABLES) == before
+        finally:
+            gc.enable()
+        assert capsys.readouterr().out.count("\n") >= 1
+
+
+def endless_grammar():
+    """T -> a T | B T with no exit: the root never terminates."""
+    g = feature("g", ["go", "halt"], [0.5, 0.5], parents=["g"], cpt=[
+        (["go"], "a", [0.8, 0.2]),
+        (["go"], "*", [0.4, 0.6]),
+        (["halt"], "c", [0.3, 0.7]),
+        (["halt"], "*", [0.6, 0.4]),
+    ])
+    prods = [
+        production(0, "T", ["a", "T"],
+                   rules=[([("g", ["go"])], 0.7)], default=0.2),
+        production(1, "T", ["B", "T"],
+                   rules=[([("g", ["go"])], 0.3)], default=0.8),
+        production(2, "B", ["c", "c"],
+                   rules=[([("g", ["halt"])], 0.6)], default=0.5),
+        production(3, "B", ["d"],
+                   rules=[([("g", ["halt"])], 0.4)], default=0.5),
+    ]
+    return build([g], prods, "T")
+
+
+class TestSoak:
+    def test_ten_thousand_steps_stay_normalized_and_bounded(self):
+        """Observed and vacuous steps alternate over a sampled run.  The
+        grammar has four branches (T:a, and T over B's three frames), so
+        at most 4·|Q| are live and the table never grows past four."""
+        g = endless_grammar()
+        steps = 10_000
+        traj = sample_trajectory(g, steps, 17)
+        assert len(traj.steps) == steps
+        belief = init_belief(g)
+        table = branch_table(g)
+        for t in range(1, steps + 1):
+            obs = (Observation(t, point(traj.steps[t - 1].state.idx))
+                   if t % 2 else Observation.vacuous(g, t))
+            _, belief = step(g, belief, obs)
+            assert abs(math.fsum(belief.b_q.values()) - 1.0) <= 1e-9
+            assert sum(map(len, belief.chart.values())) <= 8
+            assert math.isfinite(belief.log_evidence)
+        assert len(table.entries) == 4
+        assert belief.log_evidence < 0.0
