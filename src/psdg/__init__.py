@@ -11,10 +11,9 @@ from .errors import (DeadEnd, Diagnostic, ExplosionBound, GrammarError,
                      InvalidTrajectory, PsdgError, SetTooLarge,
                      SupportTooLarge, UndefinedConditional, UnknownProduction,
                      ZeroEvidence, ZeroEvidenceMass)
-from .generate import (ExpansionFrame, TimeStep, Trajectory, advance_stack,
-                       enumerate_chains, expansion_terminates, sample_chain,
-                       sample_trajectory, termination_flags,
-                       trajectory_probability)
+from .generate import (TimeStep, Trajectory, advance_stack, enumerate_chains,
+                       expansion_terminates, sample_chain, sample_trajectory,
+                       termination_flags, trajectory_probability)
 from .grammar import (FeatureSpec, ProbabilityFunction, Production, Psdg,
                       StatePoint, StateSet, compile_grammar, enumerate_states,
                       prior_probability, production_probability,
@@ -30,20 +29,19 @@ from .parse import load_file, load_text, parse_text, validate_text
 __version__ = "0.1.0"
 
 __all__ = [
-    "BeliefState", "DeadEnd", "Diagnostic", "ExpansionFrame",
-    "ExplosionBound", "FeatureSpec", "GrammarError", "InvalidTrajectory",
-    "JointTable", "Observation", "Pcfg", "ProbabilityFunction", "Production",
-    "Psdg", "PsdgError", "Query", "SetTooLarge", "StatePoint", "StateSet",
-    "StepReport", "SupportTooLarge", "TimeStep", "Trajectory",
-    "UndefinedConditional", "UnknownProduction", "ZeroEvidence",
-    "ZeroEvidenceMass", "advance_stack", "compare_reports", "compile_grammar",
-    "conditional_production_given_symbol", "enumerate_chains",
-    "enumerate_joint", "enumerate_states", "exact_posterior", "explain",
-    "expansion_terminates", "init_belief", "load_file", "load_text",
-    "parse_text", "parse_tree", "pcfg_text", "pcfg_tree_probability",
-    "predict", "prior_probability", "production_probability",
-    "reference_reports", "sample_chain", "sample_trajectory", "step",
-    "symbol_transition", "termination_flags", "to_pcfg",
-    "trajectory_probability", "transition_probability", "update",
+    "BeliefState", "DeadEnd", "Diagnostic", "ExplosionBound", "FeatureSpec",
+    "GrammarError", "InvalidTrajectory", "JointTable", "Observation", "Pcfg",
+    "ProbabilityFunction", "Production", "Psdg", "PsdgError", "Query",
+    "SetTooLarge", "StatePoint", "StateSet", "StepReport", "SupportTooLarge",
+    "TimeStep", "Trajectory", "UndefinedConditional", "UnknownProduction",
+    "ZeroEvidence", "ZeroEvidenceMass", "advance_stack", "compare_reports",
+    "compile_grammar", "conditional_production_given_symbol",
+    "enumerate_chains", "enumerate_joint", "enumerate_states",
+    "exact_posterior", "explain", "expansion_terminates", "init_belief",
+    "load_file", "load_text", "parse_text", "parse_tree", "pcfg_text",
+    "pcfg_tree_probability", "predict", "prior_probability",
+    "production_probability", "reference_reports", "sample_chain",
+    "sample_trajectory", "step", "symbol_transition", "termination_flags",
+    "to_pcfg", "trajectory_probability", "transition_probability", "update",
     "validate_grammar", "validate_text",
 ]

@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Iterator
 
 from .errors import (ExplosionBound, GrammarError, PsdgError, SetTooLarge,
                      SupportTooLarge, ZeroEvidence, ZeroEvidenceMass)
@@ -75,19 +76,20 @@ def _parse_observation(psdg: Psdg, line: str, lineno: int) -> Observation:
         raise _CliError(2, f"line {lineno}: {e}") from None
 
 
-def _read_observations(psdg: Psdg, stream) -> list[Observation]:
-    out: list[Observation] = []
+def _read_observations(psdg: Psdg, stream) -> Iterator[Observation]:
+    """The stream's observations, one per non-blank line as it is read.
+    Times must increase strictly; as none is negative, a t=0 line can
+    only come first."""
+    last = None
     for lineno, line in enumerate(stream, start=1):
         if not line.strip():
             continue
         obs = _parse_observation(psdg, line, lineno)
-        if out and obs.time <= out[-1].time:
+        if last is not None and obs.time <= last:
             raise _CliError(2, f"line {lineno}: time {obs.time} does not "
-                               f"increase past {out[-1].time}")
-        if obs.time == 0 and out:
-            raise _CliError(2, f"line {lineno}: t=0 must be the first line")
-        out.append(obs)
-    return out
+                               f"increase past {last}")
+        last = obs.time
+        yield obs
 
 
 def _emit(payload: dict):
@@ -147,20 +149,12 @@ def cmd_infer(args) -> int:
     psdg = _read_grammar(args.grammar)
     belief: BeliefState | None = None
     restrict = None
-    for lineno, line in enumerate(sys.stdin, start=1):
-        if not line.strip():
-            continue
-        obs = _parse_observation(psdg, line, lineno)
+    for obs in _read_observations(psdg, sys.stdin):
         if obs.time == 0:
-            if belief is not None:
-                raise _CliError(2, f"line {lineno}: t=0 must be the first line")
             restrict = obs.constraint
             continue
         if belief is None:
             belief = init_belief(psdg, args.support_bound, restrict)
-        if obs.time < belief.time:
-            raise _CliError(2, f"line {lineno}: time {obs.time} is not "
-                               f"increasing")
         belief = _advance_to(psdg, belief, obs.time)
         try:
             report, belief = step(psdg, belief, obs)
@@ -181,7 +175,7 @@ def cmd_infer(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     psdg = _read_grammar(args.grammar)
-    observations = _read_observations(psdg, sys.stdin)
+    observations = list(_read_observations(psdg, sys.stdin))
     last = observations[-1].time if observations else 0
     horizon = max(args.horizon, last + 1, 1)
     joint = enumerate_joint(psdg, horizon)

@@ -1,9 +1,11 @@
 """Forward execution of a grammar: expansion stacks and sampled trajectories.
 
-A running plan is a stack of frames, one per level of the active branch.
-Frame ⟨a, b⟩ at level ℓ means production a is being expanded and its b-th
-right-hand symbol (1-based) is the one currently in progress.  The deepest
-frame always sits on a terminal; that terminal is the step's emission.
+A running plan is a stack of (production, cursor) pairs, root first, one
+per level of the active branch.  Pair ⟨a, b⟩ at position ℓ (1-based) is
+the frame at level ℓ: production a is being expanded, so the level's
+symbol is a's left-hand side, and its b-th right-hand symbol (1-based) is
+the one currently in progress.  The deepest frame always sits on a
+terminal; that terminal is the step's emission.
 
 Levels grow by one from parent to child, with one exception: a production
 whose final symbol repeats its own left-hand side re-enters the same level
@@ -17,22 +19,15 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Optional, Sequence
 
 from .errors import DeadEnd, InvalidTrajectory
 from .grammar import (Psdg, StatePoint, _feature_transition, prior_probability,
                       production_probability, transition_probability)
 
 
-class ExpansionFrame(NamedTuple):
-    level: int
-    symbol: str
-    production: int
-    cursor: int         # 1-based position into the production's rhs
-
-
-Stack = tuple[ExpansionFrame, ...]
+Stack = tuple[tuple[int, int], ...]  # (production, 1-based cursor), root first
 
 
 @dataclass
@@ -54,8 +49,8 @@ class Trajectory:
 
 
 def leaf_terminal(psdg: Psdg, stack: Stack) -> str:
-    frame = stack[-1]
-    sym = psdg.production(frame.production).rhs[frame.cursor - 1]
+    a, b = stack[-1]
+    sym = psdg.production(a).rhs[b - 1]
     assert psdg.is_terminal(sym), f"leaf of stack is {sym!r}, not a terminal"
     return sym
 
@@ -70,9 +65,8 @@ def termination_flags(psdg: Psdg, stack: Stack) -> tuple[bool, ...]:
     flags = [False] * len(stack)
     below = True    # the terminal leaf itself always completes
     for i in range(len(stack) - 1, -1, -1):
-        frame = stack[i]
-        m = len(psdg.production(frame.production).rhs)
-        flags[i] = below and frame.cursor == m
+        a, b = stack[i]
+        flags[i] = below and b == len(psdg.production(a).rhs)
         below = flags[i]
     return tuple(flags)
 
@@ -83,7 +77,7 @@ def expansion_terminates(psdg: Psdg, stack: Stack, level: int) -> bool:
     return termination_flags(psdg, stack)[level - 1]
 
 
-def enumerate_chains(psdg: Psdg, symbol: str, level: int,
+def enumerate_chains(psdg: Psdg, symbol: str,
                      state: StatePoint) -> list[tuple[Stack, float]]:
     """All ways to freshly expand `symbol` down to a terminal leaf.
 
@@ -97,20 +91,20 @@ def enumerate_chains(psdg: Psdg, symbol: str, level: int,
         p = production_probability(psdg, prod, state)
         if p <= 0.0:
             continue
-        head = ExpansionFrame(level, symbol, a, 1)
+        head = (a, 1)
         first = prod.rhs[0]
         if psdg.is_terminal(first):
             out.append(((head,), p))
         else:
-            for tail, tp in enumerate_chains(psdg, first, level + 1, state):
+            for tail, tp in enumerate_chains(psdg, first, state):
                 out.append(((head,) + tail, p * tp))
     return out
 
 
-def sample_chain(psdg: Psdg, symbol: str, level: int, state: StatePoint,
+def sample_chain(psdg: Psdg, symbol: str, state: StatePoint,
                  rng: random.Random) -> Stack:
-    frames: list[ExpansionFrame] = []
-    sym, lev = symbol, level
+    frames: list[tuple[int, int]] = []
+    sym = symbol
     while True:
         candidates = psdg.by_lhs[sym]
         weights = [production_probability(psdg, a, state) for a in candidates]
@@ -126,23 +120,23 @@ def sample_chain(psdg: Psdg, symbol: str, level: int, state: StatePoint,
             if r < acc:
                 a = cand
                 break
-        frames.append(ExpansionFrame(lev, sym, a, 1))
-        first = psdg.production(a).rhs[0]
-        if psdg.is_terminal(first):
+        frames.append((a, 1))
+        sym = psdg.production(a).rhs[0]
+        if psdg.is_terminal(sym):
             return tuple(frames)
-        sym, lev = first, lev + 1
 
 
 def advance_skeleton(psdg: Psdg, stack: Stack
-                     ) -> Optional[tuple[Stack, Optional[str], int]]:
+                     ) -> Optional[tuple[Stack, Optional[str]]]:
     """The deterministic part of one stack advance.
 
     Returns None when the root has terminated.  Otherwise returns
-    (kept frames, symbol needing a fresh chain or None, its level).
-    Terminated frames below the deepest surviving level are dropped;
-    that frame's cursor moves to the next rhs symbol, which either is
-    the new terminal leaf, re-enters the same level (trailing-lhs
-    recursion), or opens a fresh chain one level down.
+    (kept frames, symbol needing a fresh chain or None); a fresh chain
+    always opens at level len(kept) + 1.  Terminated frames below the
+    deepest surviving level are dropped; that frame's cursor moves to the
+    next rhs symbol, which either is the new terminal leaf, re-enters the
+    same level (trailing-lhs recursion), or opens a fresh chain one level
+    down.
     """
     flags = termination_flags(psdg, stack)
     if flags[0]:
@@ -150,16 +144,13 @@ def advance_skeleton(psdg: Psdg, stack: Stack
     d = 0
     while d < len(stack) and not flags[d]:
         d += 1
-    frame = stack[d - 1]
-    prod = psdg.production(frame.production)
-    nxt = frame.cursor + 1
-    if prod.tail_recursive and nxt == len(prod.rhs):
-        return stack[:d - 1], prod.lhs, frame.level
-    moved = frame._replace(cursor=nxt)
-    sym = prod.rhs[nxt - 1]
-    if psdg.is_terminal(sym):
-        return stack[:d - 1] + (moved,), None, 0
-    return stack[:d - 1] + (moved,), sym, frame.level + 1
+    a, b = stack[d - 1]
+    prod = psdg.production(a)
+    if prod.tail_recursive and b + 1 == len(prod.rhs):
+        return stack[:d - 1], prod.lhs
+    sym = prod.rhs[b]
+    return (stack[:d - 1] + ((a, b + 1),),
+            None if psdg.is_terminal(sym) else sym)
 
 
 def advance_stack(psdg: Psdg, stack: Stack, state: StatePoint,
@@ -172,10 +163,10 @@ def advance_stack(psdg: Psdg, stack: Stack, state: StatePoint,
     skeleton = advance_skeleton(psdg, stack)
     if skeleton is None:
         return None
-    kept, fresh_symbol, fresh_level = skeleton
+    kept, fresh_symbol = skeleton
     if fresh_symbol is None:
         return kept
-    return kept + sample_chain(psdg, fresh_symbol, fresh_level, state, rng)
+    return kept + sample_chain(psdg, fresh_symbol, state, rng)
 
 
 def _sample_indexed(probs: Sequence[float], rng: random.Random) -> int:
@@ -216,7 +207,7 @@ def sample_trajectory(psdg: Psdg, horizon: int, seed: Optional[int] = None
     q0 = sample_initial_state(psdg, rng)
     steps = []
     complete = False
-    stack = sample_chain(psdg, psdg.start, 1, q0, rng)
+    stack = sample_chain(psdg, psdg.start, q0, rng)
     q_prev = q0
     for _ in range(horizon):
         terminal = leaf_terminal(psdg, stack)
@@ -230,34 +221,33 @@ def sample_trajectory(psdg: Psdg, horizon: int, seed: Optional[int] = None
     return Trajectory(q0, tuple(steps), complete, seed)
 
 
-def _match_chain(psdg: Psdg, frames: Stack, symbol: str, level: int,
+def _match_chain(psdg: Psdg, frames: Stack, symbol: str,
                  t: int) -> list[int]:
     """Check that `frames` is a valid fresh chain for `symbol`; return its
     production choices."""
     if not frames:
         raise InvalidTrajectory(f"step {t}: missing expansion of {symbol!r}")
     choices = []
-    sym, lev = symbol, level
-    for i, frame in enumerate(frames):
-        if frame.level != lev or frame.symbol != sym or frame.cursor != 1:
+    sym = symbol
+    for i, (a, b) in enumerate(frames):
+        if b != 1:
             raise InvalidTrajectory(
-                f"step {t}: frame {frame} does not open {sym!r} at level {lev}")
+                f"step {t}: frame {(a, b)} does not open {sym!r}")
         try:
-            prod = psdg.production(frame.production)
-        except Exception:
+            prod = psdg.production(a)
+        except KeyError:
             raise InvalidTrajectory(
-                f"step {t}: unknown production {frame.production}") from None
+                f"step {t}: unknown production {a}") from None
         if prod.lhs != sym:
             raise InvalidTrajectory(
-                f"step {t}: production {frame.production} does not expand {sym!r}")
-        choices.append(frame.production)
-        first = prod.rhs[0]
-        if psdg.is_terminal(first):
+                f"step {t}: production {a} does not expand {sym!r}")
+        choices.append(a)
+        sym = prod.rhs[0]
+        if psdg.is_terminal(sym):
             if i != len(frames) - 1:
                 raise InvalidTrajectory(
-                    f"step {t}: frames continue below terminal leaf {first!r}")
+                    f"step {t}: frames continue below terminal leaf {sym!r}")
             return choices
-        sym, lev = first, lev + 1
     raise InvalidTrajectory(f"step {t}: chain for {symbol!r} has no terminal leaf")
 
 
@@ -289,12 +279,11 @@ def trajectory_probability(psdg: Psdg, traj: Trajectory) -> float:
         if prev_stack is None:
             kept: Stack = ()
             fresh_symbol: Optional[str] = psdg.start
-            fresh_level = 1
         else:
             skeleton = advance_skeleton(psdg, prev_stack)
             if skeleton is None:
                 raise InvalidTrajectory(f"step {t}: follows a completed root")
-            kept, fresh_symbol, fresh_level = skeleton
+            kept, fresh_symbol = skeleton
         if step.stack[:len(kept)] != kept:
             raise InvalidTrajectory(f"step {t}: carried-over frames differ")
         rest = step.stack[len(kept):]
@@ -302,7 +291,7 @@ def trajectory_probability(psdg: Psdg, traj: Trajectory) -> float:
             if rest:
                 raise InvalidTrajectory(f"step {t}: unexpected fresh frames")
         else:
-            for a in _match_chain(psdg, rest, fresh_symbol, fresh_level, t):
+            for a in _match_chain(psdg, rest, fresh_symbol, t):
                 times(production_probability(psdg, a, q_prev))
         terminal = leaf_terminal(psdg, step.stack)
         if terminal != step.terminal:
@@ -327,9 +316,9 @@ def trajectory_json_lines(psdg: Psdg, traj: Trajectory) -> Iterator[str]:
     for t, step in enumerate(traj.steps, start=1):
         yield json.dumps({
             "t": t,
-            "stack": [{"level": f.level, "symbol": f.symbol,
-                       "production": f.production, "cursor": f.cursor}
-                      for f in step.stack],
+            "stack": [{"level": level, "symbol": psdg.production(a).lhs,
+                       "production": a, "cursor": b}
+                      for level, (a, b) in enumerate(step.stack, start=1)],
             "terminal": step.terminal,
             "state": step.state.labels(psdg),
         })

@@ -121,9 +121,6 @@ class FeatureSpec:
     parent_key: Callable[[tuple[int, ...]], object] = field(
         compare=False, repr=False)
 
-    def value_index(self, label: str) -> int:
-        return self.values.index(label)
-
 
 @dataclass(frozen=True)
 class StatePoint:

@@ -8,15 +8,15 @@ through the deterministic advance rules and fresh production draws), and
 update (rebuild the per-state probability tables for the next step).
 
 Internally the belief is a joint chart over (previous state, active
-branch), where a branch is the tuple of (production, cursor) pairs from
-the root down to the terminal leaf.  The published tables (symbols,
-productions, terminal, termination, per level and state) are exact
-marginal projections of that chart.  Keeping the branch resolved is what
-makes the engine agree with brute-force enumeration: per-level tables
-alone lose the correlation between a frame and the depth below it, and
-repeated children (say S -> A A) then mix mass across branches.  The
-projections stay within the documented size bound; the chart itself is
-linear in the number of live branches.
+branch), where a branch is a generator stack: the tuple of (production,
+cursor) pairs from the root down to the terminal leaf.  The published
+tables (symbols, productions, terminal, termination, per level and state)
+are exact marginal projections of that chart.  Keeping the branch
+resolved is what makes the engine agree with brute-force enumeration:
+per-level tables alone lose the correlation between a frame and the depth
+below it, and repeated children (say S -> A A) then mix mass across
+branches.  The projections stay within the documented size bound; the
+chart itself is linear in the number of live branches.
 
 Completion is absorbing: once the root terminates, the final state is
 frozen and later observations simply constrain that frozen value.
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import (SupportTooLarge, UndefinedConditional, ZeroEvidence)
-from .generate import (ExpansionFrame, advance_skeleton, enumerate_chains,
+from .generate import (Stack, advance_skeleton, enumerate_chains,
                        leaf_terminal, termination_flags)
 from .grammar import (Psdg, StateSet, _as_idx, _feature_transition,
                       prior_probability, transition_probability)
@@ -39,7 +39,6 @@ DEFAULT_SUPPORT_BOUND = 100_000
 SIZE_CONSTANT = 8       # public-table entries stay under 8·|R|·|P|·d·m
 
 State = tuple  # of value indices
-Branch = tuple  # of (production, cursor) pairs, root first
 
 
 @dataclass(frozen=True)
@@ -62,12 +61,12 @@ class Observation:
 class BranchEntry:
     """What a branch does at every step, whatever the state.  The table
     holds one per branch, so entries hash and compare by identity."""
-    branch: Branch
+    branch: Stack
     leaf: str                       # the terminal it emits
     keys: tuple[int, ...]           # slice keys: (ℓ, X), (ℓ, ⟨a,b⟩) per level, leaf
     terminating: tuple[int, ...]    # levels that terminate (a suffix)
     project_keys: tuple[int, ...]   # keys plus (ℓ) and terminated (ℓ, X) keys
-    skeleton: Optional[tuple[Branch, Optional[str]]]
+    skeleton: Optional[tuple[Stack, Optional[str]]]
 
 
 # Kinds of slice key.  Each is also the index of the table it fills in
@@ -79,10 +78,10 @@ class BranchTable:
     """The grammar's branch alphabet, filled lazily.
 
     `entries` maps each branch seen so far to its BranchEntry, derived once
-    from the generator's stack rules on the branch's frame form (level =
-    position + 1); validation bounds depth and rhs length, so it stays
-    finite.  A skeleton is None once the root terminates, else (kept
-    prefix, symbol needing a fresh chain at level len(kept) + 1, or None).
+    by the generator's stack rules, since a branch is a generator stack;
+    validation bounds depth and rhs length, so it stays finite.  A
+    skeleton is `advance_skeleton` of the branch: None once the root
+    terminates, else (kept prefix, symbol needing a fresh chain or None).
     `chains` holds the fresh expansions of each (symbol, state), and
     `moves` the branches each (skeleton, new state) leads to.  Slice
     key id k stands for `slots[k]`, a (kind, key) pair.  The table holds
@@ -99,49 +98,43 @@ class BranchTable:
             + [(PRODUCTION, (lvl, (p.index, b))) for p in psdg.productions
                for lvl in psdg.levels[p.lhs] for b in range(1, len(p.rhs) + 1)])
         self.key_id = {slot: k for k, slot in enumerate(self.slots)}
-        self.entries: dict[Branch, BranchEntry] = {}
-        self.chains: dict[tuple[str, State], tuple[tuple, tuple]] = {}
+        self.entries: dict[Stack, BranchEntry] = {}
+        self.chains: dict[tuple[str, State], list[tuple[Stack, float]]] = {}
         self.moves: dict[tuple, tuple[tuple[BranchEntry, ...], tuple]] = {}
 
-    def entry(self, psdg: Psdg, branch: Branch) -> BranchEntry:
+    def entry(self, psdg: Psdg, branch: Stack) -> BranchEntry:
         hit = self.entries.get(branch)
         if hit is None:     # setdefault keeps one entry if two threads race
             hit = self.entries.setdefault(branch, self._compile(psdg, branch))
         return hit
 
-    def _compile(self, psdg: Psdg, branch: Branch) -> BranchEntry:
-        stack = tuple(ExpansionFrame(pos + 1, psdg.production(a).lhs, a, b)
-                      for pos, (a, b) in enumerate(branch))
-        leaf = leaf_terminal(psdg, stack)
+    def _compile(self, psdg: Psdg, branch: Stack) -> BranchEntry:
+        leaf = leaf_terminal(psdg, branch)
         ids = self.key_id
         keys, project_keys, terminating = [], [], []
-        for f, done in zip(stack, termination_flags(psdg, stack)):
-            pair = [ids[SYMBOL, (f.level, f.symbol)],
-                    ids[PRODUCTION, (f.level, (f.production, f.cursor))]]
+        flags = termination_flags(psdg, branch)
+        for level, (frame, done) in enumerate(zip(branch, flags), start=1):
+            symbol = psdg.production(frame[0]).lhs
+            pair = [ids[SYMBOL, (level, symbol)],
+                    ids[PRODUCTION, (level, frame)]]
             keys += pair
             project_keys += pair
             if done:
-                terminating.append(f.level)
-                project_keys += [ids[TERMINATES, (f.level,)],
-                                 ids[TERMINATED, (f.level, f.symbol)]]
+                terminating.append(level)
+                project_keys += [ids[TERMINATES, (level,)],
+                                 ids[TERMINATED, (level, symbol)]]
         keys.append(ids[TERMINAL, (leaf,)])
         project_keys.append(keys[-1])
-        advance = advance_skeleton(psdg, stack)
-        skeleton = None if advance is None else (
-            tuple((f.production, f.cursor) for f in advance[0]), advance[1])
-        return BranchEntry(branch, leaf, tuple(keys),
-                           tuple(terminating), tuple(project_keys), skeleton)
+        return BranchEntry(branch, leaf, tuple(keys), tuple(terminating),
+                           tuple(project_keys), advance_skeleton(psdg, branch))
 
     def fresh_chains(self, psdg: Psdg, symbol: str, state: State
-                     ) -> tuple[tuple[Branch, ...], tuple[float, ...]]:
+                     ) -> list[tuple[Stack, float]]:
         """Fresh expansions of `symbol` at `state`, with probabilities."""
         hit = self.chains.get((symbol, state))
         if hit is None:
-            chains = enumerate_chains(psdg, symbol, 1, state)
-            hit = self.chains[symbol, state] = (
-                tuple(tuple((f.production, f.cursor) for f in chain)
-                      for chain, _ in chains),
-                tuple(p for _, p in chains))
+            hit = self.chains[symbol, state] = enumerate_chains(
+                psdg, symbol, state)
         return hit
 
     def successors(self, psdg: Psdg, entry: BranchEntry, state: State
@@ -151,11 +144,11 @@ class BranchTable:
         hit = self.moves.get((entry.skeleton, state))
         if hit is None:
             kept, fresh_symbol = entry.skeleton
-            tails, probs = (((),), (1.0,)) if fresh_symbol is None else \
+            chains = [((), 1.0)] if fresh_symbol is None else \
                 self.fresh_chains(psdg, fresh_symbol, state)
             hit = self.moves[entry.skeleton, state] = (
-                tuple(self.entry(psdg, kept + tail) for tail in tails),
-                probs)
+                tuple(self.entry(psdg, kept + tail) for tail, _ in chains),
+                tuple(p for _, p in chains))
         return hit
 
 
@@ -238,7 +231,7 @@ class BeliefState:
     time: int
     support: StateSet
     support_bound: int
-    chart: dict[State, dict[Branch, float]]
+    chart: dict[State, dict[Stack, float]]
     completed: dict[State, float]
     b_q: dict[State, float] = field(default_factory=dict)
     b_n: dict[tuple, float] = field(default_factory=dict)      # (ℓ, X, q)
@@ -342,10 +335,10 @@ def init_belief(psdg: Psdg, support_bound: int = DEFAULT_SUPPORT_BOUND,
     if total <= 0.0:
         raise ZeroEvidence(0, "the prior puts no mass on the initial support")
     table = branch_table(psdg)
-    chart: dict[State, dict[Branch, float]] = {}
+    chart: dict[State, dict[Stack, float]] = {}
     for q, p0 in weights.items():
-        row: dict[Branch, float] = {}
-        for branch, cp in zip(*table.fresh_chains(psdg, psdg.start, q)):
+        row: dict[Stack, float] = {}
+        for branch, cp in table.fresh_chains(psdg, psdg.start, q):
             row[branch] = (p0 / total) * cp
         chart[q] = row
     belief = BeliefState(psdg, time, support, support_bound, chart, {})
@@ -476,7 +469,7 @@ def symbol_transition(psdg: Psdg, belief: BeliefState, symbol: str,
 @dataclass
 class Prediction:
     """The belief chart pushed one step forward, before re-projection."""
-    chart: dict[State, dict[Branch, float]]
+    chart: dict[State, dict[Stack, float]]
     completed: dict[State, float]
     symbols: dict[int, dict[str, float]]
     productions: dict[int, dict[tuple, float]]
@@ -513,7 +506,7 @@ def predict(psdg: Psdg, belief: BeliefState, explanation: Explanation
     for q, c in explanation.completed_post.items():
         completed[q] = completed.get(q, 0.0) + c
 
-    chart: dict[State, dict[Branch, float]] = {}
+    chart: dict[State, dict[Stack, float]] = {}
     sums = _SliceSums(table)
     for q2, masses in rows.items():
         row = chart[q2] = {}

@@ -13,7 +13,6 @@ production probabilities become constants.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
@@ -23,7 +22,8 @@ import numpy as np
 from .errors import (ExplosionBound, InvalidTrajectory, UnknownProduction,
                      ZeroEvidenceMass)
 from .generate import (Stack, TimeStep, Trajectory, advance_skeleton,
-                       enumerate_chains, leaf_terminal, termination_flags)
+                       enumerate_chains, leaf_terminal, termination_flags,
+                       trajectory_probability)
 from .grammar import (Psdg, StatePoint, StateSet, _feature_transition,
                       enumerate_states, prior_probability,
                       production_probability)
@@ -91,12 +91,11 @@ def enumerate_joint(psdg: Psdg, horizon: int,
                 traj = Trajectory(q0, steps2, complete=complete_here)
                 entries.append(JointEntry(traj, math.exp(lp), lp))
             else:
-                kept, fresh_symbol, fresh_level = advance_skeleton(psdg, stack)
+                kept, fresh_symbol = advance_skeleton(psdg, stack)
                 if fresh_symbol is None:
                     walk(q0, steps2, kept, q, lp, t + 1)
                 else:
-                    for chain, cp in enumerate_chains(
-                            psdg, fresh_symbol, fresh_level, q):
+                    for chain, cp in enumerate_chains(psdg, fresh_symbol, q):
                         walk(q0, steps2, kept + chain, q,
                              lp + math.log(cp), t + 1)
 
@@ -104,7 +103,7 @@ def enumerate_joint(psdg: Psdg, horizon: int,
         p0 = prior_probability(psdg, q0_idx)
         if p0 <= 0.0:
             continue
-        for chain, cp in enumerate_chains(psdg, psdg.start, 1, q0_idx):
+        for chain, cp in enumerate_chains(psdg, psdg.start, q0_idx):
             walk(StatePoint(q0_idx), (), chain, q0_idx,
                  math.log(p0) + math.log(cp), 1)
 
@@ -162,13 +161,13 @@ def query_holds(psdg: Psdg, traj: Trajectory, query: Query) -> bool:
     if k == "terminal":
         return traj.steps[query.time - 1].terminal == query.value
     if k == "symbol":
-        return (query.level <= len(stack)
-                and stack[query.level - 1].symbol == query.value)
-    if k == "production":
         if query.level > len(stack):
             return False
-        frame = stack[query.level - 1]
-        return (frame.production, frame.cursor) == tuple(query.value)
+        a, _ = stack[query.level - 1]
+        return psdg.production(a).lhs == query.value
+    if k == "production":
+        return (query.level <= len(stack)
+                and stack[query.level - 1] == tuple(query.value))
     if k == "terminated":
         return (query.level <= len(stack)
                 and termination_flags(psdg, stack)[query.level - 1])
@@ -215,13 +214,12 @@ def _slice_marginals(psdg: Psdg, alive: list[tuple[Trajectory, float]],
             completed += p      # complete runs only; horizon guards the rest
             continue
         step = traj.steps[t - 1]
-        for frame in step.stack:
-            symbols.setdefault(frame.level, {})
-            productions.setdefault(frame.level, {})
-            s = symbols[frame.level]
-            s[frame.symbol] = s.get(frame.symbol, 0.0) + p
-            key = f"{frame.production}:{frame.cursor}"
-            r = productions[frame.level]
+        for level, (a, b) in enumerate(step.stack, start=1):
+            s = symbols.setdefault(level, {})
+            symbol = psdg.production(a).lhs
+            s[symbol] = s.get(symbol, 0.0) + p
+            key = f"{a}:{b}"
+            r = productions.setdefault(level, {})
             r[key] = r.get(key, 0.0) + p
         terminal[step.terminal] = terminal.get(step.terminal, 0.0) + p
 
@@ -312,24 +310,6 @@ def compare_reports(got: dict, want: dict, tol: float = 1e-9
     return worst, problems
 
 
-def joint_json_lines(joint: JointTable) -> Iterator[str]:
-    psdg = joint.psdg
-    for e in joint.entries:
-        yield json.dumps({
-            "prob": e.prob,
-            "log_prob": e.log_prob,
-            "complete": e.trajectory.complete,
-            "q0": psdg.state_key(e.trajectory.initial_state.idx),
-            "steps": [{
-                "t": t,
-                "stack": [[f.level, f.symbol, f.production, f.cursor]
-                          for f in s.stack],
-                "terminal": s.terminal,
-                "state": psdg.state_key(s.state.idx),
-            } for t, s in enumerate(e.trajectory.steps, start=1)],
-        })
-
-
 ### Parse trees of complete runs.
 
 
@@ -356,66 +336,49 @@ def parse_tree(psdg: Psdg, traj: Trajectory) -> ParseNode:
     Fresh frames become nodes hanging off the frame above them (or off the
     node they re-enter, for trailing-lhs recursion); each step's terminal
     becomes a leaf under the deepest node.  Nodes are annotated with the
-    state before their first terminal and after their last one.
+    state before their first terminal and after their last one.  Raises
+    InvalidTrajectory unless the run is complete and its stacks follow the
+    advance rules, by the same check `trajectory_probability` makes.
     """
     if not traj.complete:
         raise InvalidTrajectory("parse trees exist only for completed runs")
+    trajectory_probability(psdg, traj)
     states = [traj.initial_state.idx] + [s.state.idx for s in traj.steps]
     root: Optional[ParseNode] = None
     nodes: list[ParseNode] = []     # node per live stack level
     prev: Optional[Stack] = None
     for t, step in enumerate(traj.steps, start=1):
-        stack = step.stack
-        if prev is None:
-            start = 0
-        else:
+        reentered: Optional[ParseNode] = None
+        if prev is not None:
             # Comparing stacks directly is ambiguous: a trailing-lhs
             # re-entry that resamples the same production reproduces the
             # previous stack bit for bit.  Replaying the deterministic
             # advance of the previous stack gives the true split between
             # carried-over frames and fresh ones.
-            skeleton = advance_skeleton(psdg, prev)
-            assert skeleton is not None, "root terminated before final step"
-            kept, fresh_symbol, _ = skeleton
+            kept, fresh_symbol = advance_skeleton(psdg, prev)
             k = len(kept)
-            assert stack[:k] == kept, "stack does not extend its predecessor"
-            start = k
-            moved = k > 0 and kept[k - 1] != prev[k - 1]
-            if fresh_symbol is None:
-                assert len(stack) == k
-                nodes = nodes[:k]
-            elif moved:
-                # cursor advanced onto a nonterminal; the fresh chain
-                # hangs below the moved frame's node
-                nodes = nodes[:k]
-            else:
+            if fresh_symbol is not None and kept == prev[:k]:
                 # trailing-lhs re-entry: the first fresh frame replaces
                 # level k+1 and becomes the final child of the node there
-                frame = stack[k]
-                assert frame.symbol == fresh_symbol and frame.cursor == 1
                 reentered = nodes[k]
-                node = ParseNode(frame.symbol, frame.production)
+            nodes = nodes[:k]
+        for a, _ in step.stack[len(nodes):]:
+            node = ParseNode(psdg.production(a).lhs, a)
+            if reentered is not None:
                 reentered.children.append(node)
-                nodes = nodes[:k] + [node]
-                start = k + 1
-        for frame in stack[start:]:
-            node = ParseNode(frame.symbol, frame.production)
-            if frame.level == 1:
-                root = node
+                reentered = None
+            elif nodes:
+                nodes[-1].children.append(node)
             else:
-                nodes[frame.level - 2].children.append(node)
+                root = node
             nodes.append(node)
-        leaf = TerminalLeaf(step.terminal, t, states[t - 1], states[t])
-        assert len(nodes) == len(stack)
-        nodes[-1].children.append(leaf)
-        prev = stack
-    assert root is not None
+        nodes[-1].children.append(
+            TerminalLeaf(step.terminal, t, states[t - 1], states[t]))
+        prev = step.stack
 
     def annotate(node) -> tuple[tuple[int, ...], tuple[int, ...]]:
         if isinstance(node, TerminalLeaf):
             return node.prev_state, node.next_state
-        m = len(psdg.production(node.production).rhs)
-        assert len(node.children) == m, "incomplete node in a completed run"
         node.start_state, _ = annotate(node.children[0])
         for child in node.children[1:]:
             annotate(child)

@@ -226,8 +226,7 @@ def test_criterion_7_forced_pass_trace_replay():
     traj = sample_trajectory(grammar, horizon=6, seed=0)
     assert traj.complete
     assert [s.terminal for s in traj.steps] == ["Left", "Right", "Exit"]
-    stacks = [tuple((f.production, f.cursor) for f in s.stack)
-              for s in traj.steps]
+    stacks = [s.stack for s in traj.steps]
     assert stacks == [((3, 1), (5, 1)), ((3, 1), (5, 2)), ((4, 1),)]
     assert math.isfinite(trajectory_probability(grammar, traj))
 

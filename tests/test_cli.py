@@ -109,6 +109,47 @@ class TestSample:
             for values in p["observe"].values():
                 assert isinstance(values, list) and len(values) == 1
 
+    def test_golden_trajectories(self, capsys):
+        """Exact stdout, byte for byte, including each frame's level and
+        symbol, which are rendered from the stack position and the
+        production's left-hand side."""
+        def frame(level, symbol, production, cursor):
+            return {"level": level, "symbol": symbol,
+                    "production": production, "cursor": cursor}
+
+        def state(lane, speed, exit_):
+            return {"lane": lane, "speed": speed, "exit": exit_}
+
+        drive0, drive3, drive4 = (frame(1, "Drive", a, 1) for a in (0, 3, 4))
+        want = [
+            {"q0": state("left-lane", "fast", "far"), "seed": 1,
+             "complete": True},
+            {"t": 1, "stack": [drive0], "terminal": "Stay",
+             "state": state("left-lane", "fast", "near")},
+            {"t": 2, "stack": [drive3, frame(2, "Pass", 5, 1)],
+             "terminal": "Left", "state": state("left-lane", "fast", "at")},
+            {"t": 3, "stack": [drive3, frame(2, "Pass", 5, 2)],
+             "terminal": "Right",
+             "state": state("center-lane", "slow", "at")},
+            {"t": 4, "stack": [drive4], "terminal": "Exit",
+             "state": state("center-lane", "fast", "at")},
+            {"q0": state("right-lane", "fast", "far"), "seed": 2,
+             "complete": True},
+            {"t": 1, "stack": [drive0], "terminal": "Stay",
+             "state": state("right-lane", "fast", "near")},
+            {"t": 2, "stack": [drive0], "terminal": "Stay",
+             "state": state("right-lane", "fast", "at")},
+            {"t": 3, "stack": [drive0], "terminal": "Stay",
+             "state": state("right-lane", "fast", "at")},
+            {"t": 4, "stack": [drive4], "terminal": "Exit",
+             "state": state("right-lane", "fast", "at")},
+        ]
+        code, out, _ = run(capsys, ["sample", str(TRAFFIC_PATH),
+                                    "--horizon", "4", "--seed", "1",
+                                    "--count", "2"])
+        assert code == 0
+        assert out == "".join(json.dumps(line) + "\n" for line in want)
+
     def test_observations_only_needs_single_count(self, capsys):
         code, _, err = run(capsys, ["sample", str(TRAFFIC_PATH),
                                     "--observations-only", "--count", "2"])
@@ -200,10 +241,11 @@ class TestInfer:
                       obs_line(2, {}) + "\n" + obs_line(1, {}) + "\n",
                       obs_line(1, {}) + "\n" + obs_line(0, {}) + "\n",
                       obs_line(1, {"lane": ["sidewalk"]}) + "\n"):
-            code, _, err = run(capsys, ["infer", str(TRAFFIC_PATH)],
-                               stdin, monkeypatch)
-            assert code == 2, stdin
-            assert err
+            for command in ("infer", "oracle-check"):
+                code, _, err = run(capsys, [command, str(TRAFFIC_PATH)],
+                                   stdin, monkeypatch)
+                assert code == 2, (command, stdin)
+                assert err
 
 
 class TestOracleCheck:

@@ -1,4 +1,5 @@
 """Generative semantics: stacks, termination, sampling, scoring."""
+import json
 import math
 import random
 from collections import Counter
@@ -9,18 +10,17 @@ from helpers import (ab_grammar, build, feature, forcing_grammar, production,
                      random_psdg, repeated_child_grammar,
                      single_production_grammar, traffic, unit_feature)
 from psdg.errors import InvalidTrajectory
-from psdg.generate import (ExpansionFrame, TimeStep, Trajectory, advance_stack,
+from psdg.generate import (TimeStep, Trajectory, advance_stack,
                            expansion_terminates, leaf_terminal,
                            sample_trajectory, termination_flags,
-                           trajectory_probability)
+                           trajectory_json_lines, trajectory_probability)
 from psdg.grammar import production_probability
 from psdg.oracle import enumerate_joint
 
 
 def drive_pass_stack(pass_cursor: int):
     """Drive -> Pass Drive with Pass -> Left Right at the given cursor."""
-    return (ExpansionFrame(1, "Drive", 3, 1),
-            ExpansionFrame(2, "Pass", 5, pass_cursor))
+    return ((3, 1), (5, pass_cursor))
 
 
 class TestTermination:
@@ -37,7 +37,7 @@ class TestTermination:
     def test_flags_form_suffix(self):
         g = traffic()
         for stack in (drive_pass_stack(1), drive_pass_stack(2),
-                      (ExpansionFrame(1, "Drive", 4, 1),)):
+                      ((4, 1),)):
             flags = termination_flags(g, stack)
             # once a frame fails to terminate, everything above fails too
             seen_true = False
@@ -51,7 +51,7 @@ class TestTermination:
 
     def test_exit_frame_terminates_root(self):
         g = traffic()
-        assert termination_flags(g, (ExpansionFrame(1, "Drive", 4, 1),)) \
+        assert termination_flags(g, ((4, 1),)) \
             == (True,)
 
 
@@ -67,16 +67,16 @@ class TestAdvanceStack:
 
     def test_two_symbol_production_steps_through(self):
         g = build([unit_feature()], [production(0, "S", ["a", "b"])], "S")
-        stack = (ExpansionFrame(1, "S", 0, 1),)
+        stack = ((0, 1),)
         nxt = advance_stack(g, stack, (0,), random.Random(0))
-        assert nxt == (ExpansionFrame(1, "S", 0, 2),)
+        assert nxt == ((0, 2),)
         assert leaf_terminal(g, nxt) == "b"
 
     def test_root_termination_returns_none(self):
         g = traffic()
         q = g.state_from_labels(
             {"lane": "center-lane", "speed": "slow", "exit": "at"})
-        assert advance_stack(g, (ExpansionFrame(1, "Drive", 4, 1),),
+        assert advance_stack(g, ((4, 1),),
                              q, random.Random(0)) is None
 
     def test_tail_reentry_samples_fresh_root_production(self):
@@ -89,9 +89,9 @@ class TestAdvanceStack:
         for _ in range(n):
             nxt = advance_stack(g, drive_pass_stack(2), q, rng)
             assert nxt is not None
-            root = nxt[0]
-            assert root.level == 1 and root.symbol == "Drive"
-            counts[root.production] += 1
+            root, _ = nxt[0]
+            assert g.production(root).lhs == "Drive"
+            counts[root] += 1
         for p in g.productions:
             if p.lhs != "Drive":
                 continue
@@ -110,7 +110,7 @@ class TestSampleTrajectory:
         assert traj.complete
         assert traj.steps[0].stack == drive_pass_stack(1)
         assert traj.steps[1].stack == drive_pass_stack(2)
-        assert traj.steps[2].stack == (ExpansionFrame(1, "Drive", 4, 1),)
+        assert traj.steps[2].stack == ((4, 1),)
 
     def test_single_terminal_completes_at_one(self):
         g = single_production_grammar()
@@ -142,7 +142,7 @@ def pass_left_then_exit_trajectory(g):
     steps = (
         TimeStep(drive_pass_stack(1), "Left", q1),
         TimeStep(drive_pass_stack(2), "Right", q2),
-        TimeStep((ExpansionFrame(1, "Drive", 4, 1),), "Exit", q3),
+        TimeStep(((4, 1),), "Exit", q3),
     )
     return Trajectory(q0, steps, complete=True)
 
@@ -238,16 +238,24 @@ class TestStackWellFormedness:
                 traj = sample_trajectory(g, horizon=7, seed=run)
                 for step in traj.steps:
                     stack = step.stack
-                    for i, frame in enumerate(stack):
-                        prod = g.production(frame.production)
-                        assert frame.level == i + 1
-                        assert prod.lhs == frame.symbol
-                        assert 1 <= frame.cursor <= len(prod.rhs)
+                    for i, (a, b) in enumerate(stack):
+                        prod = g.production(a)
+                        assert 1 <= b <= len(prod.rhs)
                         if i + 1 < len(stack):
-                            child = stack[i + 1]
-                            assert prod.rhs[frame.cursor - 1] == child.symbol
+                            child = g.production(stack[i + 1][0])
+                            assert prod.rhs[b - 1] == child.lhs
                     # the leaf's cursor symbol is the emitted terminal
-                    leaf = stack[-1]
-                    sym = g.production(leaf.production).rhs[leaf.cursor - 1]
+                    a, b = stack[-1]
+                    sym = g.production(a).rhs[b - 1]
                     assert sym == step.terminal
                     assert g.is_terminal(sym)
+                # level and symbol exist only in the rendered lines
+                lines = [json.loads(line)
+                         for line in trajectory_json_lines(g, traj)]
+                for step, line in zip(traj.steps, lines[1:], strict=True):
+                    assert [(f["production"], f["cursor"])
+                            for f in line["stack"]] == list(step.stack)
+                    for i, frame in enumerate(line["stack"]):
+                        prod = g.production(frame["production"])
+                        assert frame["level"] == i + 1
+                        assert prod.lhs == frame["symbol"]

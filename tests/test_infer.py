@@ -18,9 +18,9 @@ import psdg
 import psdg.infer as infer_module
 from psdg.cli import main as cli_main
 from psdg.errors import SupportTooLarge, UndefinedConditional, ZeroEvidence
-from psdg.generate import (ExpansionFrame, advance_skeleton, enumerate_chains,
-                           leaf_terminal, observation_json_lines,
-                           sample_trajectory, termination_flags)
+from psdg.generate import (advance_skeleton, enumerate_chains, leaf_terminal,
+                           observation_json_lines, sample_trajectory,
+                           termination_flags)
 from psdg.grammar import StateSet, prior_probability, transition_probability
 from psdg.infer import (PRODUCTION, SYMBOL, TERMINAL, TERMINATED, TERMINATES,
                         Observation, belief_slice_marginals, branch_table,
@@ -326,9 +326,9 @@ class TestStep:
         for t, s in enumerate(traj.steps, start=1):
             obs = Observation(t, point(s.state.idx))
             e = explain(g, belief, obs)
-            for frame in s.stack:
-                row = e.productions[frame.level]
-                assert row.get((frame.production, frame.cursor), 0.0) > 0.0
+            for level, frame in enumerate(s.stack, start=1):
+                row = e.productions[level]
+                assert row.get(frame, 0.0) > 0.0
             assert e.terminal.get(s.terminal, 0.0) > 0.0
             _, belief = step(g, belief, obs)
 
@@ -533,15 +533,6 @@ def branchy_grammar():
     return build([g], prods, "T")
 
 
-def frames(g, branch):
-    return tuple(ExpansionFrame(pos + 1, g.production(a).lhs, a, b)
-                 for pos, (a, b) in enumerate(branch))
-
-
-def compact(stack):
-    return tuple((f.production, f.cursor) for f in stack)
-
-
 def sampled_stream(g, seed, steps):
     """Point observations of one sampled run, every third time vacuous;
     past the run's end the frozen last state is observed."""
@@ -567,7 +558,7 @@ def ref_marginals(g, weighted):
             srow[sym] = srow.get(sym, 0.0) + w
             prow = productions.setdefault(pos + 1, {})
             prow[(a, b)] = prow.get((a, b), 0.0) + w
-        x = leaf_terminal(g, frames(g, branch))
+        x = leaf_terminal(g, branch)
         terminal[x] = terminal.get(x, 0.0) + w
     return symbols, productions, terminal
 
@@ -578,7 +569,7 @@ def ref_explain(g, belief, exp):
         for branch, mass in row.items():
             if mass <= 0.0:
                 continue
-            x = leaf_terminal(g, frames(g, branch))
+            x = leaf_terminal(g, branch)
             post = (mass * math.fsum(exp.transitions[(q, x)].values())
                     / exp.evidence)
             if post > 0.0:
@@ -592,23 +583,20 @@ def ref_predict(g, belief, exp):
         for branch, mass in row.items():
             if mass <= 0.0:
                 continue
-            stack = frames(g, branch)
-            skeleton = advance_skeleton(g, stack)
-            trow = exp.transitions[(q, leaf_terminal(g, stack))]
+            skeleton = advance_skeleton(g, branch)
+            trow = exp.transitions[(q, leaf_terminal(g, branch))]
             for q2, p in trow.items():
                 share = mass * p / exp.evidence
                 if skeleton is None:
                     completed[q2] = completed.get(q2, 0.0) + share
                     continue
-                kept, fresh_symbol, fresh_level = skeleton
-                kept = compact(kept)
+                kept, fresh_symbol = skeleton
                 target = chart.setdefault(q2, {})
                 if fresh_symbol is None:
                     target[kept] = target.get(kept, 0.0) + share
                     continue
-                for chain, cp in enumerate_chains(g, fresh_symbol,
-                                                  fresh_level, q2):
-                    nb = kept + compact(chain)
+                for chain, cp in enumerate_chains(g, fresh_symbol, q2):
+                    nb = kept + chain
                     target[nb] = target.get(nb, 0.0) + share * cp
     for q, c in exp.completed_post.items():
         completed[q] = completed.get(q, 0.0) + c
@@ -627,16 +615,16 @@ def ref_tables(g, chart, completed):
             if mass <= 0.0:
                 continue
             share = mass / cq
-            stack = frames(g, branch)
-            for f, done in zip(stack, termination_flags(g, stack)):
-                nk = (f.level, f.symbol, q)
+            flags = termination_flags(g, branch)
+            for level, (f, done) in enumerate(zip(branch, flags), start=1):
+                nk = (level, g.production(f[0]).lhs, q)
                 b_n[nk] = b_n.get(nk, 0.0) + share
-                pk = (f.level, (f.production, f.cursor), q)
+                pk = (level, f, q)
                 b_p[pk] = b_p.get(pk, 0.0) + share
                 if done:
-                    b_t[(f.level, q)] = b_t.get((f.level, q), 0.0) + share
+                    b_t[(level, q)] = b_t.get((level, q), 0.0) + share
                     tn[nk] = tn.get(nk, 0.0) + share
-            sk = (leaf_terminal(g, stack), q)
+            sk = (leaf_terminal(g, branch), q)
             b_sigma[sk] = b_sigma.get(sk, 0.0) + share
     for q, c in completed.items():
         if c <= 0.0:
@@ -665,30 +653,30 @@ class TestBranchTable:
         table = branch_table(g)
         assert len(table.entries) > 3
         for branch, entry in table.entries.items():
-            stack = frames(g, branch)
             assert entry.branch == branch
             assert table.entry(g, branch) is entry
-            assert entry.leaf == leaf_terminal(g, stack)
-            flags = termination_flags(g, stack)
+            assert entry.leaf == leaf_terminal(g, branch)
+            flags = termination_flags(g, branch)
             assert entry.terminating == tuple(
-                f.level for f, done in zip(stack, flags) if done)
-            skeleton = advance_skeleton(g, stack)
-            if skeleton is None:
-                assert entry.skeleton is None
-            else:
-                kept, fresh_symbol, fresh_level = skeleton
-                assert entry.skeleton == (compact(kept), fresh_symbol)
+                level for level, done in enumerate(flags, start=1) if done)
+            skeleton = advance_skeleton(g, branch)
+            assert entry.skeleton == skeleton
+            if skeleton is not None:
+                kept, fresh_symbol = skeleton
                 if fresh_symbol is not None:
-                    assert fresh_level == len(kept) + 1
-            want = [s for f in stack
-                    for s in ((SYMBOL, (f.level, f.symbol)),
-                              (PRODUCTION, (f.level,
-                                            (f.production, f.cursor))))]
+                    # the fresh chain opens at level len(kept) + 1
+                    assert len(kept) + 1 in g.levels[fresh_symbol]
+            frames = [(level, g.production(f[0]).lhs, f)
+                      for level, f in enumerate(branch, start=1)]
+            want = [s for level, symbol, f in frames
+                    for s in ((SYMBOL, (level, symbol)),
+                              (PRODUCTION, (level, f)))]
             want.append((TERMINAL, (entry.leaf,)))
             assert [table.slots[k] for k in entry.keys] == want
-            terminated = [s for f, done in zip(stack, flags) if done
-                          for s in ((TERMINATES, (f.level,)),
-                                    (TERMINATED, (f.level, f.symbol)))]
+            terminated = [s for (level, symbol, _), done in zip(frames, flags)
+                          if done
+                          for s in ((TERMINATES, (level,)),
+                                    (TERMINATED, (level, symbol)))]
             assert (sorted(table.slots[k] for k in entry.project_keys)
                     == sorted(want + terminated))
 
@@ -704,8 +692,8 @@ class TestBranchTable:
             if fresh_symbol is None:
                 want = [(kept, 1.0)]
             else:
-                want = [(kept + compact(chain), cp) for chain, cp in
-                        enumerate_chains(g, fresh_symbol, len(kept) + 1, q2)]
+                want = [(kept + chain, cp) for chain, cp in
+                        enumerate_chains(g, fresh_symbol, q2)]
             assert [(e.branch, p) for e, p in zip(entries, probs)] == want
             assert all(table.entries[e.branch] is e for e in entries)
 

@@ -1,13 +1,20 @@
 """Enumeration oracle, exact posteriors, parse trees, PCFG equivalence."""
+import dataclasses
+import itertools
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from helpers import (ab_grammar, build, feature, forcing_grammar, production,
                      random_psdg, repeated_child_grammar, sized_random_psdg,
                      tail_recursive_grammar, traffic, unit_feature)
-from psdg.errors import ExplosionBound, UnknownProduction, ZeroEvidenceMass
-from psdg.generate import sample_trajectory, trajectory_probability
+import psdg
+from psdg.errors import (ExplosionBound, InvalidTrajectory, UnknownProduction,
+                         ZeroEvidenceMass)
+from psdg.generate import Trajectory, sample_trajectory, trajectory_probability
 from psdg.grammar import StateSet
 from psdg.infer import Observation
 from psdg.oracle import (Query, enumerate_joint, exact_posterior, parse_tree,
@@ -180,6 +187,66 @@ class TestParseTree:
             assert got == want
 
 
+def swapped_stack_runs(g, seeds, horizon=8):
+    """Complete sampled runs with the stacks of two steps exchanged, for
+    every pair of steps whose stacks differ."""
+    for seed in seeds:
+        traj = sample_trajectory(g, horizon, seed)
+        if not traj.complete:
+            continue
+        steps = traj.steps
+        for i, j in itertools.combinations(range(len(steps)), 2):
+            if steps[i].stack == steps[j].stack:
+                continue
+            swapped = list(steps)
+            swapped[i] = dataclasses.replace(steps[i], stack=steps[j].stack)
+            swapped[j] = dataclasses.replace(steps[j], stack=steps[i].stack)
+            yield Trajectory(traj.initial_state, tuple(swapped), True, seed)
+
+
+class TestMalformedParseTree:
+    def test_swapped_stacks_raise_invalid_trajectory(self):
+        runs = list(swapped_stack_runs(traffic(), range(20)))
+        assert len(runs) > 100
+        for run in runs:
+            with pytest.raises(InvalidTrajectory):
+                parse_tree(traffic(), run)
+
+    def test_swapped_stacks_raise_under_optimize(self):
+        """The run check is explicit, so `python -O` keeps it."""
+        script = """if True:
+            import dataclasses, sys
+            from pathlib import Path
+            import psdg
+            from psdg.errors import InvalidTrajectory
+            from psdg.generate import Trajectory, sample_trajectory
+            from psdg.oracle import parse_tree
+            from psdg.parse import load_file
+            if __debug__:
+                sys.exit("not running under -O")
+            g = load_file(Path(psdg.__file__).parent / "data" / "traffic.psdg")
+            for seed, i, j in ((3, 0, 1), (3, 1, 3), (1, 0, 2), (7, 3, 6)):
+                traj = sample_trajectory(g, 8, seed)
+                steps = list(traj.steps)
+                steps[i], steps[j] = (
+                    dataclasses.replace(steps[i], stack=steps[j].stack),
+                    dataclasses.replace(steps[j], stack=steps[i].stack))
+                try:
+                    parse_tree(g, Trajectory(traj.initial_state,
+                                             tuple(steps), True, seed))
+                except InvalidTrajectory as e:
+                    print(e)
+                else:
+                    sys.exit(f"seed {seed}: swapped steps {i}, {j} parsed")
+        """
+        src = Path(psdg.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True,
+                              env={"PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == 4
+
+
 class TestPcfg:
     def test_single_state_is_isomorphic(self):
         g = ab_grammar(pa=0.3)
@@ -230,11 +297,11 @@ class TestPcfg:
                               rules=[([("u", ["z"])], 0.0)], default=1.0)],
                   "S")
         pcfg = to_pcfg(g)
-        from psdg.generate import ExpansionFrame, TimeStep, Trajectory
+        from psdg.generate import TimeStep
         from psdg.grammar import StatePoint
         dead = Trajectory(
             StatePoint((1,)),
-            (TimeStep((ExpansionFrame(1, "S", 1, 1),), "b", StatePoint((1,))),),
+            (TimeStep(((1, 1),), "b", StatePoint((1,))),),
             complete=True)
         tree = parse_tree(g, dead)
         got = pcfg_tree_probability(pcfg, tree)
