@@ -29,6 +29,10 @@ from .grammar import (Psdg, StatePoint, StateSet, _feature_transition,
                       production_probability)
 
 DEFAULT_ENTRY_BOUND = 10**7
+# enumerate_joint's cap on walk nodes plus table rows.  The traffic table
+# at horizon 4 (183,982 rows) holds 330 bytes per row by tracemalloc, so
+# the table stays well under 1 GB at the bound.
+DEFAULT_JOINT_BOUND = 2 * 10**6
 
 
 @dataclass
@@ -62,42 +66,95 @@ def _transition_options(psdg: Psdg, prev: tuple[int, ...], terminal: str
 
 
 def enumerate_joint(psdg: Psdg, horizon: int,
-                    bound: int = DEFAULT_ENTRY_BOUND) -> JointTable:
+                    bound: int = DEFAULT_JOINT_BOUND) -> JointTable:
     """Materialize every positive-probability execution of length <= horizon.
 
     Completion is absorbing: a run whose root terminates at t < horizon is
     stored once, with length t.  Runs still alive at the horizon are stored
-    as length-horizon prefixes.  Raises ExplosionBound when the walk grows
-    past `bound` nodes.
+    as length-horizon prefixes.  Raises ExplosionBound when walk nodes plus
+    table rows grow past `bound`, so the bound caps memory too.
+
+    The walk meets the same (state, terminal) transitions, (symbol, state)
+    chains, stacks and (stack, state) time steps over and over; each is
+    computed once per call and kept in tables that die with the call.
+    Rows share their TimeStep and StatePoint objects.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     entries: list[JointEntry] = []
-    visits = 0
+    count = 0
+    transitions: dict[tuple, list] = {}
+    chains: dict[tuple, list] = {}
+    stacks: dict[Stack, tuple] = {}
+    time_steps_memo: dict[tuple, list] = {}
+
+    def transition_options(q_prev: tuple[int, ...], terminal: str) -> list:
+        """(q, log tp, StatePoint(q)) per next state, in enumeration order."""
+        key = (q_prev, terminal)
+        options = transitions.get(key)
+        if options is None:
+            options = transitions[key] = [
+                (q, math.log(tp), StatePoint(q))
+                for q, tp in _transition_options(psdg, q_prev, terminal)]
+        return options
+
+    def time_steps(stack: Stack, q_prev: tuple[int, ...]) -> list:
+        """(q, log tp, TimeStep) per next state after `stack` in q_prev."""
+        key = (stack, q_prev)
+        options = time_steps_memo.get(key)
+        if options is None:
+            terminal = stack_facts(stack)[0]
+            options = time_steps_memo[key] = [
+                (q, log_tp, TimeStep(stack, terminal, point))
+                for q, log_tp, point in transition_options(q_prev, terminal)]
+        return options
+
+    def fresh_chains(symbol: str, q: tuple[int, ...]) -> list:
+        """(chain, log cp) per fresh expansion of `symbol` in state q."""
+        key = (symbol, q)
+        options = chains.get(key)
+        if options is None:
+            options = chains[key] = [
+                (chain, math.log(cp))
+                for chain, cp in enumerate_chains(psdg, symbol, q)]
+        return options
+
+    def stack_facts(stack: Stack) -> tuple:
+        """(leaf terminal, root completes here, advance skeleton)."""
+        facts = stacks.get(stack)
+        if facts is None:
+            complete_here = termination_flags(psdg, stack)[0]
+            facts = stacks[stack] = (
+                leaf_terminal(psdg, stack), complete_here,
+                None if complete_here else advance_skeleton(psdg, stack))
+        return facts
+
+    def count_one():
+        nonlocal count
+        count += 1
+        if count > bound:
+            raise ExplosionBound(
+                f"joint enumeration exceeded {bound} nodes and rows at "
+                f"horizon {horizon}")
 
     def walk(q0: StatePoint, steps: tuple[TimeStep, ...], stack: Stack,
              q_prev: tuple[int, ...], logp: float, t: int):
-        nonlocal visits
-        visits += 1
-        if visits > bound:
-            raise ExplosionBound(
-                f"joint enumeration exceeded {bound} nodes at horizon {horizon}")
-        terminal = leaf_terminal(psdg, stack)
-        complete_here = termination_flags(psdg, stack)[0]
-        for q, tp in _transition_options(psdg, q_prev, terminal):
-            steps2 = steps + (TimeStep(stack, terminal, StatePoint(q)),)
-            lp = logp + math.log(tp)
+        count_one()
+        _, complete_here, skeleton = stack_facts(stack)
+        for q, log_tp, step in time_steps(stack, q_prev):
+            steps2 = steps + (step,)
+            lp = logp + log_tp
             if complete_here or t == horizon:
+                count_one()
                 traj = Trajectory(q0, steps2, complete=complete_here)
                 entries.append(JointEntry(traj, math.exp(lp), lp))
             else:
-                kept, fresh_symbol = advance_skeleton(psdg, stack)
+                kept, fresh_symbol = skeleton
                 if fresh_symbol is None:
                     walk(q0, steps2, kept, q, lp, t + 1)
                 else:
-                    for chain, cp in enumerate_chains(psdg, fresh_symbol, q):
-                        walk(q0, steps2, kept + chain, q,
-                             lp + math.log(cp), t + 1)
+                    for chain, log_cp in fresh_chains(fresh_symbol, q):
+                        walk(q0, steps2, kept + chain, q, lp + log_cp, t + 1)
 
     for q0_idx in enumerate_states(psdg):
         p0 = prior_probability(psdg, q0_idx)
@@ -141,7 +198,10 @@ def state_at(traj: Trajectory, t: int) -> tuple[int, ...]:
 
 
 def _satisfies_state(traj: Trajectory, t: int, value) -> bool:
-    q = state_at(traj, t)
+    return _state_matches(state_at(traj, t), value)
+
+
+def _state_matches(q: tuple[int, ...], value) -> bool:
     if isinstance(value, StateSet):
         return q in value
     if isinstance(value, StatePoint):
@@ -209,17 +269,21 @@ def _slice_marginals(psdg: Psdg, alive: list[tuple[Trajectory, float]],
     productions: dict[int, dict[str, float]] = {}
     terminal: dict[str, float] = {}
     completed = 0.0
+    # per stack: (symbol sums, lhs, production sums, "a:b") for each level
+    rows: dict[Stack, list] = {}
     for traj, p in alive:
         if len(traj.steps) < t:
             completed += p      # complete runs only; horizon guards the rest
             continue
         step = traj.steps[t - 1]
-        for level, (a, b) in enumerate(step.stack, start=1):
-            s = symbols.setdefault(level, {})
-            symbol = psdg.production(a).lhs
+        levels = rows.get(step.stack)
+        if levels is None:
+            levels = rows[step.stack] = [
+                (symbols.setdefault(level, {}), psdg.production(a).lhs,
+                 productions.setdefault(level, {}), f"{a}:{b}")
+                for level, (a, b) in enumerate(step.stack, start=1)]
+        for s, symbol, r, key in levels:
             s[symbol] = s.get(symbol, 0.0) + p
-            key = f"{a}:{b}"
-            r = productions.setdefault(level, {})
             r[key] = r.get(key, 0.0) + p
         terminal[step.terminal] = terminal.get(step.terminal, 0.0) + p
 
@@ -240,7 +304,8 @@ def reference_reports(psdg: Psdg, joint: JointTable, observations) -> list[dict]
     One dict per observation, same shape as the engine's report (slice
     marginals for the observed step, predictions for the next).  The joint
     horizon must exceed the last observation time so that prediction
-    slices exist in the table.
+    slices exist in the table.  Each observation's constraint is tested
+    once per distinct state, and each state's report key rendered once.
     """
     times = [obs.time for obs in observations]
     if any(b <= a for a, b in zip(times, times[1:])):
@@ -251,9 +316,17 @@ def reference_reports(psdg: Psdg, joint: JointTable, observations) -> list[dict]
     mass = math.fsum(p for _, p in alive)
     reports = []
     base_mass = mass
+    state_keys: dict[tuple[int, ...], str] = {}
     for obs in observations:
-        kept = [(traj, p) for traj, p in alive
-                if _satisfies_state(traj, obs.time, obs.constraint)]
+        member: dict[tuple[int, ...], bool] = {}
+        kept = []
+        for traj, p in alive:
+            q = state_at(traj, obs.time)
+            hit = member.get(q)
+            if hit is None:
+                hit = member[q] = _state_matches(q, obs.constraint)
+            if hit:
+                kept.append((traj, p))
         new_mass = math.fsum(p for _, p in kept)
         if new_mass <= 0.0:
             raise ZeroEvidenceMass(
@@ -265,7 +338,10 @@ def reference_reports(psdg: Psdg, joint: JointTable, observations) -> list[dict]
             continue
         state: dict[str, float] = {}
         for traj, p in kept:
-            key = psdg.state_key(state_at(traj, obs.time))
+            q = state_at(traj, obs.time)
+            key = state_keys.get(q)
+            if key is None:
+                key = state_keys[q] = psdg.state_key(q)
             state[key] = state.get(key, 0.0) + p
         report = {
             "t": obs.time,
@@ -540,16 +616,19 @@ def to_pcfg(psdg: Psdg, bound: int = DEFAULT_ENTRY_BOUND) -> Pcfg:
                         rules.append(PcfgProduction(a, rhs, factor / total))
                     return
                 y = prod.rhs[i]
-                mat = mats[y]
-                row = mat[pos[q]]
-                # the last symbol must land exactly on q_out
-                targets = [q_out] if i == len(prod.rhs) - 1 else states
-                for q2 in targets:
-                    f = row[pos[q2]]
-                    if f <= 0.0:
-                        continue
-                    kind = TERM if psdg.is_terminal(y) else NT
-                    expand(i + 1, q2, factor * f, rhs + ((kind, q, y, q2),))
+                kind = TERM if psdg.is_terminal(y) else NT
+                row = mats[y][pos[q]]
+                if i == len(prod.rhs) - 1:
+                    # the last symbol must land exactly on q_out
+                    f = row[pos[q_out]]
+                    if f > 0.0:
+                        expand(i + 1, q_out, factor * f,
+                               rhs + ((kind, q, y, q_out),))
+                    return
+                for j in np.flatnonzero(row > 0.0):
+                    q2 = states[j]
+                    expand(i + 1, q2, factor * row[j],
+                           rhs + ((kind, q, y, q2),))
 
             expand(0, q_in, p, ())
         productions[lhs] = rules
@@ -624,14 +703,21 @@ def _render_symbol(psdg: Psdg, sym: tuple) -> str:
 def pcfg_text(pcfg: Pcfg) -> str:
     """Plain `lhs -> rhs  # prob` listing, start weights as comments."""
     psdg = pcfg.psdg
+    rendered: dict[tuple, str] = {}
+
+    def render(sym: tuple) -> str:
+        text = rendered.get(sym)
+        if text is None:
+            text = rendered[sym] = _render_symbol(psdg, sym)
+        return text
+
     lines = []
     for sym, w in sorted(pcfg.start.items(), key=lambda kv: str(kv[0])):
-        lines.append(f"# start {_render_symbol(psdg, sym)}  # {w:.12g}")
+        lines.append(f"# start {render(sym)}  # {w:.12g}")
     for lhs in sorted(pcfg.productions, key=str):
         for rule in pcfg.productions[lhs]:
-            rhs = " ".join(_render_symbol(psdg, s) for s in rule.rhs)
-            lines.append(f"{_render_symbol(psdg, lhs)} -> {rhs}"
-                         f"  # {rule.prob:.12g}")
+            rhs = " ".join(render(s) for s in rule.rhs)
+            lines.append(f"{render(lhs)} -> {rhs}  # {rule.prob:.12g}")
     for sym in sorted(pcfg.terminal_symbols, key=str):
-        lines.append(f"{_render_symbol(psdg, sym)} -> {sym[2]}  # 1")
+        lines.append(f"{render(sym)} -> {sym[2]}  # 1")
     return "\n".join(lines) + "\n"

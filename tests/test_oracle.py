@@ -66,6 +66,17 @@ class TestEnumerateJoint:
         with pytest.raises(ExplosionBound):
             enumerate_joint(g, horizon=3, bound=100)
 
+    def test_bound_counts_table_rows_too(self):
+        """Traffic at horizon 3 walks 6072 nodes and stores 19350 rows: a
+        bound on nodes alone lets the table outgrow it threefold."""
+        g = traffic()
+        with pytest.raises(ExplosionBound, match="nodes and rows"):
+            enumerate_joint(g, horizon=3, bound=10_000)
+        with pytest.raises(ExplosionBound):
+            enumerate_joint(g, horizon=3, bound=6072 + 19350 - 1)
+        joint = enumerate_joint(g, horizon=3, bound=6072 + 19350)
+        assert len(joint.entries) == 19350
+
 
 def vacuous(g, t):
     return Observation.vacuous(g, t)
