@@ -3,8 +3,8 @@
 Subcommands: validate, sample, infer, oracle-check, to-pcfg.  Data goes
 to standard output as JSON lines (or grammar text for to-pcfg), every
 diagnostic to standard error.  Exit codes: 0 success, 1 validation or
-model error, 2 I/O or input-format error, 3 zero-evidence under the
-`error` policy.
+model error (or running out of memory), 2 I/O or input-format error, 3
+zero-evidence under the `error` policy.
 
 Observation streams are JSON lines `{"t": k, "observe": {feature:
 [values, ...]}}` with strictly increasing times.  A `t: 0` line may come
@@ -20,13 +20,14 @@ import os
 import sys
 from typing import Iterator
 
-from .errors import (ExplosionBound, GrammarError, PsdgError, SetTooLarge,
-                     SupportTooLarge, ZeroEvidence, ZeroEvidenceMass)
+from .errors import (Diagnostic, GrammarError, PsdgError, ZeroEvidence,
+                     ZeroEvidenceMass)
 from .generate import observation_json_lines, sample_trajectory, \
     trajectory_json_lines
 from .grammar import Psdg
-from .infer import (BeliefState, Observation, _project, _report_block,
-                    belief_slice_marginals, init_belief, step)
+from .infer import (DEFAULT_SUPPORT_BOUND, BeliefState, Observation,
+                    _project, _report_block, belief_slice_marginals,
+                    init_belief, step)
 from .oracle import (compare_reports, enumerate_joint, pcfg_text,
                      reference_reports, to_pcfg)
 from .parse import load_text, validate_text
@@ -40,6 +41,12 @@ class _CliError(Exception):
         super().__init__(message)
 
 
+def _print_diagnostics(diags: list[Diagnostic]):
+    for d in diags:
+        print(json.dumps({"kind": d.kind, "line": d.line, "column": d.column,
+                          "message": d.message}), file=sys.stderr, flush=True)
+
+
 def _read_grammar(path: str) -> Psdg:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -49,10 +56,7 @@ def _read_grammar(path: str) -> Psdg:
     try:
         return load_text(text)
     except GrammarError as e:
-        for d in e.diagnostics:
-            print(json.dumps({"kind": d.kind, "line": d.line,
-                              "column": d.column, "message": d.message}),
-                  file=sys.stderr, flush=True)
+        _print_diagnostics(e.diagnostics)
         raise _CliError(1, f"{path}: {len(e.diagnostics)} problem(s)") from None
 
 
@@ -61,10 +65,10 @@ def _parse_observation(psdg: Psdg, line: str, lineno: int) -> Observation:
         payload = json.loads(line)
     except json.JSONDecodeError as e:
         raise _CliError(2, f"line {lineno}: invalid JSON: {e.msg}") from None
-    if not isinstance(payload, dict) or not isinstance(payload.get("t"), int):
+    t = payload.get("t") if isinstance(payload, dict) else None
+    if not isinstance(t, int) or isinstance(t, bool):
         raise _CliError(2, f"line {lineno}: expected an object with an "
                            f"integer \"t\"")
-    t = payload["t"]
     if t < 0:
         raise _CliError(2, f"line {lineno}: negative time {t}")
     observe = payload.get("observe", {})
@@ -104,9 +108,7 @@ def cmd_validate(args) -> int:
         print(f"cannot read {args.grammar}: {e}", file=sys.stderr)
         return 2
     psdg, diags = validate_text(text)
-    for d in diags:
-        print(json.dumps({"kind": d.kind, "line": d.line, "column": d.column,
-                          "message": d.message}), file=sys.stderr, flush=True)
+    _print_diagnostics(diags)
     if psdg is None:
         return 1
     _emit(psdg.summary())
@@ -262,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", help="run recognition over an observation "
                                      "stream from stdin")
     p.add_argument("grammar")
-    p.add_argument("--support-bound", type=int, default=100_000)
+    p.add_argument("--support-bound", type=int, default=DEFAULT_SUPPORT_BOUND)
     p.add_argument("--on-zero-evidence", choices=("error", "reinit"),
                    default="error")
     p.set_defaults(func=cmd_infer)
@@ -274,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=0,
                    help="enumeration horizon (defaults to one past the "
                         "last observation)")
-    p.add_argument("--support-bound", type=int, default=100_000)
+    p.add_argument("--support-bound", type=int, default=DEFAULT_SUPPORT_BOUND)
     p.add_argument("--corrupt-belief", action="store_true",
                    help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_oracle_check)
@@ -300,9 +302,6 @@ def main(argv=None) -> int:
     except ZeroEvidenceMass as e:
         print(str(e), file=sys.stderr)
         return 3
-    except (ExplosionBound, SetTooLarge, SupportTooLarge) as e:
-        print(str(e), file=sys.stderr)
-        return 1
     except PsdgError as e:
         print(str(e), file=sys.stderr)
         return 1
@@ -311,6 +310,12 @@ def main(argv=None) -> int:
         # closed pipe.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except MemoryError:
+        # Report after the handler, once the traceback no longer holds the
+        # failed call's memory: printing inside it can fail again or hang.
+        pass
+    print(f"{args.command}: out of memory", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

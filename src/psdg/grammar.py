@@ -163,6 +163,9 @@ class StateSet:
             feat = psdg.features[fi]
             if isinstance(vals, str):
                 vals = [vals]
+            elif not isinstance(vals, (list, tuple)):
+                raise ValueError(f"values of feature {name!r} must be a "
+                                 f"name or a list of names, not {vals!r}")
             chosen = set()
             for v in vals:
                 if v not in feat.values:
@@ -187,13 +190,6 @@ class StateSet:
 
     def iter_states(self):
         return itertools.product(*(sorted(s) for s in self.allowed))
-
-    def labels(self, psdg: Psdg) -> dict[str, list[str]]:
-        out = {}
-        for f, s in zip(psdg.features, self.allowed):
-            if len(s) < len(f.values):
-                out[f.name] = [f.values[i] for i in sorted(s)]
-        return out
 
 
 @dataclass(frozen=True)
@@ -379,6 +375,7 @@ def validate_grammar(raw: RawGrammar) -> tuple[Psdg | None, list[Diagnostic]]:
     if not raw.features:
         diags.append(Diagnostic("BadDistribution", "no features declared"))
     feature_index = {f.name: i for i, f in enumerate(raw.features)}
+    value_index = [{v: i for i, v in enumerate(f.values)} for f in raw.features]
 
     for f in raw.features:
         if not f.values:
@@ -413,8 +410,10 @@ def validate_grammar(raw: RawGrammar) -> tuple[Psdg | None, list[Diagnostic]]:
             f"start symbol {raw.start!r} never appears as a left-hand side",
             raw.start_line))
 
-    # Productions.
-    seen_idx: dict[int, RawProduction] = {}
+    # Productions, each guard resolved to (feature index, value indices).
+    productions = []
+    by_lhs: dict[str, list[Production]] = {nt: [] for nt in nonterminals}
+    seen_idx: set[int] = set()
     for p in sorted(raw.productions, key=lambda p: p.index):
         if p.index < 0:
             diags.append(Diagnostic("BadDistribution",
@@ -424,7 +423,7 @@ def validate_grammar(raw: RawGrammar) -> tuple[Psdg | None, list[Diagnostic]]:
             diags.append(Diagnostic("BadDistribution",
                                     f"production index {p.index} used twice",
                                     p.line, p.column))
-        seen_idx[p.index] = p
+        seen_idx.add(p.index)
         if not p.rhs:
             diags.append(Diagnostic("EmptyRhs",
                                     f"production {p.index} ({p.lhs}) has an "
@@ -437,7 +436,9 @@ def validate_grammar(raw: RawGrammar) -> tuple[Psdg | None, list[Diagnostic]]:
                 f"production {p.index}: {p.lhs!r} may recur only as the "
                 "final right-hand symbol of a longer production",
                 p.line, p.column))
+        rules = []
         for rule in p.rules:
+            guard = []
             for fname, vals in rule.guard:
                 if fname not in feature_index:
                     diags.append(Diagnostic("UndeclaredSymbol",
@@ -445,26 +446,38 @@ def validate_grammar(raw: RawGrammar) -> tuple[Psdg | None, list[Diagnostic]]:
                                             f"unknown feature {fname!r}",
                                             rule.line, rule.column))
                     continue
-                feat = raw.features[feature_index[fname]]
+                fi = feature_index[fname]
                 for v in vals:
-                    if v not in feat.values:
+                    if v not in value_index[fi]:
                         diags.append(Diagnostic(
                             "UndeclaredSymbol",
                             f"production {p.index} guards on unknown value "
                             f"{v!r} of feature {fname!r}",
                             rule.line, rule.column))
+                guard.append((fi, frozenset(value_index[fi].get(v)
+                                            for v in vals)))
             if not 0.0 <= rule.value <= 1.0 + DISTRIBUTION_TOL:
                 diags.append(Diagnostic("BadDistribution",
                                         f"production {p.index} rule value "
                                         f"{rule.value} outside [0, 1]",
                                         rule.line, rule.column))
+            rules.append((tuple(guard), rule.value))
         if not 0.0 <= p.default <= 1.0 + DISTRIBUTION_TOL:
             diags.append(Diagnostic("BadDistribution",
                                     f"production {p.index} default "
                                     f"{p.default} outside [0, 1]",
                                     p.line, p.column))
+        productions.append(Production(
+            p.index, p.lhs, tuple(p.rhs),
+            ProbabilityFunction(tuple(rules), p.default),
+            tail_recursive=len(p.rhs) >= 2 and p.rhs[-1] == p.lhs))
+        by_lhs[p.lhs].append(productions[-1])
 
-    # CPTs (terminals are known only now).
+    # CPTs (terminals are known only now), each row resolved to a CptRow.
+    # A feature with parents but no rows is reported only once every
+    # other check is clean.
+    resolved = []
+    rowless = []
     for f in raw.features:
         parents = f.parents if f.parents is not None else [f.name]
         parent_ok = True
@@ -475,12 +488,20 @@ def validate_grammar(raw: RawGrammar) -> tuple[Psdg | None, list[Diagnostic]]:
                                         f"parent {pname!r}",
                                         f.line, f.column))
                 parent_ok = False
-        rows = f.cpt
-        if rows is None:
-            continue        # identity rows are synthesized below
+        if f.cpt is None and parents != [f.name]:
+            rowless.append(Diagnostic("BadDistribution",
+                                      f"feature {f.name!r} declares parents "
+                                      "but no CPT rows", f.line, f.column))
+            continue
         if not parent_ok or len(f.prior) != len(f.values) or not f.values:
             continue
-        for row in rows:
+        pidx = tuple(feature_index[pname] for pname in parents)
+        # No dynamics given: the feature keeps its value.
+        rows = [] if f.cpt is not None else [
+            CptRow((vi,), None, tuple(1.0 if j == vi else 0.0
+                                      for j in range(len(f.values))))
+            for vi in range(len(f.values))]
+        for row in f.cpt or ():
             if len(row.parent_values) != len(parents):
                 diags.append(Diagnostic("BadDistribution",
                                         f"feature {f.name!r} CPT row has "
@@ -488,15 +509,12 @@ def validate_grammar(raw: RawGrammar) -> tuple[Psdg | None, list[Diagnostic]]:
                                         f"for {len(parents)} parents",
                                         row.line, row.column))
                 continue
-            for slot, v in enumerate(row.parent_values):
-                if v == "*":
-                    continue
-                pfeat = raw.features[feature_index[parents[slot]]]
-                if v not in pfeat.values:
+            for pname, pi, v in zip(parents, pidx, row.parent_values):
+                if v != "*" and v not in value_index[pi]:
                     diags.append(Diagnostic("UndeclaredSymbol",
                                             f"feature {f.name!r} CPT row uses "
                                             f"unknown value {v!r} of parent "
-                                            f"{parents[slot]!r}",
+                                            f"{pname!r}",
                                             row.line, row.column))
             if row.terminal != "*" and row.terminal not in terminals:
                 diags.append(Diagnostic("UndeclaredSymbol",
@@ -513,40 +531,16 @@ def validate_grammar(raw: RawGrammar) -> tuple[Psdg | None, list[Diagnostic]]:
                 _check_distribution(diags, row.probs,
                                     f"CPT row of feature {f.name!r}",
                                     row.line, row.column)
-
+            rows.append(CptRow(
+                tuple(None if v == "*" else value_index[pi].get(v)
+                      for pi, v in zip(pidx, row.parent_values)),
+                None if row.terminal == "*" else row.terminal,
+                tuple(row.probs)))
+        resolved.append((f, pidx, tuple(rows)))
     if diags:
         return None, diags
-
-    # Resolve CPT rows, synthesizing identity CPTs where omitted.
-    resolved = []
-    for f in raw.features:
-        parents = f.parents if f.parents is not None else [f.name]
-        pidx = tuple(feature_index[p] for p in parents)
-        if f.cpt is None:
-            if parents != [f.name]:
-                diags.append(Diagnostic("BadDistribution",
-                                        f"feature {f.name!r} declares parents "
-                                        "but no CPT rows", f.line, f.column))
-                continue
-            # No dynamics given: the feature keeps its value.
-            rows = tuple(
-                CptRow((vi,), None,
-                       tuple(1.0 if j == vi else 0.0
-                             for j in range(len(f.values))))
-                for vi in range(len(f.values))
-            )
-        else:
-            rows = tuple(
-                CptRow(tuple(None if v == "*" else
-                             raw.features[feature_index[parents[s]]].values.index(v)
-                             for s, v in enumerate(row.parent_values)),
-                       None if row.terminal == "*" else row.terminal,
-                       tuple(row.probs))
-                for row in f.cpt
-            )
-        resolved.append((f, pidx, rows))
-    if diags:
-        return None, diags
+    if rowless:
+        return None, rowless
 
     # CPT coverage and compilation: every (parent combo, terminal) must
     # match a row, and the first match is stored as the table entry.
@@ -580,28 +574,7 @@ def validate_grammar(raw: RawGrammar) -> tuple[Psdg | None, list[Diagnostic]]:
         return None, diags
     features = tuple(features)
 
-    # Build productions.
-    productions = []
-    for p in sorted(raw.productions, key=lambda p: p.index):
-        rules = tuple(
-            (tuple((feature_index[fname],
-                    frozenset(raw.features[feature_index[fname]].values.index(v)
-                              for v in vals))
-                   for fname, vals in rule.guard),
-             rule.value)
-            for rule in p.rules
-        )
-        productions.append(Production(
-            p.index, p.lhs, tuple(p.rhs),
-            ProbabilityFunction(rules, p.default),
-            tail_recursive=len(p.rhs) >= 2 and p.rhs[-1] == p.lhs))
-    productions = tuple(productions)
-
-    # Level assignment and tail-recursion structure.  Children sit one
-    # level below their parent except a trailing child equal to the
-    # left-hand symbol, which stays on the parent's level.
-    psdg_tmp = Psdg(features, raw.start, productions, terminals,
-                    nonterminals, {}, 0)
+    # Level assignment and tail-recursion structure.
     levels: dict[str, set[int]] = {raw.start: {1}}
     frontier = [(raw.start, 1)]
     seen = {(raw.start, 1)}
@@ -609,13 +582,9 @@ def validate_grammar(raw: RawGrammar) -> tuple[Psdg | None, list[Diagnostic]]:
     overflow = False
     while frontier:
         sym, lvl = frontier.pop()
-        for pi in psdg_tmp.by_lhs[sym]:
-            prod = psdg_tmp.production(pi)
-            last = len(prod.rhs) - 1
-            for i, child in enumerate(prod.rhs):
-                if child in psdg_tmp.terminal_set:
-                    continue
-                child_lvl = lvl if (i == last and prod.tail_recursive) else lvl + 1
+        for prod in by_lhs[sym]:
+            for child, down in _child_levels(prod, by_lhs):
+                child_lvl = lvl + down
                 if child_lvl > len(nonterminals):
                     overflow = True
                     continue
@@ -625,11 +594,10 @@ def validate_grammar(raw: RawGrammar) -> tuple[Psdg | None, list[Diagnostic]]:
                     frontier.append((child, child_lvl))
                 max_level = max(max_level, child_lvl)
     if overflow:
-        cycle = _find_level_cycle(psdg_tmp)
         diags.append(Diagnostic(
             "NonTailRecursion",
             "recursion other than direct tail recursion: cycle "
-            + " -> ".join(cycle)))
+            + " -> ".join(_find_level_cycle(by_lhs))))
         return None, diags
 
     # Normalization of production probabilities for every state.  The
@@ -637,7 +605,7 @@ def validate_grammar(raw: RawGrammar) -> tuple[Psdg | None, list[Diagnostic]]:
     # (the rest pinned to value 0) cover every distinct value, and the
     # first failure found is the lexicographically least failing state.
     for nt in nonterminals:
-        funcs = [psdg_tmp.production(pi).prob for pi in psdg_tmp.by_lhs[nt]]
+        funcs = [prod.prob for prod in by_lhs[nt]]
         scope = frozenset().union(*(f.scope() for f in funcs))
         for idx in _scoped_states(features, scope):
             s = sum(f.evaluate(idx) for f in funcs)
@@ -652,8 +620,8 @@ def validate_grammar(raw: RawGrammar) -> tuple[Psdg | None, list[Diagnostic]]:
         return None, diags
 
     lv = {nt: tuple(sorted(levels.get(nt, set()))) for nt in nonterminals}
-    return Psdg(features, raw.start, productions, terminals, nonterminals,
-                lv, max_level), []
+    return Psdg(features, raw.start, tuple(productions), terminals,
+                nonterminals, lv, max_level), []
 
 
 def _scoped_states(features, scope: frozenset[int]):
@@ -664,7 +632,7 @@ def _scoped_states(features, scope: frozenset[int]):
 
 def _check_distribution(diags, probs, what, line, column):
     for p in probs:
-        if p < 0.0 or p > 1.0 + DISTRIBUTION_TOL:
+        if not 0.0 <= p <= 1.0 + DISTRIBUTION_TOL:     # also rejects NaN
             diags.append(Diagnostic("BadDistribution",
                                     f"{what} has entry {p} outside [0, 1]",
                                     line, column))
@@ -675,17 +643,21 @@ def _check_distribution(diags, probs, what, line, column):
                                 line, column))
 
 
-def _find_level_cycle(psdg: Psdg) -> list[str]:
+def _child_levels(prod: Production, nonterminals):
+    """(child, levels down) for each nonterminal child of a production.
+    A child sits one level below its parent, except the trailing symbol of
+    a tail-recursive production, which stays on the parent's level."""
+    last = len(prod.rhs) - 1
+    for i, child in enumerate(prod.rhs):
+        if child in nonterminals:
+            yield child, 0 if (i == last and prod.tail_recursive) else 1
+
+
+def _find_level_cycle(by_lhs: dict[str, list[Production]]) -> list[str]:
     """Find a cycle in the level-increment graph for the error message."""
-    edges: dict[str, set[str]] = {nt: set() for nt in psdg.nonterminals}
-    for p in psdg.productions:
-        last = len(p.rhs) - 1
-        for i, child in enumerate(p.rhs):
-            if child in psdg.terminal_set:
-                continue
-            if i == last and p.tail_recursive:
-                continue
-            edges[p.lhs].add(child)
+    edges = {nt: {child for prod in prods
+                  for child, down in _child_levels(prod, by_lhs) if down}
+             for nt, prods in by_lhs.items()}
     color: dict[str, int] = {}
     stack: list[str] = []
 
@@ -703,7 +675,7 @@ def _find_level_cycle(psdg: Psdg) -> list[str]:
         color[u] = 2
         return None
 
-    for nt in sorted(psdg.nonterminals):
+    for nt in sorted(by_lhs):
         if color.get(nt, 0) == 0:
             found = dfs(nt)
             if found:

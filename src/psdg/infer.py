@@ -240,7 +240,6 @@ class BeliefState:
     b_t: dict[tuple, float] = field(default_factory=dict)      # (ℓ, q)
     b_tn: dict[tuple, float] = field(default_factory=dict)     # (ℓ, X, q)
     completed_given_q: dict[State, float] = field(default_factory=dict)
-    step_evidence: float = 1.0
     log_evidence: float = 0.0
 
     def entry_count(self) -> int:
@@ -527,7 +526,6 @@ def update(psdg: Psdg, belief: BeliefState, explanation: Explanation,
         support_bound=belief.support_bound,
         chart=prediction.chart,
         completed=prediction.completed,
-        step_evidence=explanation.evidence,
         log_evidence=belief.log_evidence + math.log(explanation.evidence),
     )
     _project(new)

@@ -1,4 +1,5 @@
 """End-to-end command behavior, driven through main(argv)."""
+import contextlib
 import io
 import json
 import math
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import TRAFFIC_PATH, engine_reports, traffic
 from psdg.cli import main
@@ -170,6 +173,17 @@ def obs_line(t, observe):
     return json.dumps({"t": t, "observe": observe})
 
 
+# Names and JSON values for observation payloads: traffic's features and
+# values mixed with unknown names and values of every JSON type.
+_NAMES = st.sampled_from(("lane", "speed", "exit", "left-lane", "slow",
+                          "at", "nope", ""))
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.floats() | _NAMES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_NAMES, inner, max_size=2),
+    max_leaves=6)
+
+
 class TestInfer:
     def test_left_lane_blocks_left_change(self, capsys, monkeypatch):
         stdin = obs_line(0, {"lane": ["left-lane"]}) + "\n" + \
@@ -240,12 +254,33 @@ class TestInfer:
         for stdin in ("not json\n",
                       obs_line(2, {}) + "\n" + obs_line(1, {}) + "\n",
                       obs_line(1, {}) + "\n" + obs_line(0, {}) + "\n",
-                      obs_line(1, {"lane": ["sidewalk"]}) + "\n"):
+                      obs_line(1, {"lane": ["sidewalk"]}) + "\n",
+                      obs_line(1, {"lane": 5}) + "\n",
+                      obs_line(1, {"lane": None}) + "\n",
+                      '{"t": true}\n'):
             for command in ("infer", "oracle-check"):
                 code, _, err = run(capsys, [command, str(TRAFFIC_PATH)],
                                    stdin, monkeypatch)
                 assert code == 2, (command, stdin)
-                assert err
+                assert err.startswith("line "), (command, stdin, err)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.fixed_dictionaries(
+        {"t": st.integers(-1, 5) | st.booleans() | st.none()
+         | st.floats(0, 5)},
+        optional={"observe": st.dictionaries(_NAMES, _JSON, max_size=3)
+                  | _JSON}), max_size=4))
+    def test_any_observe_payload_exits_cleanly(self, lines):
+        stdin = "".join(json.dumps(line) + "\n" for line in lines)
+        old_stdin = sys.stdin
+        sys.stdin = io.StringIO(stdin)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(["infer", str(TRAFFIC_PATH)])
+        finally:
+            sys.stdin = old_stdin
+        assert code in (0, 2, 3), stdin
 
 
 class TestOracleCheck:
@@ -310,6 +345,17 @@ class TestToPcfg:
         assert code == 0
         ratio = float(err.rsplit("ratio:", 1)[1])
         assert 0.0 < ratio < 1.0
+
+
+class TestMain:
+    def test_memory_error_is_one_line(self, capsys, monkeypatch):
+        def exhausted(psdg):
+            raise MemoryError
+        monkeypatch.setattr("psdg.cli.to_pcfg", exhausted)
+        code, out, err = run(capsys, ["to-pcfg", str(TRAFFIC_PATH)])
+        assert code == 1
+        assert out == ""
+        assert err == "to-pcfg: out of memory\n"
 
 
 class TestConsoleScript:

@@ -13,6 +13,7 @@ from psdg.grammar import (StatePoint, StateSet, _feature_transition,
                           enumerate_states, prior_probability,
                           production_probability, transition_probability,
                           validate_grammar, RawGrammar)
+from psdg.parse import validate_text
 
 
 def two_flip_features():
@@ -146,6 +147,28 @@ class TestValidate:
         assert g.levels == {"B": (2,), "S": (1,)}
         with pytest.raises(KeyError):
             g.production(2)
+
+    def test_nan_prior_entry_rejected(self):
+        text = ("feature u {\n  values: a, b;\n  prior: nan, 1;\n}\n"
+                "start S\nprod 0: S -> x { default: 1; }\n")
+        g, diags = validate_text(text)
+        assert g is None
+        assert [(d.kind, d.message, d.line, d.column) for d in diags] == [
+            ("BadDistribution",
+             "prior of feature 'u' has entry nan outside [0, 1]", 1, 9)]
+
+    def test_nan_cpt_entry_rejected(self):
+        # Validated before NaN was rejected, and `infer` then reported an
+        # evidence likelihood of 0.75 on a vacuous step.
+        text = ("feature u {\n  values: a, b;\n  prior: 0.5, 0.5;\n"
+                "  parents: u;\n  cpt: a | * -> nan, 0.5;\n"
+                "  cpt: b | * -> 0, 1;\n}\n"
+                "start S\nprod 0: S -> x { default: 1; }\n")
+        g, diags = validate_text(text)
+        assert g is None
+        assert [(d.kind, d.message, d.line, d.column) for d in diags] == [
+            ("BadDistribution",
+             "CPT row of feature 'u' has entry nan outside [0, 1]", 5, 3)]
 
     def test_state_key_joins_value_labels(self):
         g = traffic()

@@ -1,8 +1,12 @@
 """Text format: parsing, diagnostics with positions, file loading."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import TRAFFIC_PATH
+from make_golden import token_spans
 from psdg.errors import GrammarError
+from psdg.grammar import Psdg
 from psdg.parse import load_file, load_text, parse_text, validate_text
 
 MINI = """
@@ -142,3 +146,55 @@ prod 1: S -> b { default: 0.5; }
     from psdg.grammar import transition_probability
     assert transition_probability(g, (0,), "a", (1,)) == 1.0
     assert transition_probability(g, (1,), "b", (0,)) == 1.0
+
+
+### Fuzz net: no text makes parsing or validation raise.
+
+_WORDS = ("feature", "values", "prior", "parents", "cpt", "start", "prod",
+          "rule", "in", "default", "S", "T", "a", "b", "f", "g", "lo", "hi",
+          "0", "1", "0.5", "-1", "2", "nan", "inf", "1e308", "->", "{", "}",
+          ";", ":", ",", "|", "&", "*", "#", "@", "\n")
+TRAFFIC_TEXT = TRAFFIC_PATH.read_text(encoding="utf-8")
+_SPANS = token_spans(TRAFFIC_TEXT)
+
+
+def assert_total(text: str):
+    """parse_text and validate_text return a result or diagnostics, never
+    both and never neither; parse errors carry a 1-based position."""
+    raw, diags = parse_text(text)
+    assert (raw is None) == bool(diags)
+    for d in diags:
+        assert d.kind == "ParseError"
+        assert d.line >= 1 and d.column >= 1, d
+    grammar, vdiags = validate_text(text)
+    assert (grammar is None) == bool(vdiags)
+    assert grammar is None or isinstance(grammar, Psdg)
+    if raw is None:
+        assert vdiags == diags
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text(max_size=120)
+       | st.lists(st.sampled_from(_WORDS), max_size=60).map(" ".join))
+def test_arbitrary_text_never_raises(text):
+    assert_total(text)
+
+
+@st.composite
+def traffic_mutants(draw):
+    """The bundled grammar with one to three tokens replaced, deleted or
+    given a new token in front."""
+    edits = draw(st.lists(
+        st.tuples(st.sampled_from(_SPANS), st.sampled_from(_WORDS + ("",)),
+                  st.booleans()),
+        min_size=1, max_size=3))
+    text = TRAFFIC_TEXT
+    for (start, end), token, insert in sorted(edits, reverse=True):
+        text = text[:start] + f" {token} " + text[start if insert else end:]
+    return text
+
+
+@settings(max_examples=100, deadline=None)
+@given(traffic_mutants())
+def test_bundled_grammar_mutants_never_raise(text):
+    assert_total(text)
