@@ -4,15 +4,15 @@ recognition, and exact reference oracles.
 The central object is :class:`Psdg`, a context-free grammar whose
 production probabilities are functions of an external factored state.
 `generate` walks the generative story forward, `infer` maintains the
-recognition engine's belief tables, and `oracle` cross-checks both by
+recognition engine's belief chart, and `oracle` cross-checks both by
 exhaustive enumeration.
 """
 from .errors import (DeadEnd, Diagnostic, ExplosionBound, GrammarError,
                      InvalidTrajectory, PsdgError, SetTooLarge,
                      SupportTooLarge, UndefinedConditional, UnknownProduction,
                      ZeroEvidence, ZeroEvidenceMass)
-from .generate import (TimeStep, Trajectory, advance_stack, enumerate_chains,
-                       expansion_terminates, sample_chain, sample_trajectory,
+from .generate import (TimeStep, Trajectory, enumerate_chains,
+                       expansion_terminates, sample_trajectory,
                        termination_flags, trajectory_probability)
 from .grammar import (FeatureSpec, ProbabilityFunction, Production, Psdg,
                       StatePoint, StateSet, compile_grammar, enumerate_states,
@@ -34,14 +34,13 @@ __all__ = [
     "ProbabilityFunction", "Production", "Psdg", "PsdgError", "Query",
     "SetTooLarge", "StatePoint", "StateSet", "StepReport", "SupportTooLarge",
     "TimeStep", "Trajectory", "UndefinedConditional", "UnknownProduction",
-    "ZeroEvidence", "ZeroEvidenceMass", "advance_stack", "compare_reports",
-    "compile_grammar", "conditional_production_given_symbol",
-    "enumerate_chains", "enumerate_joint", "enumerate_states",
-    "exact_posterior", "explain", "expansion_terminates", "init_belief",
-    "load_file", "load_text", "parse_text", "parse_tree", "pcfg_text",
-    "pcfg_tree_probability", "predict", "prior_probability",
-    "production_probability", "reference_reports", "sample_chain",
-    "sample_trajectory", "step", "symbol_transition", "termination_flags",
-    "to_pcfg", "trajectory_probability", "transition_probability", "update",
-    "validate_grammar", "validate_text",
+    "ZeroEvidence", "ZeroEvidenceMass", "compare_reports", "compile_grammar",
+    "conditional_production_given_symbol", "enumerate_chains",
+    "enumerate_joint", "enumerate_states", "exact_posterior", "explain",
+    "expansion_terminates", "init_belief", "load_file", "load_text",
+    "parse_text", "parse_tree", "pcfg_text", "pcfg_tree_probability",
+    "predict", "prior_probability", "production_probability",
+    "reference_reports", "sample_trajectory", "step", "symbol_transition",
+    "termination_flags", "to_pcfg", "trajectory_probability",
+    "transition_probability", "update", "validate_grammar", "validate_text",
 ]

@@ -26,8 +26,7 @@ from .generate import observation_json_lines, sample_trajectory, \
     trajectory_json_lines
 from .grammar import Psdg
 from .infer import (DEFAULT_SUPPORT_BOUND, BeliefState, Observation,
-                    _project, _report_block, belief_slice_marginals,
-                    init_belief, step)
+                    _report_block, belief_slice_marginals, init_belief, step)
 from .oracle import (compare_reports, enumerate_joint, pcfg_text,
                      reference_reports, to_pcfg)
 from .parse import load_text, validate_text
@@ -141,7 +140,8 @@ def _reinit_report(psdg: Psdg, belief: BeliefState, time: int) -> dict:
         "t": time,
         "evidence_likelihood": 0.0,
         "log_evidence": 0.0,
-        "state": {psdg.state_key(q): p for q, p in belief.b_q.items()},
+        "state": {psdg.state_key(q): p
+                  for q, p in belief.state_mass().items()},
         "explain": _report_block({}, {}, {}, 0.0),
         "predict": belief_slice_marginals(belief),
     }
@@ -193,10 +193,9 @@ def cmd_oracle_check(args) -> int:
         # cannot hide behind renormalization.
         scale = 1.0
         for row in belief.chart.values():
-            for branch in row:
+            for entry in row:
                 scale += 0.01
-                row[branch] *= scale
-        _project(belief)
+                row[entry] *= scale
     got = []
     for obs in queue:
         belief = _advance_to(psdg, belief, obs.time)

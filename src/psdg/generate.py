@@ -51,7 +51,8 @@ class Trajectory:
 def leaf_terminal(psdg: Psdg, stack: Stack) -> str:
     a, b = stack[-1]
     sym = psdg.production(a).rhs[b - 1]
-    assert psdg.is_terminal(sym), f"leaf of stack is {sym!r}, not a terminal"
+    if not psdg.is_terminal(sym):
+        raise InvalidTrajectory(f"leaf of stack is {sym!r}, not a terminal")
     return sym
 
 

@@ -5,18 +5,18 @@ the form "the state after step t lay in the set R".  Each step runs three
 phases: explain (condition on the new observation and answer posterior
 queries about the step that just happened), predict (push the belief
 through the deterministic advance rules and fresh production draws), and
-update (rebuild the per-state probability tables for the next step).
+update (install and check the predicted chart as the next belief).
 
-Internally the belief is a joint chart over (previous state, active
-branch), where a branch is a generator stack: the tuple of (production,
-cursor) pairs from the root down to the terminal leaf.  The published
-tables (symbols, productions, terminal, termination, per level and state)
-are exact marginal projections of that chart.  Keeping the branch
-resolved is what makes the engine agree with brute-force enumeration:
-per-level tables alone lose the correlation between a frame and the depth
-below it, and repeated children (say S -> A A) then mix mass across
-branches.  The projections stay within the documented size bound; the
-chart itself is linear in the number of live branches.
+The belief is a joint chart over (previous state, active branch), where a
+branch is a generator stack (the (production, cursor) pairs from the root
+down to the terminal leaf) that the chart keys by its branch-table entry.
+The published tables (symbols, productions, terminal, termination, per level
+and state) are exact marginal projections of the chart, made on first
+read.  Keeping the branch resolved is what makes the engine agree with
+brute-force enumeration: per-level tables alone lose the correlation
+between a frame and the depth below it, and repeated children (say
+S -> A A) then mix mass across branches.  The projections stay within the
+documented size bound; the chart is linear in the number of live branches.
 
 Completion is absorbing: once the root terminates, the final state is
 frozen and later observations simply constrain that frozen value.
@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (SupportTooLarge, UndefinedConditional, ZeroEvidence)
@@ -216,45 +216,68 @@ def _report_block(symbols, productions, terminal, completed) -> dict:
             "completed": completed}
 
 
+_PUBLISHED = ("b_q", "b_n", "b_p", "b_sigma", "b_t", "b_tn",
+              "completed_given_q")     # BeliefState's projected tables
+
+
 @dataclass
 class BeliefState:
     """Everything the recognizer knows, after conditioning on all
     observations before `time`.
 
-    The chart maps (state q, branch) to Pr(Q^{time-1}=q, branch active at
-    slice `time`); `completed` holds the mass of runs whose root already
-    terminated, keyed by their frozen state.  The b_* tables are the
-    published per-state projections; b_q sums to one, the others are
-    conditioned on their state.
+    The chart maps (state q, branch entry) to Pr(Q^{time-1}=q, branch
+    active at slice `time`); `completed` holds the mass of runs whose root
+    already terminated, keyed by their frozen state.  The first read of a
+    published table projects the chart onto all seven: b_q sums to one;
+    b_n (ℓ, X, q), b_p (ℓ, (a,b), q), b_sigma (x, q), b_t (ℓ, q), b_tn
+    (ℓ, X, q) and completed_given_q are conditioned on their state.
     """
     psdg: Psdg
     time: int
     support: StateSet
     support_bound: int
-    chart: dict[State, dict[Stack, float]]
+    chart: dict[State, dict[BranchEntry, float]]
     completed: dict[State, float]
-    b_q: dict[State, float] = field(default_factory=dict)
-    b_n: dict[tuple, float] = field(default_factory=dict)      # (ℓ, X, q)
-    b_p: dict[tuple, float] = field(default_factory=dict)      # (ℓ, (a,b), q)
-    b_sigma: dict[tuple, float] = field(default_factory=dict)  # (x, q)
-    b_t: dict[tuple, float] = field(default_factory=dict)      # (ℓ, q)
-    b_tn: dict[tuple, float] = field(default_factory=dict)     # (ℓ, X, q)
-    completed_given_q: dict[State, float] = field(default_factory=dict)
     log_evidence: float = 0.0
 
+    def __getattr__(self, name):    # only for attributes not set yet
+        if name not in _PUBLISHED:
+            raise AttributeError(name)
+        _project(self)
+        return self.__dict__[name]
+
+    def state_mass(self) -> dict[State, float]:
+        """b_q, Pr(Q^{time-1} = q), without projecting the other tables."""
+        b_q = {q: math.fsum(row.values()) + self.completed.get(q, 0.0)
+               for q, row in self.chart.items()}
+        b_q.update((q, c) for q, c in self.completed.items() if q not in b_q)
+        return {q: m for q, m in b_q.items() if m > 0.0}
+
     def entry_count(self) -> int:
-        return (len(self.b_q) + len(self.b_n) + len(self.b_p)
-                + len(self.b_sigma) + len(self.b_t) + len(self.b_tn)
-                + len(self.completed_given_q))
+        return sum(len(getattr(self, name)) for name in _PUBLISHED)
 
     def entry_bound(self) -> int:
         g = self.psdg
         return (SIZE_CONSTANT * max(1, len(self.b_q))
                 * len(g.productions) * g.depth * g.max_rhs)
 
+    def check_chart(self, tol: float = 1e-9):
+        """Raise AssertionError unless all chart and completed masses are
+        ≥ 0 and sum to one; the projection's symbol, production and terminal
+        rows then hold by construction of the entries' keys."""
+        masses = [m for row in self.chart.values() for m in row.values()]
+        masses += self.completed.values()
+        low = min(masses, default=0.0)
+        if not low >= 0.0:
+            raise AssertionError(f"chart holds mass {low}")
+        total = math.fsum(masses)
+        if not abs(total - 1.0) <= tol:
+            raise AssertionError(f"chart mass {total}")
+
     def check_invariants(self, tol: float = 1e-9):
-        """Raise AssertionError when the published tables are inconsistent.
+        """Raise AssertionError when the chart or published tables are off.
         Explicit raises, so the checks also run under `python -O`."""
+        self.check_chart(tol)
         if not self.entry_count() <= self.entry_bound():
             raise AssertionError("belief size blew up")
         total = math.fsum(self.b_q.values())
@@ -282,32 +305,24 @@ class BeliefState:
 
 
 def _project(belief: BeliefState):
-    """Rebuild the published tables from chart + completed mass."""
-    psdg = belief.psdg
-    table = branch_table(psdg)
-    belief.b_q, belief.b_tn, belief.completed_given_q = {}, {}, {}
-    belief.b_n, belief.b_p, belief.b_sigma, belief.b_t = {}, {}, {}, {}
-    tn_num: dict[tuple, float] = {}
-    by_kind = (belief.b_n, belief.b_p, belief.b_sigma, belief.b_t, tn_num)
-    sums = _SliceSums(table)
+    """Project chart + completed mass onto the seven published tables and
+    keep them on `belief`."""
+    b_q = belief.state_mass()
+    b_n, b_p, b_sigma, b_t, tn_num = by_kind = {}, {}, {}, {}, {}
+    sums = _SliceSums(branch_table(belief.psdg))
     for q, row in belief.chart.items():
-        cq = math.fsum(row.values()) + belief.completed.get(q, 0.0)
-        if cq <= 0.0:
+        cq = b_q.get(q)
+        if cq is None:
             continue
-        belief.b_q[q] = cq
-        for branch, mass in row.items():
+        for entry, mass in row.items():
             if mass > 0.0:
-                sums.add(table.entry(psdg, branch).project_keys, mass / cq)
+                sums.add(entry.project_keys, mass / cq)
         for kind, key, v in sums.drain():
             by_kind[kind][key + (q,)] = v
-    for q, c in belief.completed.items():
-        if c <= 0.0:
-            continue
-        if q not in belief.b_q:
-            belief.b_q[q] = c
-        belief.completed_given_q[q] = c / belief.b_q[q]
-    for nk, num in tn_num.items():
-        belief.b_tn[nk] = num / belief.b_n[nk]
+    vars(belief).update(zip(_PUBLISHED, (
+        b_q, b_n, b_p, b_sigma, b_t,
+        {nk: num / b_n[nk] for nk, num in tn_num.items()},
+        {q: c / b_q[q] for q, c in belief.completed.items() if c > 0.0})))
 
 
 def init_belief(psdg: Psdg, support_bound: int = DEFAULT_SUPPORT_BOUND,
@@ -334,15 +349,13 @@ def init_belief(psdg: Psdg, support_bound: int = DEFAULT_SUPPORT_BOUND,
     if total <= 0.0:
         raise ZeroEvidence(0, "the prior puts no mass on the initial support")
     table = branch_table(psdg)
-    chart: dict[State, dict[Stack, float]] = {}
+    chart: dict[State, dict[BranchEntry, float]] = {}
     for q, p0 in weights.items():
-        row: dict[Stack, float] = {}
+        row = chart[q] = {}
         for branch, cp in table.fresh_chains(psdg, psdg.start, q):
-            row[branch] = (p0 / total) * cp
-        chart[q] = row
+            row[table.entry(psdg, branch)] = (p0 / total) * cp
     belief = BeliefState(psdg, time, support, support_bound, chart, {})
-    _project(belief)
-    belief.check_invariants()
+    belief.check_chart()
     return belief
 
 
@@ -389,10 +402,9 @@ def explain(psdg: Psdg, belief: BeliefState, observation: Observation
     sigma_mass: dict[tuple, float] = {}
     live: list[tuple[tuple, BranchEntry, float]] = []
     for q, row in belief.chart.items():
-        for branch, mass in row.items():
+        for entry, mass in row.items():
             if mass <= 0.0:
                 continue
-            entry = table.entry(psdg, branch)
             key = (q, entry.leaf)
             sigma_mass[key] = sigma_mass.get(key, 0.0) + mass
             live.append((key, entry, mass))
@@ -455,11 +467,8 @@ def symbol_transition(psdg: Psdg, belief: BeliefState, symbol: str,
     table = branch_table(psdg)
     kid = table.key_id.get((SYMBOL, (level, symbol)))
     num = den = 0.0
-    for branch, mass in belief.chart.get(qp, {}).items():
-        if mass <= 0.0:
-            continue
-        entry = table.entry(psdg, branch)
-        if kid in entry.keys:
+    for entry, mass in belief.chart.get(qp, {}).items():
+        if mass > 0.0 and kid in entry.keys:
             den += mass
             num += mass * transition_probability(psdg, qp, entry.leaf, qn)
     return num / den if den > 0.0 else 0.0
@@ -467,8 +476,8 @@ def symbol_transition(psdg: Psdg, belief: BeliefState, symbol: str,
 
 @dataclass
 class Prediction:
-    """The belief chart pushed one step forward, before re-projection."""
-    chart: dict[State, dict[Stack, float]]
+    """The belief chart pushed one step forward."""
+    chart: dict[State, dict[BranchEntry, float]]
     completed: dict[State, float]
     symbols: dict[int, dict[str, float]]
     productions: dict[int, dict[tuple, float]]
@@ -487,30 +496,26 @@ def predict(psdg: Psdg, belief: BeliefState, explanation: Explanation
     """
     evidence = explanation.evidence
     table = branch_table(psdg)
-    rows: dict[State, dict[BranchEntry, float]] = {}    # by new state
+    chart: dict[State, dict[BranchEntry, float]] = {}   # by new state
     completed: dict[State, float] = {}
     for q, row in belief.chart.items():
-        for branch, mass in row.items():
+        for entry, mass in row.items():
             if mass <= 0.0:
                 continue
-            entry = table.entry(psdg, branch)
             for q2, p in explanation.transitions[(q, entry.leaf)].items():
                 share = mass * p / evidence
                 if entry.skeleton is None:
                     completed[q2] = completed.get(q2, 0.0) + share
                     continue
-                target = rows.setdefault(q2, {})
+                target = chart.setdefault(q2, {})
                 for nxt, cp in zip(*table.successors(psdg, entry, q2)):
                     target[nxt] = target.get(nxt, 0.0) + share * cp
     for q, c in explanation.completed_post.items():
         completed[q] = completed.get(q, 0.0) + c
 
-    chart: dict[State, dict[Stack, float]] = {}
     sums = _SliceSums(table)
-    for q2, masses in rows.items():
-        row = chart[q2] = {}
-        for entry, mass in masses.items():
-            row[entry.branch] = mass
+    for row in chart.values():
+        for entry, mass in row.items():
             sums.add(entry.keys, mass)
     return Prediction(chart, completed, *sums.marginals(),
                       completed_mass=math.fsum(completed.values()))
@@ -518,18 +523,13 @@ def predict(psdg: Psdg, belief: BeliefState, explanation: Explanation
 
 def update(psdg: Psdg, belief: BeliefState, explanation: Explanation,
            prediction: Prediction, observation: Observation) -> BeliefState:
-    """Install the predicted chart as the belief for the next step."""
-    new = BeliefState(
-        psdg=psdg,
-        time=belief.time + 1,
-        support=observation.constraint,
-        support_bound=belief.support_bound,
-        chart=prediction.chart,
-        completed=prediction.completed,
-        log_evidence=belief.log_evidence + math.log(explanation.evidence),
-    )
-    _project(new)
-    new.check_invariants()
+    """Install the predicted chart as the belief for the next step, after
+    checking it."""
+    new = BeliefState(psdg, belief.time + 1, observation.constraint,
+                      belief.support_bound, prediction.chart,
+                      prediction.completed,
+                      belief.log_evidence + math.log(explanation.evidence))
+    new.check_chart()
     return new
 
 
@@ -593,13 +593,11 @@ def belief_slice_marginals(belief: BeliefState) -> dict:
     """The belief's own slice distributions marginalized over states, in
     the report's JSON shape.  Used where a prediction block is needed but
     no explanation exists (stream restart after zero evidence)."""
-    psdg = belief.psdg
-    table = branch_table(psdg)
-    sums = _SliceSums(table)
+    sums = _SliceSums(branch_table(belief.psdg))
     for row in belief.chart.values():
-        for branch, mass in row.items():
+        for entry, mass in row.items():
             if mass > 0.0:
-                sums.add(table.entry(psdg, branch).keys, mass)
+                sums.add(entry.keys, mass)
     return _report_block(*sums.marginals(),
                          math.fsum(belief.completed.values()))
 

@@ -22,8 +22,9 @@ step.  CPT rows are matched first to last; `*` is a wildcard for a parent
 value or for the terminal.  Production rule guards are conjunctions and
 are likewise matched first to last, falling through to `default`.
 
-Symbols never appearing as a left-hand side are terminals.  All errors
-carry 1-based line and column positions.
+Symbols never appearing as a left-hand side are terminals.  Numbers are
+plain ASCII, without `_` digit separators.  All errors carry 1-based line
+and column positions.
 """
 from __future__ import annotations
 
@@ -136,10 +137,14 @@ class _Parser:
     def word(self, what: str) -> _Token:
         return self.next("word", what)
 
-    def number(self, what: str = "a number") -> float:
+    def number(self, what: str = "a number", kind=float):
+        """The next word read by `kind` (float or int), kept from the `_`
+        separators and non-ASCII digits that Python's readers accept."""
         t = self.word(what)
         try:
-            return float(t.text)
+            if "_" in t.text or not t.text.isascii():
+                raise ValueError
+            return kind(t.text)
         except ValueError:
             raise _ParseFailure(f"expected {what}, found {t.text!r}",
                                 t.line, t.column) from None
@@ -217,12 +222,8 @@ def _parse_cpt_row(p: _Parser, key: _Token) -> RawCptRow:
 
 
 def _parse_production(p: _Parser) -> RawProduction:
-    head = p.word("a production index")
-    try:
-        index = int(head.text)
-    except ValueError:
-        raise _ParseFailure(f"expected a production index, found {head.text!r}",
-                            head.line, head.column) from None
+    head = p.peek()
+    index = p.number("a production index", int)
     p.next(":", "':'")
     lhs = p.word("a left-hand symbol").text
     p.next("arrow", "'->'")

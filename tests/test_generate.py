@@ -1,11 +1,15 @@
 """Generative semantics: stacks, termination, sampling, scoring."""
+import ast
 import json
 import math
 import random
 from collections import Counter
 
+from pathlib import Path
+
 import pytest
 
+import psdg
 from helpers import (ab_grammar, build, feature, forcing_grammar, production,
                      random_psdg, repeated_child_grammar,
                      single_production_grammar, traffic, unit_feature)
@@ -259,3 +263,22 @@ class TestStackWellFormedness:
                         prod = g.production(frame["production"])
                         assert frame["level"] == i + 1
                         assert prod.lhs == frame["symbol"]
+
+    def test_leaf_on_a_nonterminal_is_invalid(self):
+        """Drive's cursor 1 sits on Pass, a nonterminal: an explicit
+        raise, so `python -O` keeps it."""
+        with pytest.raises(InvalidTrajectory,
+                           match="leaf of stack is 'Pass', not a terminal"):
+            leaf_terminal(traffic(), ((3, 1),))
+
+
+def test_package_checks_never_use_assert():
+    """Every check in the package is an explicit raise: an `assert`
+    vanishes under `python -O`."""
+    src = Path(psdg.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert len(list(src.glob("*.py"))) >= 8
+    assert found == []

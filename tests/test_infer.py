@@ -34,6 +34,12 @@ def point(idx) -> StateSet:
     return StateSet(tuple(frozenset({v}) for v in idx))
 
 
+def by_stack(chart):
+    """A chart with each row keyed by its entries' stacks."""
+    return {q: {e.branch: m for e, m in row.items()}
+            for q, row in chart.items()}
+
+
 def two_step_grammar():
     """S -> x Y; Y -> y.  One state, fully deterministic."""
     return build(
@@ -79,7 +85,7 @@ class TestInitBelief:
         q = g.state_from_labels(
             {"lane": "center-lane", "speed": "slow", "exit": "far"}).idx
         # prior 0.6 * 0.5 * 1.0, production 3 at 0.10, production 5 at 0.5
-        assert belief.chart[q][((3, 1), (5, 1))] == pytest.approx(
+        assert by_stack(belief.chart)[q][((3, 1), (5, 1))] == pytest.approx(
             0.3 * 0.10 * 0.5)
 
     def test_support_bound_enforced(self):
@@ -480,6 +486,57 @@ class TestCheckInvariants:
         assert float(terminal.split()[-1]) == pytest.approx(0.5)
 
 
+    def test_corrupted_chart_fails_the_step_check_under_optimize(self):
+        """`update` checks the chart it installs: one mass halved, one
+        made negative with the total kept at one, and one NaN each raise,
+        also under `python -O`."""
+        script = """if True:
+            import sys
+            from pathlib import Path
+            import psdg
+            from psdg.infer import (Observation, explain, init_belief,
+                                    predict, update)
+            from psdg.parse import load_file
+            if __debug__:
+                sys.exit("not running under -O")
+            g = load_file(Path(psdg.__file__).parent / "data" / "traffic.psdg")
+
+            def halve(row, a, b):
+                row[a] *= 0.5
+
+            def negate(row, a, b):
+                row[b] += row[a] + 0.01
+                row[a] = -0.01
+
+            def nan(row, a, b):
+                row[a] = float("nan")
+
+            for corrupt in (halve, negate, nan):
+                b = init_belief(g)
+                obs = Observation.vacuous(g, 1)
+                e = explain(g, b, obs)
+                p = predict(g, b, e)
+                row = max(p.chart.values(), key=len)
+                corrupt(row, *list(row)[:2])
+                try:
+                    update(g, b, e, p, obs)
+                except AssertionError as e:
+                    print(e)
+                else:
+                    sys.exit(f"{corrupt.__name__} passed the check")
+        """
+        src = Path(psdg.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True,
+                              env={"PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        halved, negative, nan = proc.stdout.splitlines()
+        assert halved.startswith("chart mass ")
+        assert float(halved.split()[-1]) < 1.0 - 1e-6
+        assert negative == "chart holds mass -0.01"
+        assert nan.split()[-1] == "nan"
+
+
 class TestInvariantsOverRandomRuns:
     def test_random_streams_keep_invariants(self):
         for seed in range(6):
@@ -565,7 +622,7 @@ def ref_marginals(g, weighted):
 
 def ref_explain(g, belief, exp):
     weighted = []
-    for q, row in belief.chart.items():
+    for q, row in by_stack(belief.chart).items():
         for branch, mass in row.items():
             if mass <= 0.0:
                 continue
@@ -579,7 +636,7 @@ def ref_explain(g, belief, exp):
 
 def ref_predict(g, belief, exp):
     chart, completed = {}, {}
-    for q, row in belief.chart.items():
+    for q, row in by_stack(belief.chart).items():
         for branch, mass in row.items():
             if mass <= 0.0:
                 continue
@@ -703,7 +760,7 @@ class TestBranchTable:
         the same floats a plain per-branch loop gives."""
         g = branchy_grammar()
         belief = init_belief(g)
-        assert published(belief) == ref_tables(g, belief.chart, {})
+        assert published(belief) == ref_tables(g, by_stack(belief.chart), {})
         most = 0
         stream = sampled_stream(g, seed, 14)
         assert len(stream) >= 10
@@ -712,16 +769,17 @@ class TestBranchTable:
             assert (exp.symbols, exp.productions, exp.terminal) == \
                 ref_explain(g, belief, exp)
             pred = predict(g, belief, exp)
-            assert (pred.chart, pred.completed) == ref_predict(g, belief, exp)
+            assert (by_stack(pred.chart), pred.completed) == \
+                ref_predict(g, belief, exp)
             assert (pred.symbols, pred.productions, pred.terminal) == \
                 ref_marginals(g, ((branch, mass)
-                                  for row in pred.chart.values()
+                                  for row in by_stack(pred.chart).values()
                                   for branch, mass in row.items()))
             belief = update(g, belief, exp, pred, obs)
-            assert published(belief) == ref_tables(g, belief.chart,
+            assert published(belief) == ref_tables(g, by_stack(belief.chart),
                                                    belief.completed)
             symbols, productions, terminal = ref_marginals(
-                g, ((branch, mass) for row in belief.chart.values()
+                g, ((branch, mass) for row in by_stack(belief.chart).values()
                     for branch, mass in row.items() if mass > 0.0))
             assert belief_slice_marginals(belief) == {
                 "symbols": symbols,
@@ -765,6 +823,50 @@ class TestBranchTable:
         finally:
             gc.enable()
         assert capsys.readouterr().out.count("\n") >= 1
+
+
+class TestLazyTables:
+    @pytest.fixture
+    def projections(self, monkeypatch):
+        calls = []
+        project = infer_module._project
+
+        def counted(belief):
+            calls.append(belief)
+            project(belief)
+        monkeypatch.setattr(infer_module, "_project", counted)
+        return calls
+
+    def test_cli_run_never_projects(self, projections, capsys, monkeypatch):
+        """A traffic stream with a gap, then one that forces a restart:
+        every report line comes from the chart."""
+        g = traffic()
+        lines = list(observation_json_lines(g, sample_trajectory(g, 6, 2)))
+        del lines[2]
+        contradiction = ('{"t": 1, "observe": {"lane": ["left-lane"]}}\n'
+                         '{"t": 2, "observe": {"lane": ["right-lane"]}}\n'
+                         '{"t": 4, "observe": {"lane": ["left-lane"]}}\n')
+        for stream, policy in (("\n".join(lines) + "\n", "error"),
+                               (contradiction, "reinit")):
+            monkeypatch.setattr("sys.stdin", io.StringIO(stream))
+            assert cli_main(["infer", str(TRAFFIC_PATH),
+                             "--on-zero-evidence", policy]) == 0
+        out = capsys.readouterr()
+        assert out.out.count("\n") == len(lines) + 3
+        assert "restarting" in out.err
+        assert projections == []
+
+    def test_first_read_projects_all_tables_once(self, projections):
+        g = traffic()
+        belief = init_belief(g)
+        _, belief = step(g, belief, Observation.vacuous(g, 1))
+        assert projections == []
+        assert math.fsum(belief.b_q.values()) == pytest.approx(1.0)
+        assert belief.b_sigma
+        belief.check_invariants()
+        assert projections == [belief]
+        with pytest.raises(AttributeError):
+            belief.b_nothing
 
 
 def endless_grammar():

@@ -105,6 +105,26 @@ def test_stray_character():
     assert diags[0].line == 2
 
 
+@pytest.mark.parametrize("old, new", [
+    ("prod 0:", "prod 1_0:"),
+    ("prod 0:", "prod \u0661\u0660:"),
+    ("default: 0.6;", "default: 0_1e1;"),
+    ("prior: 0.25, 0.75;", "prior: 0.25, 0_75;"),
+])
+def test_numbers_are_plain_ascii_without_separators(old, new):
+    """Python's int() and float() read `1_0` and Arabic-Indic digits as
+    10; the grammar format does not, and names the token's position."""
+    text = MINI.replace(old, new, 1)
+    token = new.split()[-1].rstrip(":;")
+    at = text.index(token)
+    g, diags = parse_text(text)
+    assert g is None
+    assert [(d.kind, d.line, d.column) for d in diags] == [
+        ("ParseError", text.count("\n", 0, at) + 1,
+         at - text.rfind("\n", 0, at))]
+    assert diags[0].message.endswith(f"found {token!r}")
+
+
 def test_traffic_file_loads():
     g = load_file(TRAFFIC_PATH)
     assert g.summary() == {"nonterminals": 2, "terminals": 4,
