@@ -10,7 +10,7 @@ Observation streams are JSON lines `{"t": k, "observe": {feature:
 [values, ...]}}` with strictly increasing times.  A `t: 0` line may come
 first to restrict the initial state.  Times missing from the stream are
 treated as unconstrained steps; they advance the belief but produce no
-report line.
+report line.  Both commands run the stream through `infer.recognize`.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .generate import observation_json_lines, sample_trajectory, \
     trajectory_json_lines
 from .grammar import Psdg
 from .infer import (DEFAULT_SUPPORT_BOUND, BeliefState, Observation,
-                    _report_block, belief_slice_marginals, init_belief, step)
+                    init_belief, recognize)
 from .oracle import (compare_reports, enumerate_joint, pcfg_text,
                      reference_reports, to_pcfg)
 from .parse import load_text, validate_text
@@ -128,51 +128,41 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _advance_to(psdg: Psdg, belief: BeliefState, time: int) -> BeliefState:
-    """Run unconstrained steps until the belief is ready for `time`."""
-    while belief.time < time:
-        _, belief = step(psdg, belief, Observation.vacuous(psdg, belief.time))
-    return belief
-
-
-def _reinit_report(psdg: Psdg, belief: BeliefState, time: int) -> dict:
-    return {
-        "t": time,
-        "evidence_likelihood": 0.0,
-        "log_evidence": 0.0,
-        "state": {psdg.state_key(q): p
-                  for q, p in belief.state_mass().items()},
-        "explain": _report_block({}, {}, {}, 0.0),
-        "predict": belief_slice_marginals(belief),
-    }
+def _restarting(time: int):
+    print(f"zero evidence at t={time}: restarting from the prior "
+          f"restricted to the observation", file=sys.stderr)
 
 
 def cmd_infer(args) -> int:
     psdg = _read_grammar(args.grammar)
-    belief: BeliefState | None = None
-    restrict = None
-    for obs in _read_observations(psdg, sys.stdin):
-        if obs.time == 0:
-            restrict = obs.constraint
-            continue
-        if belief is None:
-            belief = init_belief(psdg, args.support_bound, restrict)
-        belief = _advance_to(psdg, belief, obs.time)
-        try:
-            report, belief = step(psdg, belief, obs)
-        except ZeroEvidence as e:
-            if args.on_zero_evidence == "error":
-                print(f"zero evidence at t={e.time}: the stream contradicts "
-                      f"the model", file=sys.stderr)
-                return 3
-            print(f"zero evidence at t={e.time}: restarting from the prior "
-                  f"restricted to the observation", file=sys.stderr)
-            belief = init_belief(psdg, args.support_bound,
-                                 restrict=obs.constraint, time=obs.time + 1)
-            _emit(_reinit_report(psdg, belief, obs.time))
-            continue
-        _emit(report.to_dict(psdg))
+    stream = recognize(psdg, _read_observations(psdg, sys.stdin),
+                       args.support_bound, args.on_zero_evidence == "reinit")
+    try:
+        for report in stream:
+            if report.evidence_likelihood == 0.0:
+                _restarting(report.time)
+            _emit(report.to_dict(psdg))
+    except ZeroEvidence as e:
+        if isinstance(e.__context__, ZeroEvidence):     # the restart failed
+            _restarting(e.__context__.time)
+        elif e.time > 0:    # a t=0 contradiction is the prior's, for main
+            print(f"zero evidence at t={e.time}: the stream contradicts "
+                  f"the model", file=sys.stderr)
+            return 3
+        raise
     return 0
+
+
+def _skewed_belief(*args) -> BeliefState:
+    """init_belief with every chart entry skewed by a different factor, so
+    the damage cannot hide behind renormalization."""
+    belief = init_belief(*args)
+    scale = 1.0
+    for row in belief.chart.values():
+        for entry in row:
+            scale += 0.01
+            row[entry] *= scale
+    return belief
 
 
 def cmd_oracle_check(args) -> int:
@@ -182,25 +172,9 @@ def cmd_oracle_check(args) -> int:
     horizon = max(args.horizon, last + 1, 1)
     joint = enumerate_joint(psdg, horizon)
     want = reference_reports(psdg, joint, observations)
-
-    restrict = None
-    queue = list(observations)
-    if queue and queue[0].time == 0:
-        restrict = queue.pop(0).constraint
-    belief = init_belief(psdg, args.support_bound, restrict)
-    if args.corrupt_belief:
-        # Skew every chart entry by a different factor so the damage
-        # cannot hide behind renormalization.
-        scale = 1.0
-        for row in belief.chart.values():
-            for entry in row:
-                scale += 0.01
-                row[entry] *= scale
-    got = []
-    for obs in queue:
-        belief = _advance_to(psdg, belief, obs.time)
-        report, belief = step(psdg, belief, obs)
-        got.append(report.to_dict(psdg))
+    start = _skewed_belief if args.corrupt_belief else init_belief
+    got = [report.to_dict(psdg) for report in recognize(
+        psdg, observations, args.support_bound, start=start)]
 
     worst = 0.0
     ok = True

@@ -72,12 +72,6 @@ def termination_flags(psdg: Psdg, stack: Stack) -> tuple[bool, ...]:
     return tuple(flags)
 
 
-def expansion_terminates(psdg: Psdg, stack: Stack, level: int) -> bool:
-    if not 1 <= level <= len(stack):
-        raise IndexError(f"no frame at level {level}")
-    return termination_flags(psdg, stack)[level - 1]
-
-
 def enumerate_chains(psdg: Psdg, symbol: str,
                      state: StatePoint) -> list[tuple[Stack, float]]:
     """All ways to freshly expand `symbol` down to a terminal leaf.

@@ -275,9 +275,6 @@ class Psdg:
             idx.append(f.values.index(v))
         return StatePoint(tuple(idx))
 
-    def state_labels(self, idx: tuple[int, ...]) -> dict[str, str]:
-        return {f.name: f.values[v] for f, v in zip(self.features, idx)}
-
     def state_key(self, idx: tuple[int, ...]) -> str:
         """The state's value labels joined by `|`, as reports print it."""
         return "|".join(f.values[v] for f, v in zip(self.features, idx))

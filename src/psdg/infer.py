@@ -27,7 +27,7 @@ import itertools
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import (SupportTooLarge, UndefinedConditional, ZeroEvidence)
 from .generate import (Stack, advance_skeleton, enumerate_chains,
@@ -194,6 +194,13 @@ class _SliceSums:
             yield *slots[k], acc[k]
             acc[k] = None
         self.touched = []
+
+    def of_chart(self, chart) -> tuple[dict, dict, dict]:
+        """The marginals of a whole chart, as a report's predict side."""
+        for row in chart.values():
+            for entry, mass in row.items():
+                self.add(entry.keys, mass)
+        return self.marginals()
 
     def marginals(self) -> tuple[dict, dict, dict]:
         """Drain into per-level symbols and productions, and terminal."""
@@ -512,12 +519,7 @@ def predict(psdg: Psdg, belief: BeliefState, explanation: Explanation
                     target[nxt] = target.get(nxt, 0.0) + share * cp
     for q, c in explanation.completed_post.items():
         completed[q] = completed.get(q, 0.0) + c
-
-    sums = _SliceSums(table)
-    for row in chart.values():
-        for entry, mass in row.items():
-            sums.add(entry.keys, mass)
-    return Prediction(chart, completed, *sums.marginals(),
+    return Prediction(chart, completed, *_SliceSums(table).of_chart(chart),
                       completed_mass=math.fsum(completed.values()))
 
 
@@ -589,17 +591,40 @@ def step(psdg: Psdg, belief: BeliefState, observation: Observation
     return report, new_belief
 
 
-def belief_slice_marginals(belief: BeliefState) -> dict:
-    """The belief's own slice distributions marginalized over states, in
-    the report's JSON shape.  Used where a prediction block is needed but
-    no explanation exists (stream restart after zero evidence)."""
-    sums = _SliceSums(branch_table(belief.psdg))
-    for row in belief.chart.values():
-        for entry, mass in row.items():
-            if mass > 0.0:
-                sums.add(entry.keys, mass)
-    return _report_block(*sums.marginals(),
-                         math.fsum(belief.completed.values()))
+def recognize(psdg: Psdg, observations: Iterable[Observation],
+              support_bound: int = DEFAULT_SUPPORT_BOUND, reinit: bool = False,
+              start=init_belief) -> Iterator[StepReport]:
+    """Run a stream with increasing times, yielding the report of each
+    observation at t ≥ 1 before reading the next.
+
+    A leading t=0 observation restricts the initial state; `start`, with
+    init_belief's signature, builds the belief at the first later one.
+    Missing times pass as unconstrained steps.  Zero evidence raises, or
+    under `reinit` restarts from the prior restricted to the observation,
+    reported with evidence likelihood 0 and the new belief's marginals; a
+    failed restart raises with the contradiction as its `__context__`.
+    """
+    belief = restrict = None
+    for obs in observations:
+        if belief is None and obs.time == 0:
+            restrict = obs.constraint
+            continue
+        if belief is None:
+            belief = start(psdg, support_bound, restrict)
+        gap = (Observation.vacuous(psdg, t)
+               for t in range(belief.time, obs.time))
+        for now in itertools.chain(gap, [obs]):
+            try:
+                report, belief = step(psdg, belief, now)
+            except ZeroEvidence:
+                if not reinit:
+                    raise
+                belief = start(psdg, support_bound, now.constraint,
+                               now.time + 1)
+                report = StepReport(
+                    now.time, 0.0, 0.0, belief.state_mass(), {}, {}, {}, 0.0,
+                    *_SliceSums(branch_table(psdg)).of_chart(belief.chart), 0.0)
+        yield report
 
 
 def conditional_production_given_symbol(belief: BeliefState, level: int,

@@ -359,19 +359,17 @@ def reference_reports(psdg: Psdg, joint: JointTable, observations) -> list[dict]
 def compare_reports(got: dict, want: dict, tol: float = 1e-9
                     ) -> tuple[float, list[str]]:
     """Max absolute deviation between two report dicts, with a note per
-    deviation above tol.  Missing distribution entries count as zero."""
+    deviation above tol in sorted `str` key order; missing keys count 0."""
     problems: list[str] = []
     worst = 0.0
 
     def walk(a, b, path):
         nonlocal worst
         if isinstance(a, dict) or isinstance(b, dict):
-            a = a if isinstance(a, dict) else {}
-            b = b if isinstance(b, dict) else {}
-            for key in set(map(str, a)) | set(map(str, b)):
-                av = next((v for k, v in a.items() if str(k) == key), 0.0)
-                bv = next((v for k, v in b.items() if str(k) == key), 0.0)
-                walk(av, bv, f"{path}.{key}")
+            a, b = ({str(k): v for k, v in d.items()} if isinstance(d, dict)
+                    else {} for d in (a, b))
+            for key in sorted(a.keys() | b.keys()):
+                walk(a.get(key, 0.0), b.get(key, 0.0), f"{path}.{key}")
             return
         av = float(a) if isinstance(a, (int, float)) else math.nan
         bv = float(b) if isinstance(b, (int, float)) else math.nan

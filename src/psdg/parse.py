@@ -138,11 +138,13 @@ class _Parser:
         return self.next("word", what)
 
     def number(self, what: str = "a number", kind=float):
-        """The next word read by `kind` (float or int), kept from the `_`
-        separators and non-ASCII digits that Python's readers accept."""
+        """The next word read by `kind` (float or int).  Python's readers
+        also take `_` separators and non-ASCII digits, and int() a leading
+        `+`; the format does not."""
         t = self.word(what)
         try:
-            if "_" in t.text or not t.text.isascii():
+            if "_" in t.text or not t.text.isascii() or \
+                    kind is int and t.text.startswith("+"):
                 raise ValueError
             return kind(t.text)
         except ValueError:

@@ -17,7 +17,7 @@ import psdg as _pkg
 from psdg.errors import ExplosionBound
 from psdg.grammar import (Psdg, RawCptRow, RawFeature, RawProduction, RawRule,
                           compile_grammar)
-from psdg.infer import Observation, init_belief, step
+from psdg.infer import Observation
 from psdg.oracle import JointTable, enumerate_joint
 from psdg.parse import load_file
 
@@ -273,24 +273,26 @@ def random_stream(psdg: Psdg, joint: JointTable, seed: int,
     return out
 
 
-def engine_reports(psdg: Psdg, observations: list[Observation],
-                   support_bound: int = 100_000) -> list[dict]:
-    """Run the belief engine over a stream the same way the CLI does:
-    optional t=0 restriction, silent unconstrained steps over gaps, one
-    report dict per real observation."""
-    queue = list(observations)
-    restrict = None
-    if queue and queue[0].time == 0:
-        restrict = queue.pop(0).constraint
-    belief = init_belief(psdg, support_bound, restrict)
-    out = []
-    for obs in queue:
-        while belief.time < obs.time:
-            _, belief = step(psdg, belief,
-                             Observation.vacuous(psdg, belief.time))
-        report, belief = step(psdg, belief, obs)
-        out.append(report.to_dict(psdg))
-    return out
+# A traffic stream, (t, lane), with two contradictions: no lane change
+# skips the center lane.
+REINIT_CYCLE = [(0, "right-lane"), (1, "left-lane"), (2, "left-lane"),
+                (3, "right-lane"), (4, "right-lane"), (5, "right-lane")]
+RESTARTS = (1, 3)
+
+
+def assert_evidence_restarts(reports):
+    """(t, evidence likelihood, log evidence) of a REINIT_CYCLE run under
+    reinit: each restart reports zero evidence, and log evidence then sums
+    only what came after the last restart."""
+    assert [t for t, _, _ in reports] == [t for t, _ in REINIT_CYCLE[1:]]
+    running = 0.0
+    for t, likelihood, log_evidence in reports:
+        if t in RESTARTS:
+            assert (likelihood, log_evidence) == (0.0, 0.0), t
+            running = 0.0
+        else:
+            running += math.log(likelihood)
+            assert log_evidence == running, t
 
 
 def close(a: float, b: float, tol: float = 1e-9) -> bool:

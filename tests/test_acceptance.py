@@ -8,13 +8,13 @@ import math
 import statistics
 import time
 
-from helpers import (build, engine_reports, feature, forcing_grammar,
-                     production, random_stream, repeated_child_grammar,
-                     sized_random_psdg, tail_recursive_grammar, traffic,
-                     unit_feature)
+from helpers import (build, feature, forcing_grammar, production,
+                     random_stream, repeated_child_grammar, sized_random_psdg,
+                     tail_recursive_grammar, traffic, unit_feature)
 from psdg.generate import sample_trajectory, trajectory_probability
 from psdg.grammar import StateSet
-from psdg.infer import Observation, explain, init_belief, predict, step
+from psdg.infer import (Observation, explain, init_belief, predict,
+                        recognize, step)
 from psdg.oracle import (compare_reports, enumerate_joint, parse_tree,
                          pcfg_tree_probability, reference_reports, to_pcfg)
 
@@ -29,7 +29,8 @@ def test_criterion_1_oracle_equivalence():
     for i in range(25):
         grammar, joint = sized_random_psdg(1000 + i, horizon=6)
         observations = random_stream(grammar, joint, 500 + i, max_len=5)
-        got = engine_reports(grammar, observations)
+        got = [report.to_dict(grammar)
+               for report in recognize(grammar, observations)]
         want = reference_reports(grammar, joint, observations)
         assert len(got) == len(want)
         for g, w in zip(got, want):

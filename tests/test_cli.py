@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import TRAFFIC_PATH, engine_reports, traffic
+from helpers import (REINIT_CYCLE, RESTARTS, TRAFFIC_PATH,
+                     assert_evidence_restarts, traffic)
 from psdg.cli import main
 from psdg.generate import observation_json_lines, sample_trajectory
 from psdg.grammar import StateSet
-from psdg.infer import Observation
+from psdg.infer import Observation, recognize
 
 AB_TEXT = """\
 feature u {
@@ -27,6 +28,18 @@ start S
 
 prod 0: S -> a { default: 0.3; }
 prod 1: S -> b { default: 0.7; }
+"""
+
+# The prior puts no mass on f = b, so no restart can explain seeing it.
+ZERO_PRIOR_TEXT = """\
+feature f {
+  values: a, b;
+  prior: 1, 0;
+}
+
+start S
+
+prod 0: S -> x { default: 1; }
 """
 
 
@@ -218,8 +231,8 @@ class TestInfer:
         assert code == 0
         obs = [Observation.from_labels(g, p["t"], p["observe"])
                for p in json_lines(stdin)]
-        want = json_lines("\n".join(
-            json.dumps(r, sort_keys=True) for r in engine_reports(g, obs)))
+        want = json_lines("\n".join(json.dumps(r.to_dict(g), sort_keys=True)
+                                     for r in recognize(g, obs)))
         assert json_lines(out) == want
 
     def test_zero_evidence_error_policy(self, capsys, monkeypatch):
@@ -249,6 +262,34 @@ class TestInfer:
         assert first["predict"]["terminal"]
         assert second["t"] == 2
         assert second["evidence_likelihood"] > 0.0
+
+    def test_reinit_cycle_restarts_the_evidence_chain(self, capsys,
+                                                     monkeypatch):
+        stdin = "".join(obs_line(t, {"lane": [lane]}) + "\n"
+                        for t, lane in REINIT_CYCLE)
+        code, out, err = run(capsys, ["infer", str(TRAFFIC_PATH),
+                                      "--on-zero-evidence", "reinit"],
+                             stdin, monkeypatch)
+        assert code == 0
+        assert err == "".join(
+            f"zero evidence at t={t}: restarting from the prior restricted "
+            f"to the observation\n" for t in RESTARTS)
+        assert_evidence_restarts(
+            [(r["t"], r["evidence_likelihood"], r["log_evidence"])
+             for r in json_lines(out)])
+
+    def test_reinit_onto_a_zero_prior_exits_3(self, capsys, monkeypatch,
+                                              tmp_path):
+        path = tmp_path / "zero-prior.psdg"
+        path.write_text(ZERO_PRIOR_TEXT)
+        code, out, err = run(capsys, ["infer", str(path),
+                                      "--on-zero-evidence", "reinit"],
+                             obs_line(1, {"f": ["b"]}) + "\n", monkeypatch)
+        assert code == 3
+        assert out == ""
+        assert err == ("zero evidence at t=1: restarting from the prior "
+                       "restricted to the observation\n"
+                       "zero evidence at t=0\n")
 
     def test_malformed_stream_rejected(self, capsys, monkeypatch):
         for stdin in ("not json\n",
@@ -314,6 +355,23 @@ class TestOracleCheck:
         assert final["ok"] is False
         assert final["max_deviation"] > 1e-9
         assert err
+
+    def test_corruption_report_does_not_follow_the_hash_seed(self):
+        g = traffic()
+        traj = sample_trajectory(g, horizon=2, seed=3)
+        stdin = "\n".join(observation_json_lines(g, traj)) + "\n"
+        root = Path(__file__).resolve().parents[1]
+        errs = set()
+        for seed in ("1", "2", "3"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "psdg", "oracle-check",
+                 "src/psdg/data/traffic.psdg", "--corrupt-belief"],
+                input=stdin, capture_output=True, text=True, cwd=root,
+                env={"PYTHONPATH": "src", "PYTHONHASHSEED": seed})
+            assert proc.returncode == 1, proc.stderr
+            errs.add(proc.stderr)
+        (err,) = errs
+        assert err.count("\n") > 2
 
     def test_empty_stream(self, capsys, monkeypatch, ab_path):
         code, out, _ = run(capsys, ["oracle-check", ab_path], "",

@@ -14,8 +14,7 @@ from helpers import (ab_grammar, build, feature, forcing_grammar, production,
                      random_psdg, repeated_child_grammar,
                      single_production_grammar, traffic, unit_feature)
 from psdg.errors import InvalidTrajectory
-from psdg.generate import (TimeStep, Trajectory, advance_stack,
-                           expansion_terminates, leaf_terminal,
+from psdg.generate import (TimeStep, Trajectory, advance_stack, leaf_terminal,
                            sample_trajectory, termination_flags,
                            trajectory_json_lines, trajectory_probability)
 from psdg.grammar import production_probability
@@ -30,19 +29,20 @@ def drive_pass_stack(pass_cursor: int):
 class TestTermination:
     def test_pass_terminates_at_final_cursor(self):
         g = traffic()
-        assert expansion_terminates(g, drive_pass_stack(2), 2)
-        assert not expansion_terminates(g, drive_pass_stack(1), 2)
+        assert termination_flags(g, drive_pass_stack(2))[1]
+        assert not termination_flags(g, drive_pass_stack(1))[1]
 
     def test_mid_production_frame_never_terminates(self):
         g = traffic()
         # Drive frame sits at cursor 1 of a length-2 rhs
-        assert not expansion_terminates(g, drive_pass_stack(2), 1)
+        assert not termination_flags(g, drive_pass_stack(2))[0]
 
     def test_flags_form_suffix(self):
         g = traffic()
         for stack in (drive_pass_stack(1), drive_pass_stack(2),
                       ((4, 1),)):
             flags = termination_flags(g, stack)
+            assert len(flags) == len(stack)
             # once a frame fails to terminate, everything above fails too
             seen_true = False
             for f in reversed(flags):
@@ -50,8 +50,6 @@ class TestTermination:
                     seen_true = True
                 else:
                     assert not seen_true or f is False
-            assert flags == tuple(expansion_terminates(g, stack, i + 1)
-                                  for i in range(len(stack)))
 
     def test_exit_frame_terminates_root(self):
         g = traffic()

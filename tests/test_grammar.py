@@ -366,7 +366,8 @@ class TestEnumerateStates:
                                      "exit": ["far"]})
         got = enumerate_states(g, c)
         assert len(got) == 2          # speed remains free
-        assert all(g.state_labels(q)["lane"] == "left-lane" for q in got)
+        assert all(StatePoint(q).labels(g)["lane"] == "left-lane"
+                   for q in got)
 
     def test_bound(self):
         g = traffic()

@@ -1,4 +1,5 @@
 """Belief initialization, explain/predict/update, and full recognition runs."""
+import ast
 import gc
 import io
 import math
@@ -9,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from helpers import (TRAFFIC_PATH, build, engine_reports, feature,
-                     forcing_grammar, production, random_stream,
-                     repeated_child_grammar, single_production_grammar,
-                     sized_random_psdg, tail_recursive_grammar, traffic,
-                     unit_feature)
+from helpers import (REINIT_CYCLE, TRAFFIC_PATH, assert_evidence_restarts,
+                     build, feature, forcing_grammar, production,
+                     random_stream, repeated_child_grammar,
+                     single_production_grammar, sized_random_psdg,
+                     tail_recursive_grammar, traffic, unit_feature)
 import psdg
 import psdg.infer as infer_module
 from psdg.cli import main as cli_main
@@ -23,9 +24,10 @@ from psdg.generate import (advance_skeleton, enumerate_chains, leaf_terminal,
                            termination_flags)
 from psdg.grammar import StateSet, prior_probability, transition_probability
 from psdg.infer import (PRODUCTION, SYMBOL, TERMINAL, TERMINATED, TERMINATES,
-                        Observation, belief_slice_marginals, branch_table,
+                        Observation, branch_table,
                         conditional_production_given_symbol, explain,
-                        init_belief, predict, step, symbol_transition, update)
+                        init_belief, predict, recognize, step,
+                        symbol_transition, update)
 from psdg.oracle import (Query, enumerate_joint, exact_posterior,
                          reference_reports, state_at)
 
@@ -357,10 +359,10 @@ class TestStep:
     def test_gap_equals_explicit_vacuous_steps(self):
         g = tail_recursive_grammar()
         late = Observation(3, StateSet.from_labels(g, {"g": "halt"}))
-        sparse = engine_reports(g, [late])
-        dense = engine_reports(g, [Observation.vacuous(g, 1),
-                                   Observation.vacuous(g, 2), late])
-        assert sparse[-1] == dense[-1]
+        *_, sparse = recognize(g, [late])
+        *_, dense = recognize(g, [Observation.vacuous(g, 1),
+                                  Observation.vacuous(g, 2), late])
+        assert sparse.to_dict(g) == dense.to_dict(g)
 
 
 def assert_reports_close(got: list[dict], want: list[dict], tol=1e-9):
@@ -381,6 +383,72 @@ def assert_reports_close(got: list[dict], want: list[dict], tol=1e-9):
         walk(a, b, f"report[{i}]")
 
 
+class TestRecognize:
+    def test_reports_each_observation_before_reading_the_next(self):
+        g = traffic()
+        stream = [Observation.from_labels(g, t, {"lane": ["right-lane"]})
+                  for t in (0, 2, 3)]
+        read = []
+
+        def feed():
+            for obs in stream:
+                read.append(obs.time)
+                yield obs
+        reports = recognize(g, feed())
+        assert next(reports).time == 2 and read == [0, 2]
+        assert next(reports).time == 3 and read == [0, 2, 3]
+        assert next(reports, None) is None
+
+    def test_reinit_cycle_restarts_the_evidence_chain(self):
+        g = traffic()
+        stream = [Observation.from_labels(g, t, {"lane": [lane]})
+                  for t, lane in REINIT_CYCLE]
+        with pytest.raises(ZeroEvidence) as raised:
+            list(recognize(g, stream))
+        assert raised.value.time == 1
+        reports = list(recognize(g, stream, reinit=True))
+        assert_evidence_restarts([(r.time, r.evidence_likelihood,
+                                   r.log_evidence) for r in reports])
+        restart = reports[0]
+        fresh = init_belief(g, restrict=stream[1].constraint, time=2)
+        assert restart.state == fresh.state_mass()
+        assert (restart.explain_symbols, restart.explain_terminal,
+                restart.explain_completed) == ({}, {}, 0.0)
+        assert (restart.predict_symbols, restart.predict_productions,
+                restart.predict_terminal) == ref_marginals(
+            g, ((branch, mass) for row in by_stack(fresh.chart).values()
+                for branch, mass in row.items()))
+
+    def test_step_is_called_only_by_recognize(self):
+        """`recognize` is the package's one stream loop: no other code in
+        it calls `step`."""
+        sites = []
+        for path in sorted(Path(psdg.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            defs = [d for d in ast.walk(tree)
+                    if isinstance(d, ast.FunctionDef)]
+            for node in ast.walk(tree):
+                func = getattr(node, "func", None)
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if isinstance(node, ast.Call) and name == "step":
+                    inner = min((d for d in defs
+                                 if d.lineno <= node.lineno <= d.end_lineno),
+                                key=lambda d: d.end_lineno - d.lineno,
+                                default=None)
+                    sites.append((path.name, inner and inner.name))
+        assert sites == [("infer.py", "recognize")]
+
+    def test_a_failed_restart_carries_the_contradiction(self):
+        g = build([feature("f", ["a", "b"], [1.0, 0.0])],
+                  [production(0, "S", ["x"])], "S")
+        seen_b = Observation(1, StateSet.from_labels(g, {"f": ["b"]}))
+        with pytest.raises(ZeroEvidence) as raised:
+            list(recognize(g, [seen_b], reinit=True))
+        assert raised.value.time == 0
+        assert isinstance(raised.value.__context__, ZeroEvidence)
+        assert raised.value.__context__.time == 1
+
+
 class TestStreamsAgainstOracle:
     def test_fixed_grammars_full_reports(self):
         cases = [(repeated_child_grammar(), 4, 11),
@@ -390,7 +458,7 @@ class TestStreamsAgainstOracle:
             joint = enumerate_joint(g, horizon)
             # the oracle needs slice horizon for the last prediction block
             obs = random_stream(g, joint, seed, max_len=horizon - 1)
-            got = engine_reports(g, obs)
+            got = [report.to_dict(g) for report in recognize(g, obs)]
             want = reference_reports(g, joint, obs)
             assert_reports_close(got, want)
 
@@ -400,8 +468,8 @@ class TestStreamsAgainstOracle:
         obs = [Observation(0, StateSet.from_labels(g, {"g": "go"})),
                Observation(2, StateSet.from_labels(g, {"g": "halt"})),
                Observation(4, StateSet.from_labels(g, {"g": "halt"}))]
-        reports = engine_reports(g, obs)
-        chain = math.exp(reports[-1]["log_evidence"])
+        *_, last = recognize(g, obs)
+        chain = math.exp(last.log_evidence)
         full = sum(e.prob for e in joint.entries
                    if all(state_at(e.trajectory, o.time) in o.constraint
                           for o in obs))
@@ -775,13 +843,14 @@ class TestBranchTable:
                 ref_marginals(g, ((branch, mass)
                                   for row in by_stack(pred.chart).values()
                                   for branch, mass in row.items()))
+            report, _ = step(g, belief, obs)
             belief = update(g, belief, exp, pred, obs)
             assert published(belief) == ref_tables(g, by_stack(belief.chart),
                                                    belief.completed)
             symbols, productions, terminal = ref_marginals(
                 g, ((branch, mass) for row in by_stack(belief.chart).values()
                     for branch, mass in row.items() if mass > 0.0))
-            assert belief_slice_marginals(belief) == {
+            assert report.to_dict(g)["predict"] == {
                 "symbols": symbols,
                 "productions": {lvl: {f"{a}:{b}": p
                                       for (a, b), p in row.items()}

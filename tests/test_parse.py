@@ -110,10 +110,12 @@ def test_stray_character():
     ("prod 0:", "prod \u0661\u0660:"),
     ("default: 0.6;", "default: 0_1e1;"),
     ("prior: 0.25, 0.75;", "prior: 0.25, 0_75;"),
+    ("prod 0:", "prod +1:"),
 ])
 def test_numbers_are_plain_ascii_without_separators(old, new):
     """Python's int() and float() read `1_0` and Arabic-Indic digits as
-    10; the grammar format does not, and names the token's position."""
+    10, and int() reads `+1` as 1; the grammar format does not, and names
+    the token's position."""
     text = MINI.replace(old, new, 1)
     token = new.split()[-1].rstrip(":;")
     at = text.index(token)
