@@ -67,6 +67,7 @@ class BranchEntry:
     terminating: tuple[int, ...]    # levels that terminate (a suffix)
     project_keys: tuple[int, ...]   # keys plus (ℓ) and terminated (ℓ, X) keys
     skeleton: Optional[tuple[Stack, Optional[str]]]
+    skeleton_id: int                # the table's id of `skeleton`, or -1
 
 
 # Kinds of slice key.  Each is also the index of the table it fills in
@@ -82,11 +83,15 @@ class BranchTable:
     validation bounds depth and rhs length, so it stays finite.  A
     skeleton is `advance_skeleton` of the branch: None once the root
     terminates, else (kept prefix, symbol needing a fresh chain or None).
-    `chains` holds the fresh expansions of each (symbol, state), and
-    `moves` the branches each (skeleton, new state) leads to.  Slice
-    key id k stands for `slots[k]`, a (kind, key) pair.  The table holds
-    no reference to its grammar, so the two die together by reference
-    counting.
+    Each distinct skeleton gets an integer id when its first entry is
+    compiled: `skeletons[i]` is skeleton i, and `moves[i]` maps a new
+    state to the branches skeleton i leads to there.  `chains` holds the
+    fresh expansions of each (symbol, state) as a (tails, probabilities)
+    pair, whose probability tuple every move into them shares; entries of
+    one skeleton share its interned tuple.  Slice key id k stands for
+    `slots[k]`, a (kind, key) pair.  Entries hold ids, never the move
+    dicts, so the table has no reference cycle; it holds no reference to
+    its grammar either, so the two die together by reference counting.
     """
 
     def __init__(self, psdg: Psdg):
@@ -99,8 +104,12 @@ class BranchTable:
                for lvl in psdg.levels[p.lhs] for b in range(1, len(p.rhs) + 1)])
         self.key_id = {slot: k for k, slot in enumerate(self.slots)}
         self.entries: dict[Stack, BranchEntry] = {}
-        self.chains: dict[tuple[str, State], list[tuple[Stack, float]]] = {}
-        self.moves: dict[tuple, tuple[tuple[BranchEntry, ...], tuple]] = {}
+        self.chains: dict[tuple[str, State],
+                          tuple[tuple[Stack, ...], tuple[float, ...]]] = {}
+        self.skeleton_ids: dict[tuple, int] = {}
+        self.skeletons: list[tuple[Stack, Optional[str]]] = []
+        self.moves: list[dict[State, tuple[tuple[BranchEntry, ...],
+                                           tuple[float, ...]]]] = []
 
     def entry(self, psdg: Psdg, branch: Stack) -> BranchEntry:
         hit = self.entries.get(branch)
@@ -125,33 +134,48 @@ class BranchTable:
                                  ids[TERMINATED, (level, symbol)]]
         keys.append(ids[TERMINAL, (leaf,)])
         project_keys.append(keys[-1])
-        return BranchEntry(branch, leaf, tuple(keys), tuple(terminating),
-                           tuple(project_keys), advance_skeleton(psdg, branch))
+        keys = tuple(keys)
+        skeleton = advance_skeleton(psdg, branch)
+        sid = -1 if skeleton is None else self.skeleton_ids.get(skeleton)
+        if sid is None:
+            sid = self.skeleton_ids[skeleton] = len(self.skeletons)
+            self.skeletons.append(skeleton)
+            self.moves.append({})
+        elif sid >= 0:
+            skeleton = self.skeletons[sid]     # share the interned one
+        return BranchEntry(branch, leaf, keys, tuple(terminating),
+                           tuple(project_keys) if terminating else keys,
+                           skeleton, sid)
 
     def fresh_chains(self, psdg: Psdg, symbol: str, state: State
-                     ) -> list[tuple[Stack, float]]:
-        """Fresh expansions of `symbol` at `state`, with probabilities."""
+                     ) -> tuple[tuple[Stack, ...], tuple[float, ...]]:
+        """Fresh expansions of `symbol` at `state`, and their
+        probabilities."""
         hit = self.chains.get((symbol, state))
         if hit is None:
-            hit = self.chains[symbol, state] = enumerate_chains(
-                psdg, symbol, state)
-        return hit
-
-    def successors(self, psdg: Psdg, entry: BranchEntry, state: State
-                   ) -> tuple[tuple[BranchEntry, ...], tuple[float, ...]]:
-        """The entries a live, not terminated `entry` advances to when the
-        new state is `state`, and their chain probabilities."""
-        hit = self.moves.get((entry.skeleton, state))
-        if hit is None:
-            kept, fresh_symbol = entry.skeleton
-            chains = [((), 1.0)] if fresh_symbol is None else \
-                self.fresh_chains(psdg, fresh_symbol, state)
-            hit = self.moves[entry.skeleton, state] = (
-                tuple(self.entry(psdg, kept + tail) for tail, _ in chains),
+            chains = enumerate_chains(psdg, symbol, state)
+            hit = self.chains[symbol, state] = (
+                tuple(chain for chain, _ in chains),
                 tuple(p for _, p in chains))
         return hit
 
+    def successors(self, psdg: Psdg, skeleton_id: int, state: State
+                   ) -> tuple[tuple[BranchEntry, ...], tuple[float, ...]]:
+        """The entries skeleton `skeleton_id` advances to when the new
+        state is `state`, and their chain probabilities."""
+        by_state = self.moves[skeleton_id]
+        hit = by_state.get(state)
+        if hit is None:
+            kept, fresh_symbol = self.skeletons[skeleton_id]
+            tails, probs = _NO_CHAIN if fresh_symbol is None else \
+                self.fresh_chains(psdg, fresh_symbol, state)
+            hit = by_state[state] = (
+                tuple(self.entry(psdg, kept + tail) for tail in tails), probs)
+        return hit
 
+
+# The one "chain" of a skeleton with no fresh symbol: keep the prefix.
+_NO_CHAIN = (((),), (1.0,))
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -299,8 +323,10 @@ class BeliefState:
         for key, v in per_level_n.items():
             if not v <= 1.0 + tol:
                 raise AssertionError(f"symbol row {key} sums to {v}")
-            if not abs(v - per_level_p.get(key, 0.0)) <= tol:
-                raise AssertionError
+            p = per_level_p.get(key, 0.0)
+            if not abs(v - p) <= tol:
+                raise AssertionError(f"symbol row {key} sums to {v}, "
+                                     f"its production row to {p}")
         sigma_rows: dict[State, list[float]] = {}
         for (_, q), v in self.b_sigma.items():
             sigma_rows.setdefault(q, []).append(v)
@@ -359,7 +385,7 @@ def init_belief(psdg: Psdg, support_bound: int = DEFAULT_SUPPORT_BOUND,
     chart: dict[State, dict[BranchEntry, float]] = {}
     for q, p0 in weights.items():
         row = chart[q] = {}
-        for branch, cp in table.fresh_chains(psdg, psdg.start, q):
+        for branch, cp in zip(*table.fresh_chains(psdg, psdg.start, q)):
             row[table.entry(psdg, branch)] = (p0 / total) * cp
     belief = BeliefState(psdg, time, support, support_bound, chart, {})
     belief.check_chart()
@@ -407,14 +433,12 @@ def explain(psdg: Psdg, belief: BeliefState, observation: Observation
     table = branch_table(psdg)
     transitions: dict[tuple, dict[State, float]] = {}
     sigma_mass: dict[tuple, float] = {}
-    live: list[tuple[tuple, BranchEntry, float]] = []
     for q, row in belief.chart.items():
         for entry, mass in row.items():
             if mass <= 0.0:
                 continue
             key = (q, entry.leaf)
             sigma_mass[key] = sigma_mass.get(key, 0.0) + mass
-            live.append((key, entry, mass))
     for key in sigma_mass:
         q, x = key
         values, probs = [], []
@@ -447,13 +471,19 @@ def explain(psdg: Psdg, belief: BeliefState, observation: Observation
             f"observation at t={observation.time} has probability 0")
 
     # Each branch's posterior mass at slice t, summed into the marginals.
+    # The chart is walked again rather than kept as a list of (key, entry,
+    # mass) tuples: a few thousand objects alive across the call would
+    # set off the cyclic collector every few steps.
     sums = _SliceSums(table)
     tsums = {key: math.fsum(trow.values())
              for key, trow in transitions.items()}
-    for key, entry, mass in live:
-        post = mass * tsums[key] / evidence
-        if post > 0.0:
-            sums.add(entry.keys, post)
+    for q, row in belief.chart.items():
+        for entry, mass in row.items():
+            if mass <= 0.0:
+                continue
+            post = mass * tsums[q, entry.leaf] / evidence
+            if post > 0.0:
+                sums.add(entry.keys, post)
     completed_post = {q: c / evidence for q, c in completed_post.items()}
     return Explanation(
         observation, evidence,
@@ -500,23 +530,37 @@ def predict(psdg: Psdg, belief: BeliefState, explanation: Explanation
     the new state; every other branch advances deterministically except
     for fresh expansions, which spread over the chains enabled at the new
     state.  Already-completed mass stays frozen.
+
+    Where a branch goes depends only on its advance skeleton and the new
+    state, so the shares are first pooled per (new state, skeleton id),
+    and each pool is then spread once over that skeleton's moves.  Two
+    skeletons may reach the same branch, so the spread adds into the row.
     """
     evidence = explanation.evidence
+    transitions = explanation.transitions
     table = branch_table(psdg)
-    chart: dict[State, dict[BranchEntry, float]] = {}   # by new state
+    pools: dict[State, dict[int, float]] = {}   # by new state, skeleton id
     completed: dict[State, float] = {}
     for q, row in belief.chart.items():
         for entry, mass in row.items():
             if mass <= 0.0:
                 continue
-            for q2, p in explanation.transitions[(q, entry.leaf)].items():
+            sid = entry.skeleton_id
+            for q2, p in transitions[(q, entry.leaf)].items():
                 share = mass * p / evidence
-                if entry.skeleton is None:
+                if sid < 0:
                     completed[q2] = completed.get(q2, 0.0) + share
                     continue
-                target = chart.setdefault(q2, {})
-                for nxt, cp in zip(*table.successors(psdg, entry, q2)):
-                    target[nxt] = target.get(nxt, 0.0) + share * cp
+                pool = pools.get(q2)
+                if pool is None:
+                    pool = pools[q2] = {}
+                pool[sid] = pool.get(sid, 0.0) + share
+    chart: dict[State, dict[BranchEntry, float]] = {}
+    for q2, pool in pools.items():
+        target = chart[q2] = {}
+        for sid, pooled in pool.items():
+            for nxt, cp in zip(*table.successors(psdg, sid, q2)):
+                target[nxt] = target.get(nxt, 0.0) + pooled * cp
     for q, c in explanation.completed_post.items():
         completed[q] = completed.get(q, 0.0) + c
     return Prediction(chart, completed, *_SliceSums(table).of_chart(chart),

@@ -15,9 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .errors import (ExplosionBound, InvalidTrajectory, UnknownProduction,
                      ZeroEvidenceMass)
@@ -27,6 +25,9 @@ from .generate import (Stack, TimeStep, Trajectory, advance_skeleton,
 from .grammar import (Psdg, StatePoint, StateSet, _feature_transition,
                       enumerate_states, prior_probability,
                       production_probability)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_ENTRY_BOUND = 10**7
 # enumerate_joint's cap on walk nodes plus table rows.  The traffic table
@@ -497,6 +498,9 @@ def _completion_matrices(psdg: Psdg, states: list[tuple[int, ...]]
                          ) -> dict[str, np.ndarray]:
     """E_sym[i, j] = Pr(an expansion of sym begun in state i completes,
     leaving state j after its final terminal)."""
+    # Only the PCFG export needs numpy; importing it here, not at module
+    # level, keeps it out of `psdg infer` and its collector's heap.
+    import numpy as np
     n = len(states)
     pos = {q: i for i, q in enumerate(states)}
     mats: dict[str, np.ndarray] = {}
@@ -573,6 +577,7 @@ def to_pcfg(psdg: Psdg, bound: int = DEFAULT_ENTRY_BOUND) -> Pcfg:
     Start weights are unnormalized: their total is the probability that
     the root plan ever completes.
     """
+    import numpy as np
     states = enumerate_states(psdg)
     n = len(states)
     if len(psdg.nonterminals) * n * n > bound:

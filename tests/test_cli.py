@@ -432,3 +432,23 @@ class TestConsoleScript:
             env={"PYTHONPATH": "src"})
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["states"] == 18
+
+    def test_infer_does_not_import_numpy(self):
+        """Only to-pcfg needs numpy, so an infer run leaves it out of the
+        process (and out of every cyclic-GC sweep of its heap)."""
+        root = Path(__file__).resolve().parents[1]
+        script = (
+            "import io, sys\n"
+            "from psdg.cli import main\n"
+            "sys.stdin = io.StringIO('{\"t\": 1}\\n{\"t\": 2}\\n')\n"
+            "code = main(['infer', 'src/psdg/data/traffic.psdg'])\n"
+            "print('numpy', code, 'numpy' in sys.modules, file=sys.stderr)\n"
+            "main(['to-pcfg', 'src/psdg/data/traffic.psdg'])\n"
+            "print('numpy', 'numpy' in sys.modules, file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, cwd=root,
+                              env={"PYTHONPATH": "src"})
+        assert proc.returncode == 0, proc.stderr
+        noted = [line for line in proc.stderr.splitlines()
+                 if line.startswith("numpy ")]
+        assert noted == ["numpy 0 False", "numpy True"]

@@ -3,6 +3,7 @@ import ast
 import gc
 import io
 import math
+import re
 import subprocess
 import sys
 import weakref
@@ -24,12 +25,16 @@ from psdg.generate import (advance_skeleton, enumerate_chains, leaf_terminal,
                            termination_flags)
 from psdg.grammar import StateSet, prior_probability, transition_probability
 from psdg.infer import (PRODUCTION, SYMBOL, TERMINAL, TERMINATED, TERMINATES,
-                        Observation, branch_table,
+                        BranchEntry, Observation, branch_table,
                         conditional_production_given_symbol, explain,
                         init_belief, predict, recognize, step,
                         symbol_transition, update)
 from psdg.oracle import (Query, enumerate_joint, exact_posterior,
                          reference_reports, state_at)
+from psdg.parse import load_file
+
+
+GOLDEN_DEEP_PLANS = Path(__file__).parent / "golden" / "deep-plans.psdg"
 
 
 def point(idx) -> StateSet:
@@ -554,6 +559,24 @@ class TestCheckInvariants:
         assert float(terminal.split()[-1]) == pytest.approx(0.5)
 
 
+    def test_production_row_off_its_symbol_row_is_named(self):
+        g = traffic()
+        _, belief = step(g, init_belief(g), Observation.vacuous(g, 1))
+        belief.check_invariants()
+        (level, rho, q), v = next(iter(belief.b_p.items()))
+        symbol_row = math.fsum(n for (lvl, _, q2), n in belief.b_n.items()
+                               if (lvl, q2) == (level, q))
+        belief.b_p[level, rho, q] = v + 0.25
+        with pytest.raises(AssertionError) as err:
+            belief.check_invariants()
+        prefix = f"symbol row {(level, q)} sums to "
+        symbol_sum, production_sum = (
+            float(x) for x in re.fullmatch(
+                re.escape(prefix) + r"(\S+), its production row to (\S+)",
+                str(err.value)).groups())
+        assert symbol_sum == pytest.approx(symbol_row)
+        assert production_sum == pytest.approx(symbol_row + 0.25)
+
     def test_corrupted_chart_fails_the_step_check_under_optimize(self):
         """`update` checks the chart it installs: one mass halved, one
         made negative with the total kept at one, and one NaN each raise,
@@ -728,6 +751,52 @@ def ref_predict(g, belief, exp):
     return chart, completed
 
 
+def assert_predict_matches_reference(g, belief, exp, pred):
+    """`predict` against `ref_predict`: the same rows, branches and
+    completed mass.  Pooling sums a skeleton's shares before multiplying
+    by each chain probability, so chart masses agree to relative 1e-12
+    rather than bit for bit."""
+    chart, completed = ref_predict(g, belief, exp)
+    got = by_stack(pred.chart)
+    assert pred.completed == completed
+    assert {q: list(row) for q, row in got.items()} == \
+        {q: list(row) for q, row in chart.items()}
+    for q, row in chart.items():
+        for branch, mass in row.items():
+            assert got[q][branch] == pytest.approx(mass, rel=1e-12, abs=0.0)
+
+
+def pooled_steps(g, stream):
+    """Run `stream` (a leading t=0 restriction, gaps as vacuous steps),
+    checking `predict` against the reference on every step.  Returns, per
+    step, (live sources, pools, branches that two pools reach), where a
+    pool is a (new state, skeleton id) pair."""
+    table = branch_table(g)
+    restrict = None
+    if stream and stream[0].time == 0:
+        restrict, stream = stream[0].constraint, stream[1:]
+    belief = init_belief(g, restrict=restrict)
+    out = []
+    for obs in stream:
+        gap = [Observation.vacuous(g, t) for t in range(belief.time, obs.time)]
+        for now in gap + [obs]:
+            exp = explain(g, belief, now)
+            pred = predict(g, belief, exp)
+            assert_predict_matches_reference(g, belief, exp, pred)
+            pools = {(q2, e.skeleton_id)
+                     for q, row in belief.chart.items()
+                     for e, m in row.items() if m > 0.0
+                     for q2 in exp.transitions[(q, e.leaf)]
+                     if e.skeleton_id >= 0}
+            reached = [(q2, nxt) for q2, sid in pools
+                       for nxt in table.moves[sid][q2][0]]
+            out.append((sum(m > 0.0 for row in belief.chart.values()
+                            for m in row.values()),
+                        len(pools), len(reached) - len(set(reached))))
+            belief = update(g, belief, exp, pred, now)
+    return out
+
+
 def ref_tables(g, chart, completed):
     """The seven published tables, one branch at a time."""
     b_q, b_n, b_p, b_sigma, b_t, tn, given_q = {}, {}, {}, {}, {}, {}, {}
@@ -786,6 +855,8 @@ class TestBranchTable:
                 level for level, done in enumerate(flags, start=1) if done)
             skeleton = advance_skeleton(g, branch)
             assert entry.skeleton == skeleton
+            assert entry.skeleton_id == (
+                -1 if skeleton is None else table.skeleton_ids[skeleton])
             if skeleton is not None:
                 kept, fresh_symbol = skeleton
                 if fresh_symbol is not None:
@@ -811,21 +882,27 @@ class TestBranchTable:
         for obs in sampled_stream(g, 4, 10):
             _, belief = step(g, belief, obs)
         table = branch_table(g)
-        assert table.moves
-        for (skeleton, q2), (entries, probs) in table.moves.items():
+        assert len(table.skeletons) == len(table.moves) == len(
+            table.skeleton_ids)
+        assert any(table.moves)
+        for sid, (skeleton, by_state) in enumerate(zip(table.skeletons,
+                                                       table.moves)):
+            assert table.skeleton_ids[skeleton] == sid
             kept, fresh_symbol = skeleton
-            if fresh_symbol is None:
-                want = [(kept, 1.0)]
-            else:
-                want = [(kept + chain, cp) for chain, cp in
-                        enumerate_chains(g, fresh_symbol, q2)]
-            assert [(e.branch, p) for e, p in zip(entries, probs)] == want
-            assert all(table.entries[e.branch] is e for e in entries)
+            for q2, (entries, probs) in by_state.items():
+                if fresh_symbol is None:
+                    want = [(kept, 1.0)]
+                else:
+                    want = [(kept + chain, cp) for chain, cp in
+                            enumerate_chains(g, fresh_symbol, q2)]
+                assert [(e.branch, p) for e, p in zip(entries, probs)] == want
+                assert all(table.entries[e.branch] is e for e in entries)
 
     @pytest.mark.parametrize("seed", [2, 3, 8])
     def test_stream_equals_per_branch_reference(self, seed):
-        """Marginals, predicted chart and all seven published tables are
-        the same floats a plain per-branch loop gives."""
+        """Marginals, completed mass and all seven published tables are
+        the same floats a plain per-branch loop gives; the predicted chart
+        has the same keys and masses within pooling's rounding."""
         g = branchy_grammar()
         belief = init_belief(g)
         assert published(belief) == ref_tables(g, by_stack(belief.chart), {})
@@ -837,8 +914,7 @@ class TestBranchTable:
             assert (exp.symbols, exp.productions, exp.terminal) == \
                 ref_explain(g, belief, exp)
             pred = predict(g, belief, exp)
-            assert (by_stack(pred.chart), pred.completed) == \
-                ref_predict(g, belief, exp)
+            assert_predict_matches_reference(g, belief, exp, pred)
             assert (pred.symbols, pred.productions, pred.terminal) == \
                 ref_marginals(g, ((branch, mass)
                                   for row in by_stack(pred.chart).values()
@@ -861,6 +937,24 @@ class TestBranchTable:
             most = max(most, sum(map(len, belief.chart.values())))
         assert most >= 8
 
+    @pytest.mark.parametrize("seed", [1010, 1012, 1024])
+    def test_pooled_predict_where_skeletons_collide(self, seed):
+        """Criterion 1's grammars 1010, 1012 and 1024 on their streams:
+        within a step, two skeletons reach the same branch in the same
+        new state, and every step still matches the per-branch loop."""
+        g, joint = sized_random_psdg(seed, horizon=6)
+        stats = pooled_steps(g, random_stream(g, joint, seed - 500,
+                                              max_len=5))
+        assert any(collided for _, _, collided in stats)
+
+    def test_pooled_predict_on_deep_plans(self):
+        """Up to thousands of live branches per step, pooled at least
+        three to one."""
+        g = load_file(GOLDEN_DEEP_PLANS)
+        stats = pooled_steps(g, sampled_stream(g, 5, 9))
+        assert len(stats) == 9
+        assert any(sources >= 3 * pools for sources, pools, _ in stats)
+
     def test_grammar_dies_with_its_beliefs(self):
         """No reference cycle keeps a grammar alive: the table holds no
         reference to it, so dropping the grammar and its beliefs frees
@@ -877,6 +971,79 @@ class TestBranchTable:
             assert ref() is None
         finally:
             gc.enable()
+
+    def test_table_frees_itself_by_reference_counting(self):
+        """Entries hold skeleton ids, not the move dicts that hold entries,
+        so no cycle runs through the table: with the cyclic collector off,
+        dropping the grammar and its belief frees every entry."""
+        gc.collect()
+        gc.disable()
+        try:
+            before = {id(o) for o in gc.get_objects()
+                      if isinstance(o, BranchEntry)}
+            g = branchy_grammar()
+            belief = init_belief(g)
+            for obs in sampled_stream(g, 3, 6):
+                report, belief = step(g, belief, obs)
+            assert any(branch_table(g).moves)
+            del g, belief, report, obs
+            assert [o for o in gc.get_objects() if isinstance(o, BranchEntry)
+                    and id(o) not in before] == []
+        finally:
+            gc.enable()
+
+    def test_table_shares_skeletons_and_chain_probabilities(self):
+        """Entries of one skeleton hold its interned tuple, every move into
+        one (symbol, state)'s fresh chains holds that pair's probability
+        tuple, and an entry with no terminating level reuses its key tuple,
+        so building the table leaves few objects alive."""
+        g = load_file(GOLDEN_DEEP_PLANS)
+        belief = init_belief(g)
+        for obs in sampled_stream(g, 5, 6):
+            _, belief = step(g, belief, obs)
+        table = branch_table(g)
+        assert len(table.entries) > len(table.skeletons)
+        for entry in table.entries.values():
+            if entry.skeleton_id >= 0:
+                assert entry.skeleton is table.skeletons[entry.skeleton_id]
+            if not entry.terminating:
+                assert entry.project_keys is entry.keys
+        fresh = 0
+        for (_, fresh_symbol), by_state in zip(table.skeletons, table.moves):
+            for q2, (_, probs) in by_state.items():
+                if fresh_symbol is not None:
+                    assert probs is table.chains[fresh_symbol, q2][1]
+                    fresh += 1
+        assert fresh > len(table.chains)
+
+    def test_explain_keeps_no_object_per_live_branch(self):
+        """explain allocates nothing that lives across the call per live
+        branch, so on a wide chart it sets off (almost) no collection."""
+        g = load_file(GOLDEN_DEEP_PLANS)
+        stream = sampled_stream(g, 5, 9)
+        belief = init_belief(g)
+        for obs in stream[:-1]:
+            _, belief = step(g, belief, obs)
+        live = sum(mass > 0.0 for row in belief.chart.values()
+                   for mass in row.values())
+        assert live >= 1000
+        explain(g, belief, stream[-1])
+        started = []
+
+        def note(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+        threshold = gc.get_threshold()
+        gc.collect()
+        gc.callbacks.append(note)
+        gc.set_threshold(100)
+        try:
+            explain(g, belief, stream[-1])
+        finally:
+            gc.set_threshold(*threshold)
+            gc.callbacks.remove(note)
+        # One object kept per live branch would start live / 100 of them.
+        assert len(started) <= live // 200
 
     def test_cli_invocation_leaves_no_table_behind(self, capsys,
                                                    monkeypatch):
