@@ -44,9 +44,6 @@ class Trajectory:
     complete: bool = False
     seed: Optional[int] = None
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
 
 def leaf_terminal(psdg: Psdg, stack: Stack) -> str:
     a, b = stack[-1]

@@ -37,6 +37,7 @@ from .grammar import (Psdg, StateSet, _as_idx, _feature_transition,
 
 DEFAULT_SUPPORT_BOUND = 100_000
 SIZE_CONSTANT = 8       # public-table entries stay under 8·|R|·|P|·d·m
+MASS_TOL = 1e-9         # how far a belief's sums may stray from one
 
 State = tuple  # of value indices
 
@@ -64,10 +65,8 @@ class BranchEntry:
     branch: Stack
     leaf: str                       # the terminal it emits
     keys: tuple[int, ...]           # slice keys: (ℓ, X), (ℓ, ⟨a,b⟩) per level, leaf
-    terminating: tuple[int, ...]    # levels that terminate (a suffix)
     project_keys: tuple[int, ...]   # keys plus (ℓ) and terminated (ℓ, X) keys
-    skeleton: Optional[tuple[Stack, Optional[str]]]
-    skeleton_id: int                # the table's id of `skeleton`, or -1
+    skeleton_id: int                # the table's id of its skeleton, or -1
 
 
 # Kinds of slice key.  Each is also the index of the table it fills in
@@ -85,13 +84,14 @@ class BranchTable:
     terminates, else (kept prefix, symbol needing a fresh chain or None).
     Each distinct skeleton gets an integer id when its first entry is
     compiled: `skeletons[i]` is skeleton i, and `moves[i]` maps a new
-    state to the branches skeleton i leads to there.  `chains` holds the
-    fresh expansions of each (symbol, state) as a (tails, probabilities)
-    pair, whose probability tuple every move into them shares; entries of
-    one skeleton share its interned tuple.  Slice key id k stands for
-    `slots[k]`, a (kind, key) pair.  Entries hold ids, never the move
-    dicts, so the table has no reference cycle; it holds no reference to
-    its grammar either, so the two die together by reference counting.
+    state to the branches skeleton i leads to there.  An entry holds only
+    that id; the table holds the skeleton.  `chains` holds the fresh
+    expansions of each (symbol, state) as a (tails, probabilities) pair,
+    whose probability tuple every move into them shares.  Slice key id k
+    stands for `slots[k]`, a (kind, key) pair.  Entries hold ids, never
+    the move dicts, so the table has no reference cycle; it holds no
+    reference to its grammar either, so the two die together by
+    reference counting.
     """
 
     def __init__(self, psdg: Psdg):
@@ -120,7 +120,7 @@ class BranchTable:
     def _compile(self, psdg: Psdg, branch: Stack) -> BranchEntry:
         leaf = leaf_terminal(psdg, branch)
         ids = self.key_id
-        keys, project_keys, terminating = [], [], []
+        keys, project_keys = [], []
         flags = termination_flags(psdg, branch)
         for level, (frame, done) in enumerate(zip(branch, flags), start=1):
             symbol = psdg.production(frame[0]).lhs
@@ -129,7 +129,6 @@ class BranchTable:
             keys += pair
             project_keys += pair
             if done:
-                terminating.append(level)
                 project_keys += [ids[TERMINATES, (level,)],
                                  ids[TERMINATED, (level, symbol)]]
         keys.append(ids[TERMINAL, (leaf,)])
@@ -141,11 +140,10 @@ class BranchTable:
             sid = self.skeleton_ids[skeleton] = len(self.skeletons)
             self.skeletons.append(skeleton)
             self.moves.append({})
-        elif sid >= 0:
-            skeleton = self.skeletons[sid]     # share the interned one
-        return BranchEntry(branch, leaf, keys, tuple(terminating),
-                           tuple(project_keys) if terminating else keys,
-                           skeleton, sid)
+        # Terminating levels form a suffix, so none terminate unless the
+        # deepest does.
+        return BranchEntry(branch, leaf, keys,
+                           tuple(project_keys) if flags[-1] else keys, sid)
 
     def fresh_chains(self, psdg: Psdg, symbol: str, state: State
                      ) -> tuple[tuple[Stack, ...], tuple[float, ...]]:
@@ -292,7 +290,7 @@ class BeliefState:
         return (SIZE_CONSTANT * max(1, len(self.b_q))
                 * len(g.productions) * g.depth * g.max_rhs)
 
-    def check_chart(self, tol: float = 1e-9):
+    def check_chart(self):
         """Raise AssertionError unless all chart and completed masses are
         ≥ 0 and sum to one; the projection's symbol, production and terminal
         rows then hold by construction of the entries' keys."""
@@ -302,17 +300,17 @@ class BeliefState:
         if not low >= 0.0:
             raise AssertionError(f"chart holds mass {low}")
         total = math.fsum(masses)
-        if not abs(total - 1.0) <= tol:
+        if not abs(total - 1.0) <= MASS_TOL:
             raise AssertionError(f"chart mass {total}")
 
-    def check_invariants(self, tol: float = 1e-9):
+    def check_invariants(self):
         """Raise AssertionError when the chart or published tables are off.
         Explicit raises, so the checks also run under `python -O`."""
-        self.check_chart(tol)
+        self.check_chart()
         if not self.entry_count() <= self.entry_bound():
             raise AssertionError("belief size blew up")
         total = math.fsum(self.b_q.values())
-        if not abs(total - 1.0) <= tol:
+        if not abs(total - 1.0) <= MASS_TOL:
             raise AssertionError(f"state mass {total}")
         per_level_n: dict[tuple, float] = {}
         per_level_p: dict[tuple, float] = {}
@@ -321,10 +319,10 @@ class BeliefState:
         for (lvl, _, q), v in self.b_p.items():
             per_level_p[(lvl, q)] = per_level_p.get((lvl, q), 0.0) + v
         for key, v in per_level_n.items():
-            if not v <= 1.0 + tol:
+            if not v <= 1.0 + MASS_TOL:
                 raise AssertionError(f"symbol row {key} sums to {v}")
             p = per_level_p.get(key, 0.0)
-            if not abs(v - p) <= tol:
+            if not abs(v - p) <= MASS_TOL:
                 raise AssertionError(f"symbol row {key} sums to {v}, "
                                      f"its production row to {p}")
         sigma_rows: dict[State, list[float]] = {}
@@ -333,7 +331,7 @@ class BeliefState:
         for q in self.b_q:
             row = math.fsum(sigma_rows.get(q, ()))
             row += self.completed_given_q.get(q, 0.0)
-            if not abs(row - 1.0) <= tol:
+            if not abs(row - 1.0) <= MASS_TOL:
                 raise AssertionError(f"terminal row of {q} sums to {row}")
 
 

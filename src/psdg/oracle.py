@@ -12,6 +12,7 @@ production probabilities become constants.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -29,7 +30,7 @@ from .grammar import (Psdg, StatePoint, StateSet, _feature_transition,
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_ENTRY_BOUND = 10**7
+PCFG_BOUND = 10**7      # to_pcfg's cap on tuple symbols
 # enumerate_joint's cap on walk nodes plus table rows.  The traffic table
 # at horizon 4 (183,982 rows) holds 330 bytes per row by tracemalloc, so
 # the table stays well under 1 GB at the bound.
@@ -77,58 +78,38 @@ def enumerate_joint(psdg: Psdg, horizon: int,
 
     The walk meets the same (state, terminal) transitions, (symbol, state)
     chains, stacks and (stack, state) time steps over and over; each is
-    computed once per call and kept in tables that die with the call.
-    Rows share their TimeStep and StatePoint objects.
+    computed once per call by a `functools.cache` function that dies with
+    the call.  Rows share their TimeStep and StatePoint objects.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     entries: list[JointEntry] = []
     count = 0
-    transitions: dict[tuple, list] = {}
-    chains: dict[tuple, list] = {}
-    stacks: dict[Stack, tuple] = {}
-    time_steps_memo: dict[tuple, list] = {}
 
+    @functools.cache
     def transition_options(q_prev: tuple[int, ...], terminal: str) -> list:
         """(q, log tp, StatePoint(q)) per next state, in enumeration order."""
-        key = (q_prev, terminal)
-        options = transitions.get(key)
-        if options is None:
-            options = transitions[key] = [
-                (q, math.log(tp), StatePoint(q))
+        return [(q, math.log(tp), StatePoint(q))
                 for q, tp in _transition_options(psdg, q_prev, terminal)]
-        return options
 
+    @functools.cache
     def time_steps(stack: Stack, q_prev: tuple[int, ...]) -> list:
         """(q, log tp, TimeStep) per next state after `stack` in q_prev."""
-        key = (stack, q_prev)
-        options = time_steps_memo.get(key)
-        if options is None:
-            terminal = stack_facts(stack)[0]
-            options = time_steps_memo[key] = [
-                (q, log_tp, TimeStep(stack, terminal, point))
+        terminal = stack_facts(stack)[0]
+        return [(q, log_tp, TimeStep(stack, terminal, point))
                 for q, log_tp, point in transition_options(q_prev, terminal)]
-        return options
 
+    @functools.cache
     def fresh_chains(symbol: str, q: tuple[int, ...]) -> list:
         """(chain, log cp) per fresh expansion of `symbol` in state q."""
-        key = (symbol, q)
-        options = chains.get(key)
-        if options is None:
-            options = chains[key] = [
-                (chain, math.log(cp))
+        return [(chain, math.log(cp))
                 for chain, cp in enumerate_chains(psdg, symbol, q)]
-        return options
 
+    @functools.cache
     def stack_facts(stack: Stack) -> tuple:
         """(leaf terminal, root completes here, advance skeleton)."""
-        facts = stacks.get(stack)
-        if facts is None:
-            complete_here = termination_flags(psdg, stack)[0]
-            facts = stacks[stack] = (
-                leaf_terminal(psdg, stack), complete_here,
-                None if complete_here else advance_skeleton(psdg, stack))
-        return facts
+        skeleton = advance_skeleton(psdg, stack)
+        return leaf_terminal(psdg, stack), skeleton is None, skeleton
 
     def count_one():
         nonlocal count
@@ -306,7 +287,8 @@ def reference_reports(psdg: Psdg, joint: JointTable, observations) -> list[dict]
     marginals for the observed step, predictions for the next).  The joint
     horizon must exceed the last observation time so that prediction
     slices exist in the table.  Each observation's constraint is tested
-    once per distinct state, and each state's report key rendered once.
+    once per distinct state, and each state's report key rendered once, by
+    `functools.cache` functions local to the call.
     """
     times = [obs.time for obs in observations]
     if any(b <= a for a, b in zip(times, times[1:])):
@@ -317,17 +299,12 @@ def reference_reports(psdg: Psdg, joint: JointTable, observations) -> list[dict]
     mass = math.fsum(p for _, p in alive)
     reports = []
     base_mass = mass
-    state_keys: dict[tuple[int, ...], str] = {}
+    state_key = functools.cache(psdg.state_key)
     for obs in observations:
-        member: dict[tuple[int, ...], bool] = {}
-        kept = []
-        for traj, p in alive:
-            q = state_at(traj, obs.time)
-            hit = member.get(q)
-            if hit is None:
-                hit = member[q] = _state_matches(q, obs.constraint)
-            if hit:
-                kept.append((traj, p))
+        member = functools.cache(functools.partial(_state_matches,
+                                                   value=obs.constraint))
+        kept = [(traj, p) for traj, p in alive
+                if member(state_at(traj, obs.time))]
         new_mass = math.fsum(p for _, p in kept)
         if new_mass <= 0.0:
             raise ZeroEvidenceMass(
@@ -339,10 +316,7 @@ def reference_reports(psdg: Psdg, joint: JointTable, observations) -> list[dict]
             continue
         state: dict[str, float] = {}
         for traj, p in kept:
-            q = state_at(traj, obs.time)
-            key = state_keys.get(q)
-            if key is None:
-                key = state_keys[q] = psdg.state_key(q)
+            key = state_key(state_at(traj, obs.time))
             state[key] = state.get(key, 0.0) + p
         report = {
             "t": obs.time,
@@ -511,26 +485,11 @@ def _completion_matrices(psdg: Psdg, states: list[tuple[int, ...]]
                 m[i, pos[nxt]] = p
         mats[x] = m
 
-    # Nonterminals in dependency order: X needs every rhs symbol except a
-    # trailing self-reference, and level validation makes that graph acyclic.
-    order: list[str] = []
-    seen: set[str] = set()
-
-    def visit(sym: str):
-        if sym in seen or psdg.is_terminal(sym):
-            return
-        seen.add(sym)
-        for a in psdg.by_lhs[sym]:
-            prod = psdg.production(a)
-            rhs = prod.rhs[:-1] if prod.tail_recursive else prod.rhs
-            for y in rhs:
-                visit(y)
-        order.append(sym)
-
-    for sym in psdg.nonterminals:
-        visit(sym)
-
-    for sym in order:
+    # X needs every rhs symbol but a trailing self-reference, and each of
+    # those sits a level below every level of X, so deepest level first is
+    # a dependency order.  Unreachable symbols have no levels and no caller.
+    for sym in sorted((s for s in psdg.nonterminals if psdg.levels[s]),
+                      key=lambda s: -psdg.levels[s][-1]):
         a_mat = np.zeros((n, n))
         b_mat = np.zeros((n, n))
         for a in psdg.by_lhs[sym]:
@@ -565,7 +524,7 @@ def _completion_matrices(psdg: Psdg, states: list[tuple[int, ...]]
     return mats
 
 
-def to_pcfg(psdg: Psdg, bound: int = DEFAULT_ENTRY_BOUND) -> Pcfg:
+def to_pcfg(psdg: Psdg) -> Pcfg:
     """State-annotated constant-probability grammar over complete trees.
 
     Nonterminals are ⟨q_in, X, q_out⟩ tuples; a tuple production's
@@ -575,15 +534,16 @@ def to_pcfg(psdg: Psdg, bound: int = DEFAULT_ENTRY_BOUND) -> Pcfg:
     and a complete tree's probability (start weight times production
     probabilities) equals its probability under the source grammar.
     Start weights are unnormalized: their total is the probability that
-    the root plan ever completes.
+    the root plan ever completes.  Raises ExplosionBound past PCFG_BOUND
+    tuple symbols.
     """
     import numpy as np
     states = enumerate_states(psdg)
     n = len(states)
-    if len(psdg.nonterminals) * n * n > bound:
+    if len(psdg.nonterminals) * n * n > PCFG_BOUND:
         raise ExplosionBound(
             f"{len(psdg.nonterminals)} nonterminals over {n} states exceeds "
-            f"bound {bound}")
+            f"bound {PCFG_BOUND}")
     pos = {q: i for i, q in enumerate(states)}
     mats = _completion_matrices(psdg, states)
 
@@ -642,8 +602,9 @@ def to_pcfg(psdg: Psdg, bound: int = DEFAULT_ENTRY_BOUND) -> Pcfg:
                 elif child not in seen:
                     seen.add(child)
                     pending.append(child)
-        if len(seen) + len(terminal_symbols) > bound:
-            raise ExplosionBound(f"converted grammar exceeds bound {bound}")
+        if len(seen) + len(terminal_symbols) > PCFG_BOUND:
+            raise ExplosionBound(
+                f"converted grammar exceeds bound {PCFG_BOUND}")
     return Pcfg(psdg, start, productions, terminal_symbols)
 
 
@@ -705,15 +666,7 @@ def _render_symbol(psdg: Psdg, sym: tuple) -> str:
 
 def pcfg_text(pcfg: Pcfg) -> str:
     """Plain `lhs -> rhs  # prob` listing, start weights as comments."""
-    psdg = pcfg.psdg
-    rendered: dict[tuple, str] = {}
-
-    def render(sym: tuple) -> str:
-        text = rendered.get(sym)
-        if text is None:
-            text = rendered[sym] = _render_symbol(psdg, sym)
-        return text
-
+    render = functools.cache(functools.partial(_render_symbol, pcfg.psdg))
     lines = []
     for sym, w in sorted(pcfg.start.items(), key=lambda kv: str(kv[0])):
         lines.append(f"# start {render(sym)}  # {w:.12g}")

@@ -851,13 +851,16 @@ class TestBranchTable:
             assert table.entry(g, branch) is entry
             assert entry.leaf == leaf_terminal(g, branch)
             flags = termination_flags(g, branch)
-            assert entry.terminating == tuple(
-                level for level, done in enumerate(flags, start=1) if done)
+            assert [key[0] for kind, key in
+                    (table.slots[k] for k in entry.project_keys)
+                    if kind == TERMINATES] == [
+                level for level, done in enumerate(flags, start=1) if done]
             skeleton = advance_skeleton(g, branch)
-            assert entry.skeleton == skeleton
-            assert entry.skeleton_id == (
-                -1 if skeleton is None else table.skeleton_ids[skeleton])
-            if skeleton is not None:
+            if skeleton is None:
+                assert entry.skeleton_id == -1
+            else:
+                assert table.skeletons[entry.skeleton_id] == skeleton
+                assert table.skeleton_ids[skeleton] == entry.skeleton_id
                 kept, fresh_symbol = skeleton
                 if fresh_symbol is not None:
                     # the fresh chain opens at level len(kept) + 1
@@ -993,7 +996,7 @@ class TestBranchTable:
             gc.enable()
 
     def test_table_shares_skeletons_and_chain_probabilities(self):
-        """Entries of one skeleton hold its interned tuple, every move into
+        """The table holds one tuple per distinct skeleton, every move into
         one (symbol, state)'s fresh chains holds that pair's probability
         tuple, and an entry with no terminating level reuses its key tuple,
         so building the table leaves few objects alive."""
@@ -1003,10 +1006,9 @@ class TestBranchTable:
             _, belief = step(g, belief, obs)
         table = branch_table(g)
         assert len(table.entries) > len(table.skeletons)
+        assert len(set(table.skeletons)) == len(table.skeletons)
         for entry in table.entries.values():
-            if entry.skeleton_id >= 0:
-                assert entry.skeleton is table.skeletons[entry.skeleton_id]
-            if not entry.terminating:
+            if not any(termination_flags(g, entry.branch)):
                 assert entry.project_keys is entry.keys
         fresh = 0
         for (_, fresh_symbol), by_state in zip(table.skeletons, table.moves):

@@ -324,6 +324,54 @@ class TestPcfg:
         assert "# start" in text
         assert "->" in text
 
+    def test_singular_completion_falls_back_to_the_series(self,
+                                                          monkeypatch):
+        """S -> a S at probability 1 in a state `a` keeps never completes
+        there, so I - B is singular and np.linalg.solve raises; the
+        geometric series then gives that state no completion mass."""
+        f = feature("f", ["x", "y"], [0.5, 0.5])
+        g = build([f],
+                  [production(0, "S", ["a", "S"],
+                              rules=[([("f", ["x"])], 1.0)], default=0.0),
+                   production(1, "S", ["b"],
+                              rules=[([("f", ["x"])], 0.0)], default=1.0)],
+                  "S")
+        import numpy as np
+        solve, singular = np.linalg.solve, []
+
+        def spy(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                singular.append(a.tolist())
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        pcfg = to_pcfg(g)
+        assert singular == [[[0.0, 0.0], [0.0, 1.0]]]
+        assert math.fsum(pcfg.start.values()) == pytest.approx(0.5)
+        rooted = {sym[1] for sym in itertools.chain(
+            pcfg.start, pcfg.productions, pcfg.terminal_symbols)}
+        assert rooted == {(1,)}
+
+    def test_unreachable_nonterminals_change_nothing(self):
+        """Validation admits symbols the start never reaches; they have
+        no levels and leave the exported grammar as it was."""
+        def grammar(extra):
+            return build(
+                [feature("f", ["l", "r"], [0.5, 0.5], parents=["f"], cpt=[
+                    (["l"], "*", [0.8, 0.2]), (["r"], "*", [0.1, 0.9])])],
+                [production(0, "S", ["A", "b"]),
+                 production(1, "A", ["a"],
+                            rules=[([("f", ["l"])], 0.7)], default=0.2),
+                 production(2, "A", ["b", "A"],
+                            rules=[([("f", ["l"])], 0.3)], default=0.8)]
+                + extra, "S")
+        g = grammar([production(3, "U", ["V", "a"]),
+                     production(4, "V", ["b"])])
+        assert g.levels["U"] == g.levels["V"] == ()
+        assert pcfg_text(to_pcfg(g)) == pcfg_text(to_pcfg(grammar([])))
+
 
 class TestPcfgEquivalenceSuite:
     def test_ten_random_grammars(self):
