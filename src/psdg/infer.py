@@ -17,6 +17,9 @@ brute-force enumeration: per-level tables alone lose the correlation
 between a frame and the depth below it, and repeated children (say
 S -> A A) then mix mass across branches.  The projections stay within the
 documented size bound; the chart is linear in the number of live branches.
+An observation touches a branch only through its state and emitted
+terminal, so predict sums each chart it builds once into (state, terminal)
+groups, and explain works from those groups rather than the chart.
 
 Completion is absorbing: once the root terminates, the final state is
 frozen and later observations simply constrain that frozen value.
@@ -32,8 +35,8 @@ from typing import Iterable, Iterator, Optional
 from .errors import (SupportTooLarge, UndefinedConditional, ZeroEvidence)
 from .generate import (Stack, advance_skeleton, enumerate_chains,
                        leaf_terminal, termination_flags)
-from .grammar import (Psdg, StateSet, _as_idx, _feature_transition,
-                      prior_probability, transition_probability)
+from .grammar import (Psdg, StateSet, _as_idx, prior_probability,
+                      transition_probability)
 
 DEFAULT_SUPPORT_BOUND = 100_000
 SIZE_CONSTANT = 8       # public-table entries stay under 8·|R|·|P|·d·m
@@ -64,8 +67,8 @@ class BranchEntry:
     holds one per branch, so entries hash and compare by identity."""
     branch: Stack
     leaf: str                       # the terminal it emits
-    keys: tuple[int, ...]           # slice keys: (ℓ, X), (ℓ, ⟨a,b⟩) per level, leaf
-    project_keys: tuple[int, ...]   # keys plus (ℓ) and terminated (ℓ, X) keys
+    keys: tuple[int, ...]           # slice keys (ℓ, ⟨a,b⟩), one per level
+    project_keys: tuple[int, ...]   # every slice key, for `_project`
     skeleton_id: int                # the table's id of its skeleton, or -1
 
 
@@ -88,21 +91,26 @@ class BranchTable:
     that id; the table holds the skeleton.  `chains` holds the fresh
     expansions of each (symbol, state) as a (tails, probabilities) pair,
     whose probability tuple every move into them shares.  Slice key id k
-    stands for `slots[k]`, a (kind, key) pair.  Entries hold ids, never
-    the move dicts, so the table has no reference cycle; it holds no
-    reference to its grammar either, so the two die together by
-    reference counting.
+    stands for `slots[k]`, a (kind, key) pair; a production key implies
+    `implied[k]`, its lhs and the terminal under its cursor or None (only
+    the deepest frame's cursor sits on one).  Entries hold ids, never the
+    move dicts, so the table has no reference cycle; it holds no reference
+    to its grammar either, so the two die together by reference counting.
     """
 
     def __init__(self, psdg: Psdg):
+        frames = [(lvl, p, b) for p in psdg.productions for lvl in
+                  psdg.levels[p.lhs] for b in range(1, len(p.rhs) + 1)]
         self.slots = (
             [(TERMINAL, (x,)) for x in psdg.terminals]
             + [(TERMINATES, (lvl,)) for lvl in range(1, psdg.depth + 1)]
             + [(kind, (lvl, nt)) for nt in psdg.nonterminals
                for lvl in psdg.levels[nt] for kind in (SYMBOL, TERMINATED)]
-            + [(PRODUCTION, (lvl, (p.index, b))) for p in psdg.productions
-               for lvl in psdg.levels[p.lhs] for b in range(1, len(p.rhs) + 1)])
+            + [(PRODUCTION, (lvl, (p.index, b))) for lvl, p, b in frames])
         self.key_id = {slot: k for k, slot in enumerate(self.slots)}
+        self.implied = [None] * (len(self.slots) - len(frames)) + [
+            (p.lhs, p.rhs[b - 1] if psdg.is_terminal(p.rhs[b - 1]) else None)
+            for _, p, b in frames]
         self.entries: dict[Stack, BranchEntry] = {}
         self.chains: dict[tuple[str, State],
                           tuple[tuple[Stack, ...], tuple[float, ...]]] = {}
@@ -124,26 +132,19 @@ class BranchTable:
         flags = termination_flags(psdg, branch)
         for level, (frame, done) in enumerate(zip(branch, flags), start=1):
             symbol = psdg.production(frame[0]).lhs
-            pair = [ids[SYMBOL, (level, symbol)],
-                    ids[PRODUCTION, (level, frame)]]
-            keys += pair
-            project_keys += pair
+            keys.append(ids[PRODUCTION, (level, frame)])
+            project_keys += [ids[SYMBOL, (level, symbol)], keys[-1]]
             if done:
                 project_keys += [ids[TERMINATES, (level,)],
                                  ids[TERMINATED, (level, symbol)]]
-        keys.append(ids[TERMINAL, (leaf,)])
-        project_keys.append(keys[-1])
-        keys = tuple(keys)
+        project_keys.append(ids[TERMINAL, (leaf,)])
         skeleton = advance_skeleton(psdg, branch)
         sid = -1 if skeleton is None else self.skeleton_ids.get(skeleton)
         if sid is None:
             sid = self.skeleton_ids[skeleton] = len(self.skeletons)
             self.skeletons.append(skeleton)
             self.moves.append({})
-        # Terminating levels form a suffix, so none terminate unless the
-        # deepest does.
-        return BranchEntry(branch, leaf, keys,
-                           tuple(project_keys) if flags[-1] else keys, sid)
+        return BranchEntry(branch, leaf, tuple(keys), tuple(project_keys), sid)
 
     def fresh_chains(self, psdg: Psdg, symbol: str, state: State
                      ) -> tuple[tuple[Stack, ...], tuple[float, ...]]:
@@ -189,50 +190,76 @@ def branch_table(psdg: Psdg) -> BranchTable:
 class _SliceSums:
     """The one accumulator behind every slice marginal and belief table.
 
-    Weights go into flat slots indexed by slice-key id, so each key's sum
-    takes its addends in the order they are added (chart order at every
-    call site).  `drain` yields (kind, key, sum) for the keys touched, in
-    first-touch order, and clears them for reuse.
+    Weights go into a dict by slice-key id, so each key's sum takes its
+    addends in the order they are added (chart order at every call site).
+    `drain` yields (kind, key, sum) for the keys touched, in first-touch
+    order, and clears them.
     """
 
     def __init__(self, table: BranchTable):
         self.slots = table.slots
-        self.acc: list[Optional[float]] = [None] * len(table.slots)
-        self.touched: list[int] = []
+        self.acc: dict[int, float] = {}
 
     def add(self, keys: tuple[int, ...], weight: float):
         acc = self.acc
         for k in keys:
-            v = acc[k]
-            if v is None:
-                self.touched.append(k)
-                acc[k] = 0.0 + weight
-            else:
-                acc[k] = v + weight
+            acc[k] = acc.get(k, 0.0) + weight
 
     def drain(self):
-        acc, slots = self.acc, self.slots
-        for k in self.touched:
-            yield *slots[k], acc[k]
-            acc[k] = None
-        self.touched = []
+        for k, v in self.acc.items():
+            yield *self.slots[k], v
+        self.acc = {}
 
-    def of_chart(self, chart) -> tuple[dict, dict, dict]:
-        """The marginals of a whole chart, as a report's predict side."""
-        for row in chart.values():
+
+class _Groups(_SliceSums):
+    """A chart summed once, in chart order, into (state, terminal) groups:
+    group g has state `states[g]`, terminal `leaves[g]`, mass `masses[g]`
+    and its production key sums under key ids g·|slots| + k.  Zero masses
+    form a group per state with terminal None, so the others keep the
+    order of their first positive mass."""
+
+    def __init__(self, table: BranchTable, chart):
+        super().__init__(table)
+        self.implied = table.implied
+        n, by_leaf, acc = len(self.slots), {}, self.acc
+        states, leaves, masses = self.states, self.leaves, self.masses = (
+            [], [], [])
+        for q, row in chart.items():
+            by_leaf.clear()
             for entry, mass in row.items():
-                self.add(entry.keys, mass)
-        return self.marginals()
+                leaf = entry.leaf if mass > 0.0 else None
+                g = by_leaf.get(leaf)
+                if g is None:
+                    g = by_leaf[leaf] = len(masses)
+                    states.append(q)
+                    leaves.append(leaf)
+                    masses.append(0.0)
+                masses[g] += mass
+                base = g * n
+                for k in entry.keys:
+                    acc[k + base] = acc.get(k + base, 0.0) + mass
 
-    def marginals(self) -> tuple[dict, dict, dict]:
-        """Drain into per-level symbols and productions, and terminal."""
+    def marginals(self, scales: Optional[list] = None
+                  ) -> tuple[dict, dict, dict]:
+        """Symbols, productions and terminal of the groups' production
+        sums times their scales (1.0, or None for left out), less sums
+        scaled to zero; a symbol or terminal sums what implies it."""
+        n, totals = len(self.slots), {}
+        for i, s in self.acc.items():
+            if scales is not None:
+                scale = scales[i // n]
+                if scale is None or not s * scale > 0.0:
+                    continue
+                s *= scale
+            totals[i % n] = totals.get(i % n, 0.0) + s
         symbols, productions, terminal = {}, {}, {}
-        for kind, key, v in self.drain():
-            if kind == TERMINAL:
-                terminal[key[0]] = v
-            else:
-                out = symbols if kind == SYMBOL else productions
-                out.setdefault(key[0], {})[key[1]] = v
+        for k, v in totals.items():
+            (level, rho), (symbol, leaf) = self.slots[k][1], self.implied[k]
+            for out, key in ((productions.setdefault(level, {}), rho),
+                             (symbols.setdefault(level, {}), symbol),
+                             (terminal, leaf)):
+                if key is not None:
+                    out[key] = out.get(key, 0.0) + v
         return symbols, productions, terminal
 
 
@@ -260,6 +287,7 @@ class BeliefState:
     published table projects the chart onto all seven: b_q sums to one;
     b_n (ℓ, X, q), b_p (ℓ, (a,b), q), b_sigma (x, q), b_t (ℓ, q), b_tn
     (ℓ, X, q) and completed_given_q are conditioned on their state.
+    `groups` is the chart summed by `predict`, or on first read.
     """
     psdg: Psdg
     time: int
@@ -270,6 +298,9 @@ class BeliefState:
     log_evidence: float = 0.0
 
     def __getattr__(self, name):    # only for attributes not set yet
+        if name == "groups":
+            self.groups = _Groups(branch_table(self.psdg), self.chart)
+            return self.groups
         if name not in _PUBLISHED:
             raise AttributeError(name)
         _project(self)
@@ -408,10 +439,13 @@ def explain(psdg: Psdg, belief: BeliefState, observation: Observation
             ) -> Explanation:
     """Condition on Q^t ∈ R and answer queries about slice t.
 
-    The evidence likelihood is accumulated state-by-state: prior branch
-    mass times the transition into each observed state, summed over the
-    emitted terminal.  Completed runs contribute where their frozen state
-    satisfies the observation.  Raises ZeroEvidence when nothing does.
+    The observation touches a branch only through its state and emitted
+    terminal, so explain reads the belief's (state, terminal) groups, not
+    its chart.  The evidence likelihood is accumulated state-by-state:
+    each group's mass times the transition into each observed state.
+    Completed runs contribute where their frozen state satisfies the
+    observation.  Raises ZeroEvidence when nothing does.  The slice
+    marginals scale each group's production sums by its posterior share.
     """
     if observation.time != belief.time:
         raise ValueError(f"observation for t={observation.time} fed to a "
@@ -421,42 +455,38 @@ def explain(psdg: Psdg, belief: BeliefState, observation: Observation
         raise SupportTooLarge(
             f"observation set of {constraint.size()} states exceeds "
             f"{belief.support_bound}")
-    allowed = [sorted(s) for s in constraint.allowed]
 
-    # Transition rows, one per (state, emitted terminal) actually alive.
-    # The dynamics are factored, so a row is the product of each feature's
-    # nonzero allowed entries; multiplying from 1.0 in feature order and
+    # Transition rows, one per live (state, emitted terminal) group.  The
+    # dynamics are factored, so a row is the product of each feature's
+    # nonzero allowed entries, picked once per call for each (feature,
+    # terminal, parent key); multiplying from 1.0 in feature order and
     # iterating lexicographically gives the same keys, order and floats
     # as transition_probability over constraint.iter_states().
-    table = branch_table(psdg)
+    groups = belief.groups
+    allowed = [sorted(s) for s in constraint.allowed]
+    kept: dict[tuple, tuple[list, list]] = {}
     transitions: dict[tuple, dict[State, float]] = {}
-    sigma_mass: dict[tuple, float] = {}
-    for q, row in belief.chart.items():
-        for entry, mass in row.items():
-            if mass <= 0.0:
-                continue
-            key = (q, entry.leaf)
-            sigma_mass[key] = sigma_mass.get(key, 0.0) + mass
-    for key in sigma_mass:
-        q, x = key
+    state_posterior: dict[State, float] = {}
+    for q, x, mass in zip(groups.states, groups.leaves, groups.masses):
+        if mass <= 0.0:
+            continue
         values, probs = [], []
         for fi, vals in enumerate(allowed):
-            cpt_row = _feature_transition(psdg, fi, q, x)
-            kept = [v for v in vals if cpt_row[v] > 0.0]
-            values.append(kept)
-            probs.append([cpt_row[v] for v in kept])
-        out: dict[State, float] = {}
+            feat = psdg.features[fi]
+            key = (fi, x, feat.parent_key(q))
+            if key not in kept:
+                cpt_row = feat.table[x][key[2]]
+                vs = [v for v in vals if cpt_row[v] > 0.0]
+                kept[key] = (vs, [cpt_row[v] for v in vs])
+            values.append(kept[key][0])
+            probs.append(kept[key][1])
+        out = transitions[q, x] = {}
         for q2, ps in zip(itertools.product(*values),
                           itertools.product(*probs)):
             p = math.prod(ps, start=1.0)
             if p > 0.0:
                 out[q2] = p
-        transitions[key] = out
-
-    state_posterior: dict[State, float] = {}
-    for (q, x), mass in sigma_mass.items():
-        for q2, p in transitions[(q, x)].items():
-            state_posterior[q2] = state_posterior.get(q2, 0.0) + mass * p
+                state_posterior[q2] = state_posterior.get(q2, 0.0) + mass * p
     completed_post: dict[State, float] = {}
     for q, c in belief.completed.items():
         if c > 0.0 and q in constraint:
@@ -468,25 +498,14 @@ def explain(psdg: Psdg, belief: BeliefState, observation: Observation
             observation.time,
             f"observation at t={observation.time} has probability 0")
 
-    # Each branch's posterior mass at slice t, summed into the marginals.
-    # The chart is walked again rather than kept as a list of (key, entry,
-    # mass) tuples: a few thousand objects alive across the call would
-    # set off the cyclic collector every few steps.
-    sums = _SliceSums(table)
-    tsums = {key: math.fsum(trow.values())
-             for key, trow in transitions.items()}
-    for q, row in belief.chart.items():
-        for entry, mass in row.items():
-            if mass <= 0.0:
-                continue
-            post = mass * tsums[q, entry.leaf] / evidence
-            if post > 0.0:
-                sums.add(entry.keys, post)
+    scales = [math.fsum(transitions[q, x].values()) / evidence
+              if m > 0.0 else None
+              for q, x, m in zip(groups.states, groups.leaves, groups.masses)]
     completed_post = {q: c / evidence for q, c in completed_post.items()}
     return Explanation(
         observation, evidence,
         {q: v / evidence for q, v in state_posterior.items()},
-        completed_post, transitions, *sums.marginals(),
+        completed_post, transitions, *groups.marginals(scales),
         completed=math.fsum(completed_post.values()))
 
 
@@ -503,7 +522,7 @@ def symbol_transition(psdg: Psdg, belief: BeliefState, symbol: str,
     kid = table.key_id.get((SYMBOL, (level, symbol)))
     num = den = 0.0
     for entry, mass in belief.chart.get(qp, {}).items():
-        if mass > 0.0 and kid in entry.keys:
+        if mass > 0.0 and kid in entry.project_keys:
             den += mass
             num += mass * transition_probability(psdg, qp, entry.leaf, qn)
     return num / den if den > 0.0 else 0.0
@@ -518,6 +537,7 @@ class Prediction:
     productions: dict[int, dict[tuple, float]]
     terminal: dict[str, float]
     completed_mass: float
+    groups: _Groups
 
 
 def predict(psdg: Psdg, belief: BeliefState, explanation: Explanation
@@ -533,6 +553,8 @@ def predict(psdg: Psdg, belief: BeliefState, explanation: Explanation
     state, so the shares are first pooled per (new state, skeleton id),
     and each pool is then spread once over that skeleton's moves.  Two
     skeletons may reach the same branch, so the spread adds into the row.
+    The new chart is then summed once into its (state, terminal) groups,
+    which give the report's marginals here and feed the next explain.
     """
     evidence = explanation.evidence
     transitions = explanation.transitions
@@ -561,8 +583,9 @@ def predict(psdg: Psdg, belief: BeliefState, explanation: Explanation
                 target[nxt] = target.get(nxt, 0.0) + pooled * cp
     for q, c in explanation.completed_post.items():
         completed[q] = completed.get(q, 0.0) + c
-    return Prediction(chart, completed, *_SliceSums(table).of_chart(chart),
-                      completed_mass=math.fsum(completed.values()))
+    groups = _Groups(table, chart)
+    return Prediction(chart, completed, *groups.marginals(),
+                      math.fsum(completed.values()), groups)
 
 
 def update(psdg: Psdg, belief: BeliefState, explanation: Explanation,
@@ -574,6 +597,7 @@ def update(psdg: Psdg, belief: BeliefState, explanation: Explanation,
                       prediction.completed,
                       belief.log_evidence + math.log(explanation.evidence))
     new.check_chart()
+    new.groups = prediction.groups
     return new
 
 
@@ -641,10 +665,13 @@ def recognize(psdg: Psdg, observations: Iterable[Observation],
 
     A leading t=0 observation restricts the initial state; `start`, with
     init_belief's signature, builds the belief at the first later one.
-    Missing times pass as unconstrained steps.  Zero evidence raises, or
-    under `reinit` restarts from the prior restricted to the observation,
-    reported with evidence likelihood 0 and the new belief's marginals; a
-    failed restart raises with the contradiction as its `__context__`.
+    Missing times pass as unconstrained steps.  Once the chart is empty, a
+    vacuous step that leaves the completed mass and log evidence as they
+    were is a fixed point, so the rest of the gap is skipped.  Zero
+    evidence raises, or under `reinit` restarts from the prior restricted
+    to the observation, reported with evidence likelihood 0 and the new
+    belief's marginals; a failed restart raises with the contradiction as
+    its `__context__`.
     """
     belief = restrict = None
     for obs in observations:
@@ -653,9 +680,11 @@ def recognize(psdg: Psdg, observations: Iterable[Observation],
             continue
         if belief is None:
             belief = start(psdg, support_bound, restrict)
-        gap = (Observation.vacuous(psdg, t)
-               for t in range(belief.time, obs.time))
-        for now in itertools.chain(gap, [obs]):
+        now = None
+        while now is not obs:
+            now = obs if belief.time >= obs.time else \
+                Observation.vacuous(psdg, belief.time)
+            before = belief
             try:
                 report, belief = step(psdg, belief, now)
             except ZeroEvidence:
@@ -665,7 +694,10 @@ def recognize(psdg: Psdg, observations: Iterable[Observation],
                                now.time + 1)
                 report = StepReport(
                     now.time, 0.0, 0.0, belief.state_mass(), {}, {}, {}, 0.0,
-                    *_SliceSums(branch_table(psdg)).of_chart(belief.chart), 0.0)
+                    *belief.groups.marginals(), 0.0)
+            if not before.chart and belief.completed == before.completed \
+                    and belief.log_evidence == before.log_evidence:
+                belief.time = max(belief.time, obs.time)    # a fixed point
         yield report
 
 

@@ -1,8 +1,10 @@
 """Golden fixtures: exact outputs of the enumeration oracle and the engine.
 
 `test_golden.py` holds the code to the files this module writes under
-`tests/golden/`.  Rewrite them (`PYTHONPATH=src python tests/make_golden.py`)
-only in a change that is meant to alter those outputs, and say so there.
+`tests/golden/`.  Rewrite them (`PYTHONPATH=src python tests/make_golden.py
+[oracle.json|engine.json|diagnostics.json ...]`, all three when none is
+named) only in a change that is meant to alter those outputs, and say so
+there.
 
 - `oracle.json`: for 3-step sampled streams at seeds 1-3 on the bundled
   traffic grammar and on the deep-plans grammar, the exact stdout of
@@ -370,10 +372,18 @@ def build_diagnostics() -> dict:
     return {"cases": cases, "mutations": mutations}
 
 
+BUILDERS = {"oracle.json": build_oracle, "engine.json": build_engine,
+            "diagnostics.json": build_diagnostics}
+
+
 if __name__ == "__main__":
-    for file_name, build in (("oracle.json", build_oracle),
-                             ("engine.json", build_engine),
-                             ("diagnostics.json", build_diagnostics)):
+    names = sys.argv[1:] or list(BUILDERS)
+    unknown = [name for name in names if name not in BUILDERS]
+    if unknown:
+        sys.exit(f"usage: make_golden.py [{'|'.join(BUILDERS)} ...]; "
+                 f"unknown: {', '.join(unknown)}")
+    for file_name in names:
+        build = BUILDERS[file_name]
         path = GOLDEN / file_name
         path.write_text(json.dumps(build(), indent=1, sort_keys=True) + "\n",
                         encoding="utf-8")

@@ -2,6 +2,7 @@
 import ast
 import gc
 import io
+import json
 import math
 import re
 import subprocess
@@ -35,6 +36,7 @@ from psdg.parse import load_file
 
 
 GOLDEN_DEEP_PLANS = Path(__file__).parent / "golden" / "deep-plans.psdg"
+GOLDEN_FACTORED_STATE = GOLDEN_DEEP_PLANS.with_name("factored-state.psdg")
 
 
 def point(idx) -> StateSet:
@@ -162,6 +164,42 @@ class TestSymbolTransition:
         assert symbol_transition(g, belief, "Pass", 1, q, q) == 0.0
 
 
+def three_feature_grammar():
+    """Three stochastic features, `c` with two parents.  The
+    probabilities are irregular, so multiplying in another order would
+    change the low bits of some entries."""
+    a = feature("a", ["a0", "a1", "a2"], [0.3, 0.3, 0.4], parents=["a"],
+                cpt=[(["a0"], "*", [0.1, 0.7, 0.2]),
+                     (["a2"], "x", [0.15, 0.35, 0.5]),
+                     (["*"], "*", [0.3, 0.3, 0.4])])
+    b = feature("b", ["b0", "b1", "b2"], [0.5, 0.25, 0.25],
+                parents=["b"],
+                cpt=[(["b0"], "y", [0.13, 0.57, 0.3]),
+                     (["*"], "*", [0.7, 0.1, 0.2])])
+    c = feature("c", ["c0", "c1", "c2"], [0.2, 0.5, 0.3],
+                parents=["a", "c"],
+                cpt=[(["a0", "*"], "*", [0.11, 0.29, 0.6]),
+                     (["*", "c1"], "x", [0.05, 0.9, 0.05]),
+                     (["*", "*"], "*", [0.33, 0.33, 0.34])])
+    return build([a, b, c],
+                 [production(0, "S", ["x", "S"], default=0.6),
+                  production(1, "S", ["y", "S"], default=0.3),
+                  production(2, "S", ["y"], default=0.1)], "S")
+
+
+def assert_rows_are_per_state_products(g, explanation, constraint):
+    """Every transition row equals transition_probability over the
+    constraint's states, in keys, order and floats."""
+    for (q, x), row in explanation.transitions.items():
+        want = {}
+        for q2 in constraint.iter_states():
+            p = transition_probability(g, q, x, q2)
+            if p > 0.0:
+                want[q2] = p
+        assert list(row) == list(want)
+        assert list(row.values()) == list(want.values())
+
+
 class TestExplain:
     def test_single_state_vacuous(self):
         g = single_production_grammar()
@@ -206,42 +244,39 @@ class TestExplain:
         assert e.state_posterior == {(0,): pytest.approx(1.0)}
 
     def test_factored_rows_equal_per_state_products(self):
-        # Three stochastic features, `c` with two parents; the observation
-        # pins `a` and `c` to proper subsets and leaves `b` open.  The
-        # probabilities are irregular, so multiplying in another order
-        # would change the low bits of some entries.
-        a = feature("a", ["a0", "a1", "a2"], [0.3, 0.3, 0.4], parents=["a"],
-                    cpt=[(["a0"], "*", [0.1, 0.7, 0.2]),
-                         (["a2"], "x", [0.15, 0.35, 0.5]),
-                         (["*"], "*", [0.3, 0.3, 0.4])])
-        b = feature("b", ["b0", "b1", "b2"], [0.5, 0.25, 0.25],
-                    parents=["b"],
-                    cpt=[(["b0"], "y", [0.13, 0.57, 0.3]),
-                         (["*"], "*", [0.7, 0.1, 0.2])])
-        c = feature("c", ["c0", "c1", "c2"], [0.2, 0.5, 0.3],
-                    parents=["a", "c"],
-                    cpt=[(["a0", "*"], "*", [0.11, 0.29, 0.6]),
-                         (["*", "c1"], "x", [0.05, 0.9, 0.05]),
-                         (["*", "*"], "*", [0.33, 0.33, 0.34])])
-        g = build([a, b, c],
-                  [production(0, "S", ["x", "S"], default=0.6),
-                   production(1, "S", ["y", "S"], default=0.3),
-                   production(2, "S", ["y"], default=0.1)], "S")
+        # The observation pins `a` and `c` to proper subsets and leaves `b`
+        # open.
+        g = three_feature_grammar()
         belief = init_belief(g)
         _, belief = step(g, belief, Observation.vacuous(g, 1))
         constraint = StateSet.from_labels(
             g, {"a": ["a0", "a2"], "c": ["c1", "c2"]})
         e = explain(g, belief, Observation(2, constraint))
         assert len(e.transitions) == 2 * g.state_count
-        for (q, x), row in e.transitions.items():
-            want = {}
-            for q2 in constraint.iter_states():
-                p = transition_probability(g, q, x, q2)
-                if p > 0.0:
-                    want[q2] = p
-            assert want
-            assert list(row) == list(want)
-            assert list(row.values()) == list(want.values())
+        assert all(e.transitions.values())
+        assert_rows_are_per_state_products(g, e, constraint)
+
+    @pytest.mark.parametrize("make, constraints", [
+        (three_feature_grammar, ({"a": ["a0", "a2"], "c": ["c1", "c2"]},
+                                 {"a": ["a1", "a2"], "b": ["b0"]},
+                                 {"c": ["c0"]})),
+        (lambda: load_file(GOLDEN_FACTORED_STATE), (
+            {"pos": ["p3", "p4", "p5", "p6", "p7"], "progress": ["g1"]},
+            {"pos": ["p4", "p5", "p6", "p7", "p8"], "speed": ["s0", "s1"]},
+            {"progress": ["g0", "g1"]})),
+    ])
+    def test_cached_rows_follow_each_constraint(self, make, constraints):
+        """Each explain picks the allowed part of a CPT row afresh:
+        successive explains of one belief under different observations
+        each give rows equal in keys, order and floats to the per-state
+        products."""
+        g = make()
+        _, belief = step(g, init_belief(g), Observation.vacuous(g, 1))
+        for labels in constraints:
+            constraint = StateSet.from_labels(g, labels)
+            e = explain(g, belief, Observation(2, constraint))
+            assert e.transitions
+            assert_rows_are_per_state_products(g, e, constraint)
 
 
 class TestPredict:
@@ -452,6 +487,38 @@ class TestRecognize:
         assert raised.value.time == 0
         assert isinstance(raised.value.__context__, ZeroEvidence)
         assert raised.value.__context__.time == 1
+
+    def test_a_gap_past_an_empty_chart_ends_in_one_move(self, monkeypatch,
+                                                        capsys):
+        """On traffic an unobserved run's chart empties by underflow at
+        t=1028, and from then on each vacuous step returns the completed
+        mass and log evidence it was given.  `recognize` then jumps the
+        rest of a gap: the report at t=1500 is the hand-stepped one byte
+        for byte, and the one at t=10⁹ differs from it only in `t`, after
+        about as many steps."""
+        g = traffic()
+        belief = init_belief(g)
+        for t in range(1, 1501):
+            report, belief = step(g, belief, Observation.vacuous(g, t))
+        assert belief.chart == {}
+        want = json.dumps(report.to_dict(g), sort_keys=True) + "\n"
+        calls = []
+        real_step = infer_module.step
+
+        def counted(*args):
+            calls.append(args[2].time)
+            if len(calls) > 1100:
+                raise RuntimeError("the gap was stepped through")
+            return real_step(*args)
+        monkeypatch.setattr(infer_module, "step", counted)
+        for t in (1500, 10**9):
+            calls.clear()
+            monkeypatch.setattr("sys.stdin", io.StringIO(f'{{"t": {t}}}\n'))
+            assert cli_main(["infer", str(TRAFFIC_PATH)]) == 0
+            assert capsys.readouterr().out == want.replace(
+                '"t": 1500}', f'"t": {t}}}')
+            assert calls[-1] == t and len(calls) < 1050
+        assert calls[-2] < 1050
 
 
 class TestStreamsAgainstOracle:
@@ -766,6 +833,22 @@ def assert_predict_matches_reference(g, belief, exp, pred):
             assert got[q][branch] == pytest.approx(mass, rel=1e-12, abs=0.0)
 
 
+def assert_marginals_close(got, want):
+    """Equal key sets at every depth and floats within relative 1e-12:
+    the engine sums a chart per (state, terminal) group before scaling
+    and derives symbol and terminal sums from production sums, so its
+    marginals round differently from a per-branch loop."""
+    if isinstance(want, (tuple, dict)):
+        assert len(got) == len(want)
+        if isinstance(want, dict):
+            assert got.keys() == want.keys()
+            got, want = [got[k] for k in want], list(want.values())
+        for a, b in zip(got, want):
+            assert_marginals_close(a, b)
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def pooled_steps(g, stream):
     """Run `stream` (a leading t=0 restriction, gaps as vacuous steps),
     checking `predict` against the reference on every step.  Returns, per
@@ -867,11 +950,17 @@ class TestBranchTable:
                     assert len(kept) + 1 in g.levels[fresh_symbol]
             frames = [(level, g.production(f[0]).lhs, f)
                       for level, f in enumerate(branch, start=1)]
+            assert [table.slots[k] for k in entry.keys] == [
+                (PRODUCTION, (level, f)) for level, _, f in frames]
+            # Each production key implies its frame's symbol, and the
+            # deepest one alone the emitted terminal under its cursor.
+            assert [table.implied[k] for k in entry.keys] == [
+                (symbol, entry.leaf if level == len(frames) else None)
+                for level, symbol, _ in frames]
             want = [s for level, symbol, f in frames
                     for s in ((SYMBOL, (level, symbol)),
                               (PRODUCTION, (level, f)))]
             want.append((TERMINAL, (entry.leaf,)))
-            assert [table.slots[k] for k in entry.keys] == want
             terminated = [s for (level, symbol, _), done in zip(frames, flags)
                           if done
                           for s in ((TERMINATES, (level,)),
@@ -903,9 +992,10 @@ class TestBranchTable:
 
     @pytest.mark.parametrize("seed", [2, 3, 8])
     def test_stream_equals_per_branch_reference(self, seed):
-        """Marginals, completed mass and all seven published tables are
-        the same floats a plain per-branch loop gives; the predicted chart
-        has the same keys and masses within pooling's rounding."""
+        """Completed mass and all seven published tables are the same
+        floats a plain per-branch loop gives; the marginals and the
+        predicted chart have the same keys, and values within the
+        rounding of groups and pools."""
         g = branchy_grammar()
         belief = init_belief(g)
         assert published(belief) == ref_tables(g, by_stack(belief.chart), {})
@@ -914,14 +1004,15 @@ class TestBranchTable:
         assert len(stream) >= 10
         for obs in stream:
             exp = explain(g, belief, obs)
-            assert (exp.symbols, exp.productions, exp.terminal) == \
-                ref_explain(g, belief, exp)
+            assert_marginals_close((exp.symbols, exp.productions, exp.terminal),
+                                   ref_explain(g, belief, exp))
             pred = predict(g, belief, exp)
             assert_predict_matches_reference(g, belief, exp, pred)
-            assert (pred.symbols, pred.productions, pred.terminal) == \
+            assert_marginals_close(
+                (pred.symbols, pred.productions, pred.terminal),
                 ref_marginals(g, ((branch, mass)
                                   for row in by_stack(pred.chart).values()
-                                  for branch, mass in row.items()))
+                                  for branch, mass in row.items())))
             report, _ = step(g, belief, obs)
             belief = update(g, belief, exp, pred, obs)
             assert published(belief) == ref_tables(g, by_stack(belief.chart),
@@ -929,14 +1020,14 @@ class TestBranchTable:
             symbols, productions, terminal = ref_marginals(
                 g, ((branch, mass) for row in by_stack(belief.chart).values()
                     for branch, mass in row.items() if mass > 0.0))
-            assert report.to_dict(g)["predict"] == {
+            assert_marginals_close(report.to_dict(g)["predict"], {
                 "symbols": symbols,
                 "productions": {lvl: {f"{a}:{b}": p
                                       for (a, b), p in row.items()}
                                 for lvl, row in productions.items()},
                 "terminal": terminal,
                 "completed": math.fsum(belief.completed.values()),
-            }
+            })
             most = max(most, sum(map(len, belief.chart.values())))
         assert most >= 8
 
@@ -998,7 +1089,7 @@ class TestBranchTable:
     def test_table_shares_skeletons_and_chain_probabilities(self):
         """The table holds one tuple per distinct skeleton, every move into
         one (symbol, state)'s fresh chains holds that pair's probability
-        tuple, and an entry with no terminating level reuses its key tuple,
+        tuple, and an entry's key tuple holds one production key per level,
         so building the table leaves few objects alive."""
         g = load_file(GOLDEN_DEEP_PLANS)
         belief = init_belief(g)
@@ -1008,8 +1099,8 @@ class TestBranchTable:
         assert len(table.entries) > len(table.skeletons)
         assert len(set(table.skeletons)) == len(table.skeletons)
         for entry in table.entries.values():
-            if not any(termination_flags(g, entry.branch)):
-                assert entry.project_keys is entry.keys
+            assert len(entry.keys) == len(entry.branch)
+            assert {table.slots[k][0] for k in entry.keys} == {PRODUCTION}
         fresh = 0
         for (_, fresh_symbol), by_state in zip(table.skeletons, table.moves):
             for q2, (_, probs) in by_state.items():
@@ -1061,6 +1152,66 @@ class TestBranchTable:
         finally:
             gc.enable()
         assert capsys.readouterr().out.count("\n") >= 1
+
+
+def group_bits(groups):
+    """Everything a chart's groups hold, as exact text."""
+    return repr((groups.states, groups.leaves, groups.masses, groups.acc))
+
+
+class TestChartGroups:
+    @pytest.mark.parametrize("make, seed", [
+        (lambda: load_file(GOLDEN_DEEP_PLANS), 5),
+        (branchy_grammar, 3),
+        (repeated_child_grammar, 1)])
+    def test_groups_are_a_function_of_the_chart(self, make, seed):
+        """Over a stream with gaps, each predict's groups are, bit for
+        bit, the groups of its chart, the next belief reads them as they
+        are, and explain on that belief with its groups dropped gives the
+        same explanation."""
+        g = make()
+        table = branch_table(g)
+        stream = [o for o in sampled_stream(g, seed, 12) if o.time % 4]
+        belief = init_belief(g)
+        steps = gaps = 0
+        for obs in stream:
+            gap = [Observation.vacuous(g, t)
+                   for t in range(belief.time, obs.time)]
+            gaps += len(gap)
+            for now in gap + [obs]:
+                exp = explain(g, belief, now)
+                pred = predict(g, belief, exp)
+                assert group_bits(pred.groups) == group_bits(
+                    infer_module._Groups(table, pred.chart))
+                belief = update(g, belief, exp, pred, now)
+                assert belief.groups is pred.groups
+                following = Observation(now.time + 1, now.constraint)
+                kept = explain(g, belief, following)
+                del belief.groups
+                assert repr(explain(g, belief, following)) == repr(kept)
+                assert group_bits(belief.groups) == group_bits(pred.groups)
+                steps += 1
+        assert steps == 11 and gaps == 2
+
+    def test_zero_masses_group_apart(self):
+        """A zero mass (an underflow) joins its state's terminal-None
+        group, so the other groups keep the order of their first positive
+        mass, which the evidence sums follow, and explain leaves it out."""
+        g = traffic()
+        belief = init_belief(g)
+        q, row = next((q, row) for q, row in belief.chart.items()
+                      if len({e.leaf for e in row}) > 1)
+        first = next(iter(row))
+        row[first] = 0.0
+        groups = infer_module._Groups(branch_table(g), belief.chart)
+        want = []
+        for q2, r in belief.chart.items():
+            want += dict.fromkeys((q2, e.leaf) for e, m in r.items() if m > 0)
+        assert [(s, x) for s, x in zip(groups.states, groups.leaves)
+                if x is not None] == want
+        assert (q, None) in zip(groups.states, groups.leaves)
+        assert list(explain(g, belief, Observation.vacuous(g, 1)).transitions
+                    ) == want
 
 
 class TestLazyTables:
