@@ -46,14 +46,17 @@ def _print_diagnostics(diags: list[Diagnostic]):
                           "message": d.message}), file=sys.stderr, flush=True)
 
 
-def _read_grammar(path: str) -> Psdg:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
+            return fh.read()
+    except (OSError, UnicodeError) as e:
         raise _CliError(2, f"cannot read {path}: {e}") from None
+
+
+def _read_grammar(path: str) -> Psdg:
     try:
-        return load_text(text)
+        return load_text(_read_text(path))
     except GrammarError as e:
         _print_diagnostics(e.diagnostics)
         raise _CliError(1, f"{path}: {len(e.diagnostics)} problem(s)") from None
@@ -82,7 +85,9 @@ def _parse_observation(psdg: Psdg, line: str, lineno: int) -> Observation:
 def _read_observations(psdg: Psdg, stream) -> Iterator[Observation]:
     """The stream's observations, one per non-blank line as it is read.
     Times must increase strictly; as none is negative, a t=0 line can
-    only come first."""
+    only come first.  Bytes that are not UTF-8 fail with their line."""
+    if hasattr(stream, "reconfigure"):
+        stream.reconfigure(errors="surrogateescape")
     last = None
     for lineno, line in enumerate(stream, start=1):
         if not line.strip():
@@ -100,13 +105,7 @@ def _emit(payload: dict):
 
 
 def cmd_validate(args) -> int:
-    try:
-        with open(args.grammar, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        print(f"cannot read {args.grammar}: {e}", file=sys.stderr)
-        return 2
-    psdg, diags = validate_text(text)
+    psdg, diags = validate_text(_read_text(args.grammar))
     _print_diagnostics(diags)
     if psdg is None:
         return 1

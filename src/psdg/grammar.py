@@ -339,17 +339,15 @@ def _key_getter(indices):
     return lambda _: ()
 
 
-def enumerate_states(psdg: Psdg, constraint: StateSet | None = None,
-                     bound: int = DEFAULT_SET_BOUND):
-    """All states in the constraint (full space if None), as index tuples.
+def enumerate_states(psdg: Psdg):
+    """All states, as index tuples.
 
     Raises SetTooLarge instead of materializing something enormous.
     """
-    ss = constraint if constraint is not None else StateSet.full(psdg)
-    n = ss.size()
-    if n > bound:
-        raise SetTooLarge(f"{n} states exceeds bound {bound}")
-    return list(ss.iter_states())
+    if psdg.state_count > DEFAULT_SET_BOUND:
+        raise SetTooLarge(f"{psdg.state_count} states exceeds bound "
+                          f"{DEFAULT_SET_BOUND}")
+    return list(StateSet.full(psdg).iter_states())
 
 
 ### Validation.

@@ -8,16 +8,16 @@ through the deterministic advance rules and fresh production draws), and
 update (install and check the predicted chart as the next belief).
 
 The belief is a joint chart over (previous state, active branch), where a
-branch is a generator stack (the (production, cursor) pairs from the root
-down to the terminal leaf) that the chart keys by its branch-table entry.
-The published tables (symbols, productions, terminal, termination, per level
-and state) are exact marginal projections of the chart, made on first
-read.  Keeping the branch resolved is what makes the engine agree with
-brute-force enumeration: per-level tables alone lose the correlation
-between a frame and the depth below it, and repeated children (say
-S -> A A) then mix mass across branches.  The projections stay within the
-documented size bound; the chart is linear in the number of live branches.
-An observation touches a branch only through its state and emitted
+branch is a generator stack (the (production, cursor) pairs from the root down
+to the terminal leaf) that the chart keys by its branch-table entry, which
+keeps only its production key per level.  The published tables are exact
+marginal projections of the chart, made on first read, and derive symbol,
+terminal and termination from those keys.  Keeping the branch resolved is what
+makes the engine agree with brute-force enumeration: per-level tables alone
+lose the correlation between a frame and the depth below it, and repeated
+children (say S -> A A) then mix mass across branches.  The projections stay
+within the documented size bound; the chart is linear in the number of live
+branches.  An observation touches a branch only through its state and emitted
 terminal, so predict sums each chart it builds once into (state, terminal)
 groups, and explain works from those groups rather than the chart.
 
@@ -33,8 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .errors import (SupportTooLarge, UndefinedConditional, ZeroEvidence)
-from .generate import (Stack, advance_skeleton, enumerate_chains,
-                       leaf_terminal, termination_flags)
+from .generate import Stack, advance_skeleton, enumerate_chains, leaf_terminal
 from .grammar import (Psdg, StateSet, _as_idx, prior_probability,
                       transition_probability)
 
@@ -67,14 +66,8 @@ class BranchEntry:
     holds one per branch, so entries hash and compare by identity."""
     branch: Stack
     leaf: str                       # the terminal it emits
-    keys: tuple[int, ...]           # slice keys (ℓ, ⟨a,b⟩), one per level
-    project_keys: tuple[int, ...]   # every slice key, for `_project`
+    keys: tuple[int, ...]           # production key ids, one per level
     skeleton_id: int                # the table's id of its skeleton, or -1
-
-
-# Kinds of slice key.  Each is also the index of the table it fills in
-# `_project`: b_n, b_p, b_sigma, b_t and the b_tn numerators.
-SYMBOL, PRODUCTION, TERMINAL, TERMINATES, TERMINATED = range(5)
 
 
 class BranchTable:
@@ -90,27 +83,26 @@ class BranchTable:
     state to the branches skeleton i leads to there.  An entry holds only
     that id; the table holds the skeleton.  `chains` holds the fresh
     expansions of each (symbol, state) as a (tails, probabilities) pair,
-    whose probability tuple every move into them shares.  Slice key id k
-    stands for `slots[k]`, a (kind, key) pair; a production key implies
-    `implied[k]`, its lhs and the terminal under its cursor or None (only
-    the deepest frame's cursor sits on one).  Entries hold ids, never the
-    move dicts, so the table has no reference cycle; it holds no reference
-    to its grammar either, so the two die together by reference counting.
+    whose probability tuple every move into them shares.  An entry keeps
+    only its production key ids: key k stands for `slots[k]`, a (level,
+    (a, b)) pair, and implies `implied[k]`, its lhs, the terminal under its
+    cursor or None (only the deepest frame's cursor sits on one), and
+    whether the cursor is on the production's last rhs symbol.  A level
+    terminates when its frame and every frame below it have that last
+    fact, so symbol, terminal and termination tables all derive from the
+    keys.  Entries hold ids, never the move dicts, so the table has no
+    reference cycle; it holds no reference to its grammar either, so the
+    two die together by reference counting.
     """
 
     def __init__(self, psdg: Psdg):
         frames = [(lvl, p, b) for p in psdg.productions for lvl in
                   psdg.levels[p.lhs] for b in range(1, len(p.rhs) + 1)]
-        self.slots = (
-            [(TERMINAL, (x,)) for x in psdg.terminals]
-            + [(TERMINATES, (lvl,)) for lvl in range(1, psdg.depth + 1)]
-            + [(kind, (lvl, nt)) for nt in psdg.nonterminals
-               for lvl in psdg.levels[nt] for kind in (SYMBOL, TERMINATED)]
-            + [(PRODUCTION, (lvl, (p.index, b))) for lvl, p, b in frames])
+        self.slots = [(lvl, (p.index, b)) for lvl, p, b in frames]
         self.key_id = {slot: k for k, slot in enumerate(self.slots)}
-        self.implied = [None] * (len(self.slots) - len(frames)) + [
-            (p.lhs, p.rhs[b - 1] if psdg.is_terminal(p.rhs[b - 1]) else None)
-            for _, p, b in frames]
+        self.implied = [
+            (p.lhs, p.rhs[b - 1] if psdg.is_terminal(p.rhs[b - 1]) else None,
+             b == len(p.rhs)) for _, p, b in frames]
         self.entries: dict[Stack, BranchEntry] = {}
         self.chains: dict[tuple[str, State],
                           tuple[tuple[Stack, ...], tuple[float, ...]]] = {}
@@ -121,30 +113,18 @@ class BranchTable:
 
     def entry(self, psdg: Psdg, branch: Stack) -> BranchEntry:
         hit = self.entries.get(branch)
-        if hit is None:     # setdefault keeps one entry if two threads race
-            hit = self.entries.setdefault(branch, self._compile(psdg, branch))
-        return hit
-
-    def _compile(self, psdg: Psdg, branch: Stack) -> BranchEntry:
-        leaf = leaf_terminal(psdg, branch)
-        ids = self.key_id
-        keys, project_keys = [], []
-        flags = termination_flags(psdg, branch)
-        for level, (frame, done) in enumerate(zip(branch, flags), start=1):
-            symbol = psdg.production(frame[0]).lhs
-            keys.append(ids[PRODUCTION, (level, frame)])
-            project_keys += [ids[SYMBOL, (level, symbol)], keys[-1]]
-            if done:
-                project_keys += [ids[TERMINATES, (level,)],
-                                 ids[TERMINATED, (level, symbol)]]
-        project_keys.append(ids[TERMINAL, (leaf,)])
+        if hit is not None:
+            return hit
         skeleton = advance_skeleton(psdg, branch)
         sid = -1 if skeleton is None else self.skeleton_ids.get(skeleton)
         if sid is None:
             sid = self.skeleton_ids[skeleton] = len(self.skeletons)
             self.skeletons.append(skeleton)
             self.moves.append({})
-        return BranchEntry(branch, leaf, tuple(keys), tuple(project_keys), sid)
+        keys = tuple(map(self.key_id.__getitem__, enumerate(branch, 1)))
+        hit = self.entries[branch] = BranchEntry(
+            branch, leaf_terminal(psdg, branch), keys, sid)
+        return hit
 
     def fresh_chains(self, psdg: Psdg, symbol: str, state: State
                      ) -> tuple[tuple[Stack, ...], tuple[float, ...]]:
@@ -187,40 +167,16 @@ def branch_table(psdg: Psdg) -> BranchTable:
     return table
 
 
-class _SliceSums:
-    """The one accumulator behind every slice marginal and belief table.
-
-    Weights go into a dict by slice-key id, so each key's sum takes its
-    addends in the order they are added (chart order at every call site).
-    `drain` yields (kind, key, sum) for the keys touched, in first-touch
-    order, and clears them.
-    """
-
-    def __init__(self, table: BranchTable):
-        self.slots = table.slots
-        self.acc: dict[int, float] = {}
-
-    def add(self, keys: tuple[int, ...], weight: float):
-        acc = self.acc
-        for k in keys:
-            acc[k] = acc.get(k, 0.0) + weight
-
-    def drain(self):
-        for k, v in self.acc.items():
-            yield *self.slots[k], v
-        self.acc = {}
-
-
-class _Groups(_SliceSums):
-    """A chart summed once, in chart order, into (state, terminal) groups:
-    group g has state `states[g]`, terminal `leaves[g]`, mass `masses[g]`
-    and its production key sums under key ids g·|slots| + k.  Zero masses
+class _Groups:
+    """The one accumulator behind the report marginals: a chart summed
+    once, in chart order, into (state, terminal) groups.  Group g has
+    state `states[g]`, terminal `leaves[g]`, mass `masses[g]` and, in
+    `acc`, its production key sums under ids g·|slots| + k.  Zero masses
     form a group per state with terminal None, so the others keep the
     order of their first positive mass."""
 
     def __init__(self, table: BranchTable, chart):
-        super().__init__(table)
-        self.implied = table.implied
+        self.slots, self.implied, self.acc = table.slots, table.implied, {}
         n, by_leaf, acc = len(self.slots), {}, self.acc
         states, leaves, masses = self.states, self.leaves, self.masses = (
             [], [], [])
@@ -254,7 +210,7 @@ class _Groups(_SliceSums):
             totals[i % n] = totals.get(i % n, 0.0) + s
         symbols, productions, terminal = {}, {}, {}
         for k, v in totals.items():
-            (level, rho), (symbol, leaf) = self.slots[k][1], self.implied[k]
+            (level, rho), (symbol, leaf, _) = self.slots[k], self.implied[k]
             for out, key in ((productions.setdefault(level, {}), rho),
                              (symbols.setdefault(level, {}), symbol),
                              (terminal, leaf)):
@@ -345,10 +301,9 @@ class BeliefState:
             raise AssertionError(f"state mass {total}")
         per_level_n: dict[tuple, float] = {}
         per_level_p: dict[tuple, float] = {}
-        for (lvl, _, q), v in self.b_n.items():
-            per_level_n[(lvl, q)] = per_level_n.get((lvl, q), 0.0) + v
-        for (lvl, _, q), v in self.b_p.items():
-            per_level_p[(lvl, q)] = per_level_p.get((lvl, q), 0.0) + v
+        for rows, sums in ((self.b_n, per_level_n), (self.b_p, per_level_p)):
+            for (lvl, _, q), v in rows.items():
+                sums[lvl, q] = sums.get((lvl, q), 0.0) + v
         for key, v in per_level_n.items():
             if not v <= 1.0 + MASS_TOL:
                 raise AssertionError(f"symbol row {key} sums to {v}")
@@ -368,19 +323,49 @@ class BeliefState:
 
 def _project(belief: BeliefState):
     """Project chart + completed mass onto the seven published tables and
-    keep them on `belief`."""
+    keep them on `belief`.
+
+    Each entry adds its share, mass / b_q, to its production key and that
+    key's symbol at every level, to its terminal, and to b_t and the b_tn
+    numerators at each level of its terminating suffix.  Sums go in under
+    int ids (a symbol under the first key id of its (level, lhs)), in
+    chart order, and each table keeps the first-touch order of its keys.
+    """
     b_q = belief.state_mass()
-    b_n, b_p, b_sigma, b_t, tn_num = by_kind = {}, {}, {}, {}, {}
-    sums = _SliceSums(branch_table(belief.psdg))
+    table = branch_table(belief.psdg)
+    slots, implied = table.slots, table.implied
+    first: dict[tuple, int] = {}
+    symbol = [first.setdefault((level, implied[k][0]), k)
+              for k, (level, _) in enumerate(slots)]
+    b_n, b_p, b_sigma, b_t, tn_num = {}, {}, {}, {}, {}
     for q, row in belief.chart.items():
         cq = b_q.get(q)
         if cq is None:
             continue
+        n, p, sigma, t, tn = {}, {}, {}, {}, {}
         for entry, mass in row.items():
-            if mass > 0.0:
-                sums.add(entry.project_keys, mass / cq)
-        for kind, key, v in sums.drain():
-            by_kind[kind][key + (q,)] = v
+            if not mass > 0.0:
+                continue
+            share, keys = mass / cq, entry.keys
+            for k in keys:
+                p[k] = p.get(k, 0.0) + share
+                s = symbol[k]
+                n[s] = n.get(s, 0.0) + share
+            level = len(keys)       # the levels past it terminate
+            while level and implied[keys[level - 1]][2]:
+                level -= 1
+            for k in keys[level:]:
+                level += 1
+                t[level] = t.get(level, 0.0) + share
+                s = symbol[k]
+                tn[s] = tn.get(s, 0.0) + share
+            sigma[entry.leaf] = sigma.get(entry.leaf, 0.0) + share
+        for sums, out in ((n, b_n), (tn, tn_num)):
+            out.update(((slots[s][0], implied[s][0], q), v)
+                       for s, v in sums.items())
+        b_p.update((slots[k] + (q,), v) for k, v in p.items())
+        b_sigma.update(((x, q), v) for x, v in sigma.items())
+        b_t.update(((level, q), v) for level, v in t.items())
     vars(belief).update(zip(_PUBLISHED, (
         b_q, b_n, b_p, b_sigma, b_t,
         {nk: num / b_n[nk] for nk, num in tn_num.items()},
@@ -518,11 +503,11 @@ def symbol_transition(psdg: Psdg, belief: BeliefState, symbol: str,
     when the belief puts no mass on the symbol there.
     """
     qp, qn = _as_idx(q_prev), _as_idx(q_next)
-    table = branch_table(psdg)
-    kid = table.key_id.get((SYMBOL, (level, symbol)))
+    implied = branch_table(psdg).implied
     num = den = 0.0
     for entry, mass in belief.chart.get(qp, {}).items():
-        if mass > 0.0 and kid in entry.project_keys:
+        if mass > 0.0 and 0 < level <= len(entry.keys) \
+                and implied[entry.keys[level - 1]][0] == symbol:
             den += mass
             num += mass * transition_probability(psdg, qp, entry.leaf, qn)
     return num / den if den > 0.0 else 0.0

@@ -60,11 +60,9 @@ def _transition_options(psdg: Psdg, prev: tuple[int, ...], terminal: str
         row = _feature_transition(psdg, fi, prev, terminal)
         per_feature.append([(v, p) for v, p in enumerate(row) if p > 0.0])
     for combo in itertools.product(*per_feature):
-        idx = tuple(v for v, _ in combo)
-        p = 1.0
-        for _, f in combo:
-            p *= f
-        yield idx, p
+        p = math.prod((f for _, f in combo), start=1.0)
+        if p > 0.0:     # a product of positive entries can underflow to 0
+            yield tuple(v for v, _ in combo), p
 
 
 def enumerate_joint(psdg: Psdg, horizon: int,

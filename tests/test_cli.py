@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from psdg.cli import main
 from psdg.generate import observation_json_lines, sample_trajectory
 from psdg.grammar import StateSet
 from psdg.infer import Observation, recognize
+from psdg.parse import load_text
 
 AB_TEXT = """\
 feature u {
@@ -40,6 +42,47 @@ feature f {
 start S
 
 prod 0: S -> x { default: 1; }
+"""
+
+# Each feature's first value has prior 1 and moves to itself with
+# probability 1e-200, so the product of two such rows underflows to 0.
+UNDERFLOW_TEXT = """\
+feature a {
+  values: x, y;
+  prior: 1, 0;
+  cpt: x | * -> 1e-200, 1;
+  cpt: y | * -> 1e-200, 1;
+}
+
+feature b {
+  values: x, y;
+  prior: 1, 0;
+  cpt: x | * -> 1e-200, 1;
+  cpt: y | * -> 1e-200, 1;
+}
+
+start S
+
+prod 0: S -> go { default: 1; }
+"""
+
+# One run per stop time from each initial state, so the oracle's joint
+# stays small out to a horizon of 51.
+TICKER_TEXT = """\
+feature f {
+  values: lo, hi;
+  prior: 0.5, 0.5;
+  parents: f;
+  cpt: lo | tick -> 0, 1;
+  cpt: hi | tick -> 1, 0;
+  cpt: lo | * -> 1, 0;
+  cpt: hi | * -> 0, 1;
+}
+
+start S
+
+prod 0: S -> tick S { rule f in {lo} : 0.9; default: 0.8; }
+prod 1: S -> stop { rule f in {lo} : 0.1; default: 0.2; }
 """
 
 
@@ -92,6 +135,14 @@ class TestValidate:
         code, _, err = run(capsys, ["validate", str(tmp_path / "nope.psdg")])
         assert code == 2
         assert "cannot read" in err
+
+    def test_file_that_is_not_utf8(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "latin1.psdg"
+        path.write_bytes(AB_TEXT.replace("z", "\xe9").encode("latin-1"))
+        for argv in (["validate", str(path)], ["infer", str(path)]):
+            code, out, err = run(capsys, argv, "", monkeypatch)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"cannot read {path}: 'utf-8' codec")
 
 
 class TestSample:
@@ -324,7 +375,121 @@ class TestInfer:
         assert code in (0, 2, 3), stdin
 
 
+def sampled_lines(text, horizon, seed):
+    """The observation lines of one sampled run, as bytes."""
+    g = load_text(text)
+    return [line.encode() for line in observation_json_lines(
+        g, sample_trajectory(g, horizon, seed))]
+
+
+def json_value(max_t):
+    """Any JSON value, leaning toward observation-shaped objects whose
+    times stay at or below `max_t`."""
+    leaf = (st.none() | st.booleans() | st.integers(-3, max_t) | st.floats()
+            | st.text(max_size=3) | _NAMES)
+    return st.recursive(leaf, lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(_NAMES | st.sampled_from(
+                            ("t", "observe")), inner, max_size=3),
+                        max_leaves=8)
+
+
+@st.composite
+def mutated_stream(draw, base, max_t):
+    """`base` after up to four line edits: drop, duplicate, swap,
+    truncate, retime (a new "t" of at most `max_t`), splice in bytes that
+    are not UTF-8, or insert a JSON value."""
+    lines = list(base)
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(("drop", "dup", "swap", "truncate",
+                                   "retime", "bytes", "json")))
+        i = draw(st.integers(0, len(lines)))
+        if op == "json" or not lines:
+            value = draw(json_value(max_t))
+            lines.insert(i, json.dumps(value).encode())
+            continue
+        i = min(i, len(lines) - 1)
+        line = lines[i]
+        cut = draw(st.integers(0, len(line)))
+        if op == "drop":
+            del lines[i]
+        elif op == "dup":
+            lines.insert(i, line)
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "truncate":
+            lines[i] = line[:cut]
+        elif op == "retime":
+            t = draw(st.integers(0, max_t))
+            lines[i] = re.sub(rb'"t": -?\d+', b'"t": %d' % t, line, count=1)
+        else:
+            junk = draw(st.sampled_from((b"\xff", b"\xc3", b"\x80\x80",
+                                         b"\xed\xa0\x80")))
+            lines[i] = line[:cut] + junk + line[cut:]
+    return b"".join(line + b"\n" for line in lines)
+
+
+def run_bytes(argv, data):
+    """Exit code and stderr of `psdg ARGV` in-process, reading `data`
+    through a strict UTF-8 text stdin, as a UTF-8 locale gives."""
+    old_stdin, err = sys.stdin, io.StringIO()
+    sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = old_stdin
+    return code, err.getvalue()
+
+
+# (command, grammar text, horizon and seed of the sampled base stream,
+# largest time): on traffic a stream that reaches t = 3 takes oracle-check
+# about two seconds to enumerate, so it fuzzes traffic up to t = 2 and the
+# ticker grammar up to 50.
+WHOLE_LINE_CASES = {
+    "infer-traffic": ("infer", TRAFFIC_PATH.read_text(), 12, 7, 50),
+    "oracle-check-traffic": ("oracle-check", TRAFFIC_PATH.read_text(),
+                             2, 5, 2),
+    "oracle-check-ticker": ("oracle-check", TICKER_TEXT, 20, 21, 50),
+}
+
+
+class TestWholeLines:
+    @pytest.mark.parametrize("case", sorted(WHOLE_LINE_CASES))
+    def test_any_line_exits_cleanly(self, case, tmp_path_factory):
+        """Arbitrary JSON lines and line mutations of a sampled stream
+        exit 0-3, never with a traceback, and exit 2 names the line."""
+        command, text, horizon, seed, max_t = WHOLE_LINE_CASES[case]
+        path = tmp_path_factory.mktemp("grammar") / "g.psdg"
+        path.write_text(text)
+        base = sampled_lines(text, horizon, seed)
+
+        @settings(max_examples=60, deadline=None)
+        @given(mutated_stream(base, max_t)
+               | st.lists(json_value(max_t), max_size=4).map(
+                   lambda vs: "".join(json.dumps(v) + "\n"
+                                      for v in vs).encode()))
+        def check(data):
+            code, err = run_bytes([command, str(path)], data)
+            assert code in (0, 1, 2, 3), (data, err)
+            if code == 2:
+                assert err.startswith("line "), (data, err)
+        check()
+
+
 class TestOracleCheck:
+    def test_a_transition_product_that_underflows_is_skipped(
+            self, capsys, monkeypatch, tmp_path):
+        """Each feature's row is positive, but their product is not: the
+        oracle leaves that next state out, as explain does."""
+        path = tmp_path / "underflow.psdg"
+        path.write_text(UNDERFLOW_TEXT)
+        code, out, err = run(capsys, ["oracle-check", str(path)],
+                             obs_line(1, {"a": ["y"]}) + "\n", monkeypatch)
+        assert (code, err) == (0, "")
+        assert json_lines(out)[-1]["ok"] is True
+
     def test_agreement_on_single_state_grammar(self, capsys, monkeypatch,
                                                ab_path):
         stdin = obs_line(1, {}) + "\n"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (build, feature, production, single_production_grammar,
                      traffic, unit_feature)
+import psdg.grammar as grammar_module
 from psdg.errors import GrammarError, SetTooLarge
 from psdg.grammar import (StatePoint, StateSet, _feature_transition,
                           enumerate_states, prior_probability,
@@ -358,21 +359,24 @@ class TestEnumerateStates:
     def test_fixed_feature(self):
         g = two_flip_features()
         c = StateSet.from_labels(g, {"p": ["n1"]})
-        assert enumerate_states(g, c) == [(1, 0), (1, 1)]
+        got = [q for q in enumerate_states(g) if q in c]
+        assert got == list(c.iter_states()) == [(1, 0), (1, 1)]
 
     def test_traffic_lane_fixed(self):
         g = traffic()
         c = StateSet.from_labels(g, {"lane": ["left-lane"],
                                      "exit": ["far"]})
-        got = enumerate_states(g, c)
+        got = [q for q in enumerate_states(g) if q in c]
+        assert got == list(c.iter_states())
         assert len(got) == 2          # speed remains free
         assert all(StatePoint(q).labels(g)["lane"] == "left-lane"
                    for q in got)
 
-    def test_bound(self):
+    def test_bound(self, monkeypatch):
         g = traffic()
-        with pytest.raises(SetTooLarge):
-            enumerate_states(g, bound=17)
+        monkeypatch.setattr(grammar_module, "DEFAULT_SET_BOUND", 17)
+        with pytest.raises(SetTooLarge, match="18 states exceeds bound 17"):
+            enumerate_states(g)
 
 
 class TestStateSet:

@@ -25,8 +25,7 @@ from psdg.generate import (advance_skeleton, enumerate_chains, leaf_terminal,
                            observation_json_lines, sample_trajectory,
                            termination_flags)
 from psdg.grammar import StateSet, prior_probability, transition_probability
-from psdg.infer import (PRODUCTION, SYMBOL, TERMINAL, TERMINATED, TERMINATES,
-                        BranchEntry, Observation, branch_table,
+from psdg.infer import (BranchEntry, Observation, branch_table,
                         conditional_production_given_symbol, explain,
                         init_belief, predict, recognize, step,
                         symbol_transition, update)
@@ -162,6 +161,9 @@ class TestSymbolTransition:
         belief = init_belief(g)
         q = next(StateSet.full(g).iter_states())
         assert symbol_transition(g, belief, "Pass", 1, q, q) == 0.0
+        # levels outside the stack hold no symbol
+        assert symbol_transition(g, belief, "Drive", 0, q, q) == 0.0
+        assert symbol_transition(g, belief, "Pass", 3, q, q) == 0.0
 
 
 def three_feature_grammar():
@@ -913,6 +915,25 @@ def ref_tables(g, chart, completed):
     return b_q, b_n, b_p, b_sigma, b_t, b_tn, given_q
 
 
+def assert_keys_follow_the_stack(g, table, entry):
+    """An entry's keys are its (level, frame) production keys.  Each
+    implies its frame's symbol, the deepest one alone the emitted terminal
+    under its cursor, and whether its cursor is on its production's last
+    symbol; the levels from which every key down has that last fact are
+    the ones `termination_flags` says terminate."""
+    branch = entry.branch
+    assert [table.slots[k] for k in entry.keys] == list(
+        enumerate(branch, start=1))
+    implied = [table.implied[k] for k in entry.keys]
+    assert [(lhs, leaf) for lhs, leaf, _ in implied] == [
+        (g.production(a).lhs, entry.leaf if level == len(branch) else None)
+        for level, (a, _) in enumerate(branch, start=1)]
+    last = [ends for _, _, ends in implied]
+    assert last == [b == len(g.production(a).rhs) for a, b in branch]
+    assert [all(last[i:]) for i in range(len(last))] == list(
+        termination_flags(g, branch))
+
+
 def published(belief):
     return (belief.b_q, belief.b_n, belief.b_p, belief.b_sigma, belief.b_t,
             belief.b_tn, belief.completed_given_q)
@@ -933,11 +954,7 @@ class TestBranchTable:
             assert entry.branch == branch
             assert table.entry(g, branch) is entry
             assert entry.leaf == leaf_terminal(g, branch)
-            flags = termination_flags(g, branch)
-            assert [key[0] for kind, key in
-                    (table.slots[k] for k in entry.project_keys)
-                    if kind == TERMINATES] == [
-                level for level, done in enumerate(flags, start=1) if done]
+            assert_keys_follow_the_stack(g, table, entry)
             skeleton = advance_skeleton(g, branch)
             if skeleton is None:
                 assert entry.skeleton_id == -1
@@ -948,25 +965,6 @@ class TestBranchTable:
                 if fresh_symbol is not None:
                     # the fresh chain opens at level len(kept) + 1
                     assert len(kept) + 1 in g.levels[fresh_symbol]
-            frames = [(level, g.production(f[0]).lhs, f)
-                      for level, f in enumerate(branch, start=1)]
-            assert [table.slots[k] for k in entry.keys] == [
-                (PRODUCTION, (level, f)) for level, _, f in frames]
-            # Each production key implies its frame's symbol, and the
-            # deepest one alone the emitted terminal under its cursor.
-            assert [table.implied[k] for k in entry.keys] == [
-                (symbol, entry.leaf if level == len(frames) else None)
-                for level, symbol, _ in frames]
-            want = [s for level, symbol, f in frames
-                    for s in ((SYMBOL, (level, symbol)),
-                              (PRODUCTION, (level, f)))]
-            want.append((TERMINAL, (entry.leaf,)))
-            terminated = [s for (level, symbol, _), done in zip(frames, flags)
-                          if done
-                          for s in ((TERMINATES, (level,)),
-                                    (TERMINATED, (level, symbol)))]
-            assert (sorted(table.slots[k] for k in entry.project_keys)
-                    == sorted(want + terminated))
 
     def test_successors_are_kept_prefix_plus_fresh_chains(self):
         g = branchy_grammar()
@@ -1031,6 +1029,21 @@ class TestBranchTable:
             most = max(most, sum(map(len, belief.chart.values())))
         assert most >= 8
 
+    @pytest.mark.parametrize("make, seed", [
+        (branchy_grammar, 3), (repeated_child_grammar, 1),
+        (lambda: load_file(GOLDEN_DEEP_PLANS), 5)])
+    def test_published_tables_keep_first_touch_order(self, make, seed):
+        """Each published table lists its keys in the order a per-branch
+        loop first touches them: states in chart order, then each
+        branch's levels top down."""
+        g = make()
+        belief = init_belief(g)
+        for obs in sampled_stream(g, seed, 9):
+            _, belief = step(g, belief, obs)
+            want = ref_tables(g, by_stack(belief.chart), belief.completed)
+            assert [list(t) for t in published(belief)] == [
+                list(t) for t in want]
+
     @pytest.mark.parametrize("seed", [1010, 1012, 1024])
     def test_pooled_predict_where_skeletons_collide(self, seed):
         """Criterion 1's grammars 1010, 1012 and 1024 on their streams:
@@ -1090,7 +1103,8 @@ class TestBranchTable:
         """The table holds one tuple per distinct skeleton, every move into
         one (symbol, state)'s fresh chains holds that pair's probability
         tuple, and an entry's key tuple holds one production key per level,
-        so building the table leaves few objects alive."""
+        whose implied facts give each level's symbol and the terminating
+        levels, so building the table leaves few objects alive."""
         g = load_file(GOLDEN_DEEP_PLANS)
         belief = init_belief(g)
         for obs in sampled_stream(g, 5, 6):
@@ -1100,7 +1114,7 @@ class TestBranchTable:
         assert len(set(table.skeletons)) == len(table.skeletons)
         for entry in table.entries.values():
             assert len(entry.keys) == len(entry.branch)
-            assert {table.slots[k][0] for k in entry.keys} == {PRODUCTION}
+            assert_keys_follow_the_stack(g, table, entry)
         fresh = 0
         for (_, fresh_symbol), by_state in zip(table.skeletons, table.moves):
             for q2, (_, probs) in by_state.items():
