@@ -168,8 +168,7 @@ def cmd_oracle_check(args) -> int:
     psdg = _read_grammar(args.grammar)
     observations = list(_read_observations(psdg, sys.stdin))
     last = observations[-1].time if observations else 0
-    horizon = max(args.horizon, last + 1, 1)
-    joint = enumerate_joint(psdg, horizon)
+    joint = enumerate_joint(psdg, max(last + 1, 1))
     want = reference_reports(psdg, joint, observations)
     start = _skewed_belief if args.corrupt_belief else init_belief
     got = [report.to_dict(psdg) for report in recognize(
@@ -245,9 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compare recognition reports against exhaustive "
                             "enumeration")
     p.add_argument("grammar")
-    p.add_argument("--horizon", type=int, default=0,
-                   help="enumeration horizon (defaults to one past the "
-                        "last observation)")
     p.add_argument("--support-bound", type=int, default=DEFAULT_SUPPORT_BOUND)
     p.add_argument("--corrupt-belief", action="store_true",
                    help=argparse.SUPPRESS)

@@ -74,8 +74,9 @@ def enumerate_chains(psdg: Psdg, symbol: str,
     """All ways to freshly expand `symbol` down to a terminal leaf.
 
     Returns (frame chain, probability) pairs in production-index order,
-    depth first.  Zero-probability productions are skipped.  Validation
-    bounds chain length, so the recursion terminates.
+    depth first.  Chains of probability zero, including products that
+    underflow, are skipped.  Validation bounds chain length, so the
+    recursion terminates.
     """
     out: list[tuple[Stack, float]] = []
     for a in psdg.by_lhs[symbol]:
@@ -83,13 +84,11 @@ def enumerate_chains(psdg: Psdg, symbol: str,
         p = production_probability(psdg, prod, state)
         if p <= 0.0:
             continue
-        head = (a, 1)
+        head = ((a, 1),)    # one frame tuple that all its chains share
         first = prod.rhs[0]
-        if psdg.is_terminal(first):
-            out.append(((head,), p))
-        else:
-            for tail, tp in enumerate_chains(psdg, first, state):
-                out.append(((head,) + tail, p * tp))
+        tails = [((), 1.0)] if psdg.is_terminal(first) else \
+            enumerate_chains(psdg, first, state)
+        out += [(head + tail, p * tp) for tail, tp in tails if p * tp > 0.0]
     return out
 
 
@@ -104,14 +103,7 @@ def sample_chain(psdg: Psdg, symbol: str, state: StatePoint,
         if total <= 0.0:
             raise DeadEnd(f"all productions of {sym!r} have probability 0 "
                           f"at state {state.labels(psdg)}")
-        r = rng.random() * total
-        acc = 0.0
-        a = candidates[-1]
-        for cand, w in zip(candidates, weights):
-            acc += w
-            if r < acc:
-                a = cand
-                break
+        a = candidates[_sample_indexed(weights, rng, total)]
         frames.append((a, 1))
         sym = psdg.production(a).rhs[0]
         if psdg.is_terminal(sym):
@@ -161,8 +153,10 @@ def advance_stack(psdg: Psdg, stack: Stack, state: StatePoint,
     return kept + sample_chain(psdg, fresh_symbol, state, rng)
 
 
-def _sample_indexed(probs: Sequence[float], rng: random.Random) -> int:
-    r = rng.random()
+def _sample_indexed(probs: Sequence[float], rng: random.Random,
+                    total: float = 1.0) -> int:
+    """Index i drawn with probability probs[i] / total."""
+    r = rng.random() * total
     acc = 0.0
     for i, p in enumerate(probs):
         acc += p

@@ -223,9 +223,6 @@ class Production:
     prob: ProbabilityFunction
     tail_recursive: bool
 
-    def __str__(self) -> str:
-        return f"{self.index}: {self.lhs} -> {' '.join(self.rhs)}"
-
 
 class Psdg:
     """A validated grammar.  Treat as immutable after construction."""

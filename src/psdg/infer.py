@@ -19,7 +19,9 @@ children (say S -> A A) then mix mass across branches.  The projections stay
 within the documented size bound; the chart is linear in the number of live
 branches.  An observation touches a branch only through its state and emitted
 terminal, so predict sums each chart it builds once into (state, terminal)
-groups, and explain works from those groups rather than the chart.
+groups, and explain works from those groups rather than the chart.  Rows are
+built one way, by spreading pooled mass over a skeleton's moves (runs open
+through the root's), and shares that underflow stay out: masses are positive.
 
 Completion is absorbing: once the root terminates, the final state is
 frozen and later observations simply constrain that frozen value.
@@ -78,9 +80,10 @@ class BranchTable:
     validation bounds depth and rhs length, so it stays finite.  A
     skeleton is `advance_skeleton` of the branch: None once the root
     terminates, else (kept prefix, symbol needing a fresh chain or None).
-    Each distinct skeleton gets an integer id when its first entry is
-    compiled: `skeletons[i]` is skeleton i, and `moves[i]` maps a new
-    state to the branches skeleton i leads to there.  An entry holds only
+    Skeleton 0 (`_ROOT`) is ((), start), which opens every run; each other
+    skeleton gets the next id when its first entry is compiled:
+    `skeletons[i]` is skeleton i, and `moves[i]` maps a new state to the
+    branches skeleton i leads to there.  An entry holds only
     that id; the table holds the skeleton.  `chains` holds the fresh
     expansions of each (symbol, state) as a (tails, probabilities) pair,
     whose probability tuple every move into them shares.  An entry keeps
@@ -106,10 +109,10 @@ class BranchTable:
         self.entries: dict[Stack, BranchEntry] = {}
         self.chains: dict[tuple[str, State],
                           tuple[tuple[Stack, ...], tuple[float, ...]]] = {}
-        self.skeleton_ids: dict[tuple, int] = {}
-        self.skeletons: list[tuple[Stack, Optional[str]]] = []
+        self.skeletons: list[tuple[Stack, Optional[str]]] = [((), psdg.start)]
+        self.skeleton_ids: dict[tuple, int] = {self.skeletons[_ROOT]: _ROOT}
         self.moves: list[dict[State, tuple[tuple[BranchEntry, ...],
-                                           tuple[float, ...]]]] = []
+                                           tuple[float, ...]]]] = [{}]
 
     def entry(self, psdg: Psdg, branch: Stack) -> BranchEntry:
         hit = self.entries.get(branch)
@@ -126,18 +129,6 @@ class BranchTable:
             branch, leaf_terminal(psdg, branch), keys, sid)
         return hit
 
-    def fresh_chains(self, psdg: Psdg, symbol: str, state: State
-                     ) -> tuple[tuple[Stack, ...], tuple[float, ...]]:
-        """Fresh expansions of `symbol` at `state`, and their
-        probabilities."""
-        hit = self.chains.get((symbol, state))
-        if hit is None:
-            chains = enumerate_chains(psdg, symbol, state)
-            hit = self.chains[symbol, state] = (
-                tuple(chain for chain, _ in chains),
-                tuple(p for _, p in chains))
-        return hit
-
     def successors(self, psdg: Psdg, skeleton_id: int, state: State
                    ) -> tuple[tuple[BranchEntry, ...], tuple[float, ...]]:
         """The entries skeleton `skeleton_id` advances to when the new
@@ -146,13 +137,20 @@ class BranchTable:
         hit = by_state.get(state)
         if hit is None:
             kept, fresh_symbol = self.skeletons[skeleton_id]
-            tails, probs = _NO_CHAIN if fresh_symbol is None else \
-                self.fresh_chains(psdg, fresh_symbol, state)
+            chains = _NO_CHAIN if fresh_symbol is None else \
+                self.chains.get((fresh_symbol, state))
+            if chains is None:
+                found = enumerate_chains(psdg, fresh_symbol, state)
+                chains = self.chains[fresh_symbol, state] = (
+                    tuple(chain for chain, _ in found),
+                    tuple(p for _, p in found))
+            tails, probs = chains
             hit = by_state[state] = (
                 tuple(self.entry(psdg, kept + tail) for tail in tails), probs)
         return hit
 
 
+_ROOT = 0   # the id of skeleton ((), start), which every run opens through
 # The one "chain" of a skeleton with no fresh symbol: keep the prefix.
 _NO_CHAIN = (((),), (1.0,))
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -171,9 +169,8 @@ class _Groups:
     """The one accumulator behind the report marginals: a chart summed
     once, in chart order, into (state, terminal) groups.  Group g has
     state `states[g]`, terminal `leaves[g]`, mass `masses[g]` and, in
-    `acc`, its production key sums under ids g·|slots| + k.  Zero masses
-    form a group per state with terminal None, so the others keep the
-    order of their first positive mass."""
+    `acc`, its production key sums under ids g·|slots| + k.  Chart masses
+    are positive, so every group's mass is too."""
 
     def __init__(self, table: BranchTable, chart):
         self.slots, self.implied, self.acc = table.slots, table.implied, {}
@@ -183,7 +180,7 @@ class _Groups:
         for q, row in chart.items():
             by_leaf.clear()
             for entry, mass in row.items():
-                leaf = entry.leaf if mass > 0.0 else None
+                leaf = entry.leaf
                 g = by_leaf.get(leaf)
                 if g is None:
                     g = by_leaf[leaf] = len(masses)
@@ -198,15 +195,14 @@ class _Groups:
     def marginals(self, scales: Optional[list] = None
                   ) -> tuple[dict, dict, dict]:
         """Symbols, productions and terminal of the groups' production
-        sums times their scales (1.0, or None for left out), less sums
-        scaled to zero; a symbol or terminal sums what implies it."""
+        sums times their scales (default 1.0), less sums scaled to zero; a
+        symbol or terminal sums what implies it."""
         n, totals = len(self.slots), {}
         for i, s in self.acc.items():
             if scales is not None:
-                scale = scales[i // n]
-                if scale is None or not s * scale > 0.0:
+                s *= scales[i // n]
+                if not s > 0.0:
                     continue
-                s *= scale
             totals[i % n] = totals.get(i % n, 0.0) + s
         symbols, productions, terminal = {}, {}, {}
         for k, v in totals.items():
@@ -267,7 +263,7 @@ class BeliefState:
         b_q = {q: math.fsum(row.values()) + self.completed.get(q, 0.0)
                for q, row in self.chart.items()}
         b_q.update((q, c) for q, c in self.completed.items() if q not in b_q)
-        return {q: m for q, m in b_q.items() if m > 0.0}
+        return b_q
 
     def entry_count(self) -> int:
         return sum(len(getattr(self, name)) for name in _PUBLISHED)
@@ -279,12 +275,12 @@ class BeliefState:
 
     def check_chart(self):
         """Raise AssertionError unless all chart and completed masses are
-        ≥ 0 and sum to one; the projection's symbol, production and terminal
+        > 0 and sum to one; the projection's symbol, production and terminal
         rows then hold by construction of the entries' keys."""
         masses = [m for row in self.chart.values() for m in row.values()]
         masses += self.completed.values()
-        low = min(masses, default=0.0)
-        if not low >= 0.0:
+        low = min(masses, default=math.inf)
+        if not low > 0.0:
             raise AssertionError(f"chart holds mass {low}")
         total = math.fsum(masses)
         if not abs(total - 1.0) <= MASS_TOL:
@@ -339,13 +335,9 @@ def _project(belief: BeliefState):
               for k, (level, _) in enumerate(slots)]
     b_n, b_p, b_sigma, b_t, tn_num = {}, {}, {}, {}, {}
     for q, row in belief.chart.items():
-        cq = b_q.get(q)
-        if cq is None:
-            continue
+        cq = b_q[q]
         n, p, sigma, t, tn = {}, {}, {}, {}, {}
         for entry, mass in row.items():
-            if not mass > 0.0:
-                continue
             share, keys = mass / cq, entry.keys
             for k in keys:
                 p[k] = p.get(k, 0.0) + share
@@ -369,7 +361,26 @@ def _project(belief: BeliefState):
     vars(belief).update(zip(_PUBLISHED, (
         b_q, b_n, b_p, b_sigma, b_t,
         {nk: num / b_n[nk] for nk, num in tn_num.items()},
-        {q: c / b_q[q] for q, c in belief.completed.items() if c > 0.0})))
+        {q: c / b_q[q] for q, c in belief.completed.items()})))
+
+
+def _spread(psdg: Psdg, pools: dict[State, dict[int, float]]
+            ) -> dict[State, dict[BranchEntry, float]]:
+    """Chart rows from pools of mass by new state and skeleton id: each pool
+    spreads over its skeleton's moves, adding into the row (two skeletons
+    may reach one branch).  Shares that underflow and empty rows stay out."""
+    table = branch_table(psdg)
+    chart = {}
+    for q2, pool in pools.items():
+        row = {}
+        for sid, pooled in pool.items():
+            for nxt, cp in zip(*table.successors(psdg, sid, q2)):
+                share = pooled * cp
+                if share > 0.0:
+                    row[nxt] = row.get(nxt, 0.0) + share
+        if row:
+            chart[q2] = row
+    return chart
 
 
 def init_belief(psdg: Psdg, support_bound: int = DEFAULT_SUPPORT_BOUND,
@@ -395,12 +406,8 @@ def init_belief(psdg: Psdg, support_bound: int = DEFAULT_SUPPORT_BOUND,
     total = math.fsum(weights.values())
     if total <= 0.0:
         raise ZeroEvidence(0, "the prior puts no mass on the initial support")
-    table = branch_table(psdg)
-    chart: dict[State, dict[BranchEntry, float]] = {}
-    for q, p0 in weights.items():
-        row = chart[q] = {}
-        for branch, cp in zip(*table.fresh_chains(psdg, psdg.start, q)):
-            row[table.entry(psdg, branch)] = (p0 / total) * cp
+    chart = _spread(psdg, {q: {_ROOT: p0 / total}
+                           for q, p0 in weights.items()})
     belief = BeliefState(psdg, time, support, support_bound, chart, {})
     belief.check_chart()
     return belief
@@ -453,8 +460,6 @@ def explain(psdg: Psdg, belief: BeliefState, observation: Observation
     transitions: dict[tuple, dict[State, float]] = {}
     state_posterior: dict[State, float] = {}
     for q, x, mass in zip(groups.states, groups.leaves, groups.masses):
-        if mass <= 0.0:
-            continue
         values, probs = [], []
         for fi, vals in enumerate(allowed):
             feat = psdg.features[fi]
@@ -474,7 +479,7 @@ def explain(psdg: Psdg, belief: BeliefState, observation: Observation
                 state_posterior[q2] = state_posterior.get(q2, 0.0) + mass * p
     completed_post: dict[State, float] = {}
     for q, c in belief.completed.items():
-        if c > 0.0 and q in constraint:
+        if q in constraint:
             completed_post[q] = c
             state_posterior[q] = state_posterior.get(q, 0.0) + c
     evidence = math.fsum(state_posterior.values())
@@ -484,8 +489,7 @@ def explain(psdg: Psdg, belief: BeliefState, observation: Observation
             f"observation at t={observation.time} has probability 0")
 
     scales = [math.fsum(transitions[q, x].values()) / evidence
-              if m > 0.0 else None
-              for q, x, m in zip(groups.states, groups.leaves, groups.masses)]
+              for q, x in zip(groups.states, groups.leaves)]
     completed_post = {q: c / evidence for q, c in completed_post.items()}
     return Explanation(
         observation, evidence,
@@ -506,7 +510,7 @@ def symbol_transition(psdg: Psdg, belief: BeliefState, symbol: str,
     implied = branch_table(psdg).implied
     num = den = 0.0
     for entry, mass in belief.chart.get(qp, {}).items():
-        if mass > 0.0 and 0 < level <= len(entry.keys) \
+        if 0 < level <= len(entry.keys) \
                 and implied[entry.keys[level - 1]][0] == symbol:
             den += mass
             num += mass * transition_probability(psdg, qp, entry.leaf, qn)
@@ -536,39 +540,31 @@ def predict(psdg: Psdg, belief: BeliefState, explanation: Explanation
 
     Where a branch goes depends only on its advance skeleton and the new
     state, so the shares are first pooled per (new state, skeleton id),
-    and each pool is then spread once over that skeleton's moves.  Two
-    skeletons may reach the same branch, so the spread adds into the row.
+    and each pool is then spread once over that skeleton's moves.  Like a
+    chart share, a completed share that underflows to 0.0 is left out.
     The new chart is then summed once into its (state, terminal) groups,
     which give the report's marginals here and feed the next explain.
     """
     evidence = explanation.evidence
     transitions = explanation.transitions
-    table = branch_table(psdg)
     pools: dict[State, dict[int, float]] = {}   # by new state, skeleton id
     completed: dict[State, float] = {}
     for q, row in belief.chart.items():
         for entry, mass in row.items():
-            if mass <= 0.0:
-                continue
             sid = entry.skeleton_id
             for q2, p in transitions[(q, entry.leaf)].items():
                 share = mass * p / evidence
-                if sid < 0:
+                if sid >= 0:
+                    pool = pools.get(q2)
+                    if pool is None:
+                        pool = pools[q2] = {}
+                    pool[sid] = pool.get(sid, 0.0) + share
+                elif share > 0.0:
                     completed[q2] = completed.get(q2, 0.0) + share
-                    continue
-                pool = pools.get(q2)
-                if pool is None:
-                    pool = pools[q2] = {}
-                pool[sid] = pool.get(sid, 0.0) + share
-    chart: dict[State, dict[BranchEntry, float]] = {}
-    for q2, pool in pools.items():
-        target = chart[q2] = {}
-        for sid, pooled in pool.items():
-            for nxt, cp in zip(*table.successors(psdg, sid, q2)):
-                target[nxt] = target.get(nxt, 0.0) + pooled * cp
+    chart = _spread(psdg, pools)
     for q, c in explanation.completed_post.items():
         completed[q] = completed.get(q, 0.0) + c
-    groups = _Groups(table, chart)
+    groups = _Groups(branch_table(psdg), chart)
     return Prediction(chart, completed, *groups.marginals(),
                       math.fsum(completed.values()), groups)
 

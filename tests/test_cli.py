@@ -66,6 +66,19 @@ start S
 prod 0: S -> go { default: 1; }
 """
 
+# Each production is positive, but the chain S -> A -> B underflows.
+CHAIN_UNDERFLOW_TEXT = """\
+feature f { values: a, b; prior: 0.5, 0.5; }
+
+start S
+
+prod 1: S -> A { default: 1e-200; }
+prod 2: S -> x { default: 1; }
+prod 3: A -> B { default: 1e-200; }
+prod 4: A -> y { default: 1; }
+prod 5: B -> z { default: 1; }
+"""
+
 # One run per stop time from each initial state, so the oracle's joint
 # stays small out to a horizon of 51.
 TICKER_TEXT = """\
@@ -487,6 +500,17 @@ class TestOracleCheck:
         path.write_text(UNDERFLOW_TEXT)
         code, out, err = run(capsys, ["oracle-check", str(path)],
                              obs_line(1, {"a": ["y"]}) + "\n", monkeypatch)
+        assert (code, err) == (0, "")
+        assert json_lines(out)[-1]["ok"] is True
+
+    def test_a_chain_probability_that_underflows_is_skipped(
+            self, capsys, monkeypatch, tmp_path):
+        """A fresh chain whose product is 0.0 is no chain: the oracle
+        leaves it out, as the engine's chart does."""
+        path = tmp_path / "chain-underflow.psdg"
+        path.write_text(CHAIN_UNDERFLOW_TEXT)
+        code, out, err = run(capsys, ["oracle-check", str(path)],
+                             obs_line(1, {"f": ["a"]}) + "\n", monkeypatch)
         assert (code, err) == (0, "")
         assert json_lines(out)[-1]["ok"] is True
 

@@ -593,7 +593,96 @@ class TestConditionalProductionGivenSymbol:
             conditional_production_given_symbol(belief, 3, (2, 1), "C", (0,))
 
 
+def _zero_mass(b):
+    row = next(iter(b.chart.values()))
+    row[next(iter(row))] = 0.0
+
+
+def _negative_mass(b):
+    row = max(b.chart.values(), key=len)
+    first, second = list(row)[:2]
+    row[second] += row[first] + 0.01
+    row[first] = -0.01
+
+
+def _mass_off(b):
+    row = next(iter(b.chart.values()))
+    row[next(iter(row))] += 0.25
+
+
+def _no_entry_room(b):
+    infer_module.SIZE_CONSTANT = 0
+
+
+def _state_mass_halved(b):
+    b.b_q.update((q, 0.5 * v) for q, v in b.b_q.items())
+
+
+def _symbol_row_over_one(b):
+    b.b_n[next(iter(b.b_n))] += 1.0
+
+
+def _terminal_row_off(b):
+    b.b_sigma[next(iter(b.b_sigma))] += 0.5
+
+
+STATE = r"\(\d+(, \d+)*\)"
+INVARIANT_CASES = {     # corruption: what check_invariants then raises
+    _zero_mass: r"chart holds mass 0\.0",
+    _negative_mass: r"chart holds mass -0\.01",
+    _mass_off: r"chart mass 1\.25\d*",
+    _no_entry_room: r"belief size blew up",
+    _state_mass_halved: r"state mass 0\.5\d*",
+    _symbol_row_over_one: rf"symbol row \(\d+, {STATE}\) sums to [12]\.\d+",
+    _terminal_row_off: rf"terminal row of {STATE} sums to 1\.5\d*",
+}
+
+
+def invariant_failure(corrupt) -> str:
+    """What check_invariants raises on a traffic belief after one vacuous
+    step, once `corrupt` has damaged it; SIZE_CONSTANT is restored after."""
+    g = traffic()
+    _, belief = step(g, init_belief(g), Observation.vacuous(g, 1))
+    belief.check_invariants()
+    size = infer_module.SIZE_CONSTANT
+    try:
+        corrupt(belief)
+        belief.check_invariants()
+    except AssertionError as e:
+        return str(e)
+    finally:
+        infer_module.SIZE_CONSTANT = size
+    return f"{corrupt.__name__} passed the checks"
+
+
 class TestCheckInvariants:
+    @pytest.mark.parametrize("corrupt", list(INVARIANT_CASES),
+                             ids=lambda f: f.__name__.strip("_"))
+    def test_each_check_fires(self, corrupt):
+        assert re.fullmatch(INVARIANT_CASES[corrupt],
+                            invariant_failure(corrupt))
+
+    def test_each_check_fires_under_optimize(self):
+        """The same cases in one `python -O` run: every check is an
+        explicit raise, so none vanishes."""
+        script = """if True:
+            import sys
+            from test_infer import INVARIANT_CASES, invariant_failure
+            if __debug__:
+                sys.exit("not running under -O")
+            for corrupt in INVARIANT_CASES:
+                print(invariant_failure(corrupt))
+        """
+        src = Path(psdg.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-O", "-B", "-c", script], capture_output=True,
+            text=True, env={"PYTHONPATH": f"{src}:{Path(__file__).parent}"})
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == len(INVARIANT_CASES)
+        for pattern, line in zip(INVARIANT_CASES.values(), lines):
+            assert re.fullmatch(pattern, line)
+
     def test_corrupted_belief_raises_under_optimize(self):
         """The checks are explicit raises, so `python -O` keeps them."""
         script = """if True:
@@ -975,6 +1064,8 @@ class TestBranchTable:
         assert len(table.skeletons) == len(table.moves) == len(
             table.skeleton_ids)
         assert any(table.moves)
+        # runs open through the root skeleton, id 0
+        assert table.skeletons[0] == ((), g.start) and table.moves[0]
         for sid, (skeleton, by_state) in enumerate(zip(table.skeletons,
                                                        table.moves)):
             assert table.skeleton_ids[skeleton] == sid
@@ -1207,25 +1298,21 @@ class TestChartGroups:
                 steps += 1
         assert steps == 11 and gaps == 2
 
-    def test_zero_masses_group_apart(self):
-        """A zero mass (an underflow) joins its state's terminal-None
-        group, so the other groups keep the order of their first positive
-        mass, which the evidence sums follow, and explain leaves it out."""
+    def test_chart_holds_positive_mass_only(self):
+        """Shares that underflow stay out of the chart: on traffic's
+        unobserved run every chart and completed mass is positive and no
+        row is empty, up to belief time 1029, where the chart empties."""
         g = traffic()
         belief = init_belief(g)
-        q, row = next((q, row) for q, row in belief.chart.items()
-                      if len({e.leaf for e in row}) > 1)
-        first = next(iter(row))
-        row[first] = 0.0
-        groups = infer_module._Groups(branch_table(g), belief.chart)
-        want = []
-        for q2, r in belief.chart.items():
-            want += dict.fromkeys((q2, e.leaf) for e, m in r.items() if m > 0)
-        assert [(s, x) for s, x in zip(groups.states, groups.leaves)
-                if x is not None] == want
-        assert (q, None) in zip(groups.states, groups.leaves)
-        assert list(explain(g, belief, Observation.vacuous(g, 1)).transitions
-                    ) == want
+        while True:
+            assert all(belief.chart.values())
+            assert all(m > 0.0 for row in belief.chart.values()
+                       for m in row.values())
+            assert all(c > 0.0 for c in belief.completed.values())
+            if not belief.chart:
+                break
+            _, belief = step(g, belief, Observation.vacuous(g, belief.time))
+        assert belief.time == 1029
 
 
 class TestLazyTables:
