@@ -210,10 +210,6 @@ class ProbabilityFunction:
                 return value
         return self.default
 
-    def scope(self) -> frozenset[int]:
-        """Feature indices the value can depend on."""
-        return frozenset(f for guard, _ in self.rules for f, _ in guard)
-
 
 @dataclass(frozen=True)
 class Production:
@@ -225,7 +221,13 @@ class Production:
 
 
 class Psdg:
-    """A validated grammar.  Treat as immutable after construction."""
+    """A validated grammar.  Treat as immutable after construction.
+
+    Guards read a state only through `feature in {...}` tests, so values
+    that every test on their feature treats alike form a class, named by
+    its least value in `guard_classes`; a state's guard cell, on whose
+    states every production evaluates alike, is named by its least state.
+    """
 
     def __init__(
         self,
@@ -253,6 +255,11 @@ class Psdg:
         self.depth = depth
         self.max_rhs = max(len(p.rhs) for p in productions)
         self.state_count = math.prod(len(f.values) for f in features)
+        self.guard_classes = tuple(
+            _least_alike(len(f.values), [vals for p in productions
+                                         for guard, _ in p.prob.rules
+                                         for g, vals in guard if g == fi])
+            for fi, f in enumerate(features))
 
     def is_terminal(self, sym: str) -> bool:
         return sym in self.terminal_set
@@ -260,6 +267,10 @@ class Psdg:
     def production(self, index: int) -> Production:
         """The production with this index; KeyError for an unknown one."""
         return self._by_index[index]
+
+    def guard_cell(self, idx: tuple[int, ...]) -> tuple[int, ...]:
+        """The least state of the guard cell holding state `idx`."""
+        return tuple(least[v] for least, v in zip(self.guard_classes, idx))
 
     def state_from_labels(self, mapping: dict[str, str]) -> StatePoint:
         idx = []
@@ -285,6 +296,14 @@ class Psdg:
             "max_rhs": self.max_rhs,
             "states": self.state_count,
         }
+
+
+def _least_alike(n: int, tests) -> tuple[int, ...]:
+    """For each of values 0..n-1, the least value that is in exactly the
+    same value sets of `tests`."""
+    first: dict[tuple, int] = {}
+    return tuple(first.setdefault(tuple(v in t for t in tests), v)
+                 for v in range(n))
 
 
 def _as_idx(state) -> tuple[int, ...]:
@@ -534,24 +553,27 @@ def validate_grammar(raw: RawGrammar) -> tuple[Psdg | None, list[Diagnostic]]:
     if rowless:
         return None, rowless
 
-    # CPT coverage and compilation: every (parent combo, terminal) must
-    # match a row, and the first match is stored as the table entry.
+    # CPT compilation: rows in order fill the (parent combo, terminal)
+    # pairs they cover that no earlier row did, so each table entry is
+    # the first matching row; pairs left uncovered are reported in combo
+    # order, then terminal order.
     features = []
     for f, pidx, rows in resolved:
         slot_key = _key_getter(range(len(pidx)))
         table: dict[str, dict] = {term: {} for term in terminals}
         domains = [range(len(raw.features[pi].values)) for pi in pidx]
+        for row in rows:
+            keys = [slot_key(combo) for combo in itertools.product(*(
+                dom if pv is None else (pv,)
+                for dom, pv in zip(domains, row.parent_values)))]
+            for term in terminals if row.terminal is None else (row.terminal,):
+                fill = table[term].setdefault
+                for key in keys:
+                    fill(key, row.probs)
         for combo in itertools.product(*domains):
             key = slot_key(combo)
             for term in terminals:
-                for row in rows:
-                    if row.terminal is not None and row.terminal != term:
-                        continue
-                    if all(pv is None or pv == combo[s]
-                           for s, pv in enumerate(row.parent_values)):
-                        table[term][key] = row.probs
-                        break
-                else:
+                if key not in table[term]:
                     vals = ", ".join(
                         f"{raw.features[pi].name}={raw.features[pi].values[c]}"
                         for pi, c in zip(pidx, combo))
@@ -592,14 +614,22 @@ def validate_grammar(raw: RawGrammar) -> tuple[Psdg | None, list[Diagnostic]]:
             + " -> ".join(_find_level_cycle(by_lhs))))
         return None, diags
 
-    # Normalization of production probabilities for every state.  The
-    # functions read only their guard scopes, so the scope features alone
-    # (the rest pinned to value 0) cover every distinct value, and the
-    # first failure found is the lexicographically least failing state.
+    # Normalization of production probabilities for every state.  A
+    # function reads a state only through its guards, so the least state
+    # of each guard cell stands for the whole cell; features no guard of
+    # the nonterminal tests stay pinned to value 0.  Cells are visited in
+    # order of their least states, and any failing state's cell has a
+    # least state no greater, so the first failure found is the
+    # lexicographically least failing state.
+    lv = {nt: tuple(sorted(levels.get(nt, set()))) for nt in nonterminals}
+    psdg = Psdg(features, raw.start, tuple(productions), terminals,
+                nonterminals, lv, max_level)
     for nt in nonterminals:
         funcs = [prod.prob for prod in by_lhs[nt]]
-        scope = frozenset().union(*(f.scope() for f in funcs))
-        for idx in _scoped_states(features, scope):
+        scope = {fi for fn in funcs for guard, _ in fn.rules for fi, _ in guard}
+        for idx in itertools.product(*(
+                sorted(set(least)) if fi in scope else (0,)
+                for fi, least in enumerate(psdg.guard_classes))):
             s = sum(f.evaluate(idx) for f in funcs)
             if abs(s - 1.0) > NORMALIZATION_TOL:
                 labels = ", ".join(f"{f.name}={f.values[v]}"
@@ -610,16 +640,7 @@ def validate_grammar(raw: RawGrammar) -> tuple[Psdg | None, list[Diagnostic]]:
                 break
     if diags:
         return None, diags
-
-    lv = {nt: tuple(sorted(levels.get(nt, set()))) for nt in nonterminals}
-    return Psdg(features, raw.start, tuple(productions), terminals,
-                nonterminals, lv, max_level), []
-
-
-def _scoped_states(features, scope: frozenset[int]):
-    ranges = [range(len(f.values)) if i in scope else (0,)
-              for i, f in enumerate(features)]
-    return itertools.product(*ranges)
+    return psdg, []
 
 
 def _check_distribution(diags, probs, what, line, column):

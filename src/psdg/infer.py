@@ -83,19 +83,20 @@ class BranchTable:
     Skeleton 0 (`_ROOT`) is ((), start), which opens every run; each other
     skeleton gets the next id when its first entry is compiled:
     `skeletons[i]` is skeleton i, and `moves[i]` maps a new state to the
-    branches skeleton i leads to there.  An entry holds only
-    that id; the table holds the skeleton.  `chains` holds the fresh
-    expansions of each (symbol, state) as a (tails, probabilities) pair,
-    whose probability tuple every move into them shares.  An entry keeps
-    only its production key ids: key k stands for `slots[k]`, a (level,
-    (a, b)) pair, and implies `implied[k]`, its lhs, the terminal under its
-    cursor or None (only the deepest frame's cursor sits on one), and
-    whether the cursor is on the production's last rhs symbol.  A level
-    terminates when its frame and every frame below it have that last
-    fact, so symbol, terminal and termination tables all derive from the
-    keys.  Entries hold ids, never the move dicts, so the table has no
-    reference cycle; it holds no reference to its grammar either, so the
-    two die together by reference counting.
+    branches skeleton i leads to there.  An entry holds only that id; the
+    table holds the skeleton.  `chains` holds the fresh expansions of each
+    (symbol, guard cell), which every state of the cell shares, as a
+    (tails, probabilities) pair whose probability tuple every move into
+    them shares.  An entry keeps only its production key ids: key k
+    stands for `slots[k]`, a (level, (a, b)) pair, and implies
+    `implied[k]`, its lhs, the terminal under its cursor or None (only the
+    deepest frame's cursor sits on one), and whether the cursor is on the
+    production's last rhs symbol.  A level terminates when its frame and
+    every frame below it have that last fact, so symbol, terminal and
+    termination tables all derive from the keys.  Entries hold ids, never
+    the move dicts, so the table has no reference cycle; it holds no
+    reference to its grammar either, so the two die together by
+    reference counting.
     """
 
     def __init__(self, psdg: Psdg):
@@ -137,11 +138,11 @@ class BranchTable:
         hit = by_state.get(state)
         if hit is None:
             kept, fresh_symbol = self.skeletons[skeleton_id]
-            chains = _NO_CHAIN if fresh_symbol is None else \
-                self.chains.get((fresh_symbol, state))
+            chains = _NO_CHAIN if fresh_symbol is None else self.chains.get(
+                key := (fresh_symbol, psdg.guard_cell(state)))
             if chains is None:
                 found = enumerate_chains(psdg, fresh_symbol, state)
-                chains = self.chains[fresh_symbol, state] = (
+                chains = self.chains[key] = (
                     tuple(chain for chain, _ in found),
                     tuple(p for _, p in found))
             tails, probs = chains

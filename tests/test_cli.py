@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -556,7 +557,8 @@ class TestOracleCheck:
                 [sys.executable, "-m", "psdg", "oracle-check",
                  "src/psdg/data/traffic.psdg", "--corrupt-belief"],
                 input=stdin, capture_output=True, text=True, cwd=root,
-                env={"PYTHONPATH": "src", "PYTHONHASHSEED": seed})
+                env={**os.environ, "PYTHONPATH": "src",
+                     "PYTHONHASHSEED": seed})
             assert proc.returncode == 1, proc.stderr
             errs.add(proc.stderr)
         (err,) = errs
@@ -618,7 +620,7 @@ class TestConsoleScript:
             [sys.executable, "-m", "psdg", "validate",
              "src/psdg/data/traffic.psdg"],
             capture_output=True, text=True, cwd=root,
-            env={"PYTHONPATH": "src"})
+            env={**os.environ, "PYTHONPATH": "src"})
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["states"] == 18
 
@@ -636,7 +638,7 @@ class TestConsoleScript:
             "print('numpy', 'numpy' in sys.modules, file=sys.stderr)\n")
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, cwd=root,
-                              env={"PYTHONPATH": "src"})
+                              env={**os.environ, "PYTHONPATH": "src"})
         assert proc.returncode == 0, proc.stderr
         noted = [line for line in proc.stderr.splitlines()
                  if line.startswith("numpy ")]

@@ -1,20 +1,25 @@
 """Model layer: probability functions, state sets, validation."""
 import itertools
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (build, feature, production, single_production_grammar,
-                     traffic, unit_feature)
+from helpers import (TRAFFIC_PATH, build, feature, production,
+                     single_production_grammar, traffic, unit_feature)
 import psdg.grammar as grammar_module
 from psdg.errors import GrammarError, SetTooLarge
-from psdg.grammar import (StatePoint, StateSet, _feature_transition,
-                          enumerate_states, prior_probability,
-                          production_probability, transition_probability,
-                          validate_grammar, RawGrammar)
-from psdg.parse import validate_text
+from psdg.grammar import (ProbabilityFunction, StatePoint, StateSet,
+                          _feature_transition, enumerate_states,
+                          prior_probability, production_probability,
+                          transition_probability, validate_grammar,
+                          RawGrammar)
+from psdg.parse import load_file, validate_text
+
+GOLDEN_FACTORED_STATE = (Path(__file__).parent / "golden"
+                         / "factored-state.psdg")
 
 
 def two_flip_features():
@@ -28,6 +33,74 @@ def two_flip_features():
         (["m1"], "*", [0.5, 0.5]),
     ])
     return build([f1, f2], [production(0, "S", ["a"])], "S")
+
+
+def full_product_witnesses(features, prods):
+    """Per nonterminal, in name order, the NormalizationViolation message
+    for the first failing state of a loop over the full state product."""
+    def evaluate(p, state):
+        for rule in p.rules:
+            if all(state[f] in vals for f, vals in rule.guard):
+                return rule.value
+        return p.default
+
+    names = [f.name for f in features]
+    want = []
+    for nt in sorted({p.lhs for p in prods}):
+        for combo in itertools.product(*(f.values for f in features)):
+            state = dict(zip(names, combo))
+            s = sum(evaluate(p, state) for p in prods if p.lhs == nt)
+            if abs(s - 1.0) > 1e-9:
+                labels = ", ".join(f"{n}={state[n]}" for n in names)
+                want.append(f"productions of {nt!r} sum to {s:.12g} "
+                            f"at state ({labels})")
+                break
+    return want
+
+
+@st.composite
+def guarded_grammars(draw):
+    """1-3 features of 1-5 values, and S -> s0 A | s1 | ..., A -> t0 | ...
+    whose productions carry 0-3 random guard rules each; rule values are
+    drawn so that the sums sometimes fail to reach one."""
+    features = []
+    for i in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 5))
+        features.append(feature(f"f{i}", [f"v{j}" for j in range(n)],
+                                [1.0 / n] * n))
+
+    def guard():
+        tests = []
+        for _ in range(draw(st.integers(1, 2))):
+            f = draw(st.sampled_from(features))
+            vals = draw(st.sets(st.sampled_from(f.values), min_size=1))
+            tests.append((f.name, sorted(vals)))
+        return tests
+
+    prods = []
+    for lhs, term in (("S", "s"), ("A", "t")):
+        k = draw(st.integers(1, 3))
+        values = st.sampled_from([0.0, 1.0 / k, 0.5, 1.0])
+        for j in range(k):
+            rhs = ["s0", "A"] if lhs == "S" and j == 0 else [f"{term}{j}"]
+            rules = [(guard(), draw(values))
+                     for _ in range(draw(st.integers(0, 3)))]
+            prods.append(production(len(prods), lhs, rhs, rules=rules,
+                                    default=1.0 / k))
+    return features, prods
+
+
+@st.composite
+def random_cpt_rows(draw):
+    """Parents: one or both of a (a0, a1) and b (1-3 values), in either
+    order; 0-5 rows for a with wildcards, each its own distribution."""
+    domains = {"a": ["a0", "a1"],
+               "b": [f"b{j}" for j in range(draw(st.integers(1, 3)))]}
+    parents = draw(st.permutations(["a", "b"]))[:draw(st.integers(1, 2))]
+    rows = [([draw(st.sampled_from(["*"] + domains[p])) for p in parents],
+             draw(st.sampled_from(["*", "x", "y"])), [i / 8, 1 - i / 8])
+            for i in range(draw(st.integers(0, 5)))]
+    return domains, parents, rows
 
 
 class TestValidate:
@@ -118,27 +191,27 @@ class TestValidate:
                        default=0.75),
         ]
         _, diags = validate_grammar(RawGrammar(features, prods, "S"))
-
-        def evaluate(p, state):
-            for rule in p.rules:
-                if all(state[f] in vals for f, vals in rule.guard):
-                    return rule.value
-            return p.default
-
-        names = [f.name for f in features]
-        want = []
-        for nt in sorted({p.lhs for p in prods}):
-            for combo in itertools.product(*(f.values for f in features)):
-                state = dict(zip(names, combo))
-                s = sum(evaluate(p, state) for p in prods if p.lhs == nt)
-                if abs(s - 1.0) > 1e-9:
-                    labels = ", ".join(f"{n}={state[n]}" for n in names)
-                    want.append(f"productions of {nt!r} sum to {s:.12g} "
-                                f"at state ({labels})")
-                    break
+        want = full_product_witnesses(features, prods)
         assert len(want) == 2
         assert [d.message for d in diags
                 if d.kind == "NormalizationViolation"] == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(guarded_grammars())
+    def test_cell_witness_equals_full_product_on_random_guards(self, drawn):
+        """Random guards over 1-3 features of 1-5 values: the per-cell
+        check reports what a loop over the full product reports, and each
+        state evaluates like the least state of its guard cell."""
+        features, prods = drawn
+        g, diags = validate_grammar(RawGrammar(features, prods, "S"))
+        assert [d.message for d in diags] == \
+            full_product_witnesses(features, prods)
+        if g is not None:
+            for q in enumerate_states(g):
+                cell = g.guard_cell(q)
+                assert g.guard_cell(cell) == cell
+                assert [p.prob.evaluate(q) for p in g.productions] == \
+                    [p.prob.evaluate(cell) for p in g.productions]
 
     def test_production_indices_may_have_gaps(self):
         g = build([unit_feature()],
@@ -322,12 +395,78 @@ class TestCompiledTables:
             ("BadDistribution", "feature 'a' has no CPT row for "
                                 "(a=a1, b=b0) with terminal 'x'")]
 
+    @settings(max_examples=150, deadline=None)
+    @given(random_cpt_rows())
+    def test_table_and_gaps_equal_first_match_walk_on_random_rows(
+            self, drawn):
+        """Random rows with wildcards: the compiled table holds the first
+        matching row of each (parent combo, terminal), and the pairs no
+        row matches are diagnosed in combo order, then terminal order."""
+        domains, parents, rows = drawn
+        a = feature("a", domains["a"], [0.5, 0.5], parents=parents,
+                    cpt=rows)
+        b = feature("b", domains["b"], [1.0 / len(domains["b"])]
+                    * len(domains["b"]))
+        prods = [production(0, "S", ["x"], default=0.5),
+                 production(1, "S", ["y"], default=0.5)]
+        g, diags = validate_grammar(RawGrammar([a, b], prods, "S"))
+        want, first = [], {}
+        for combo in itertools.product(*(domains[p] for p in parents)):
+            for term in ("x", "y"):
+                first[combo, term] = next(
+                    (tuple(probs) for pv, t, probs in rows
+                     if t in ("*", term)
+                     and all(v in ("*", c) for v, c in zip(pv, combo))),
+                    None)
+                if first[combo, term] is None:
+                    labels = ", ".join(f"{p}={c}"
+                                       for p, c in zip(parents, combo))
+                    want.append(f"feature 'a' has no CPT row for "
+                                f"({labels}) with terminal {term!r}")
+        assert [d.message for d in diags] == want
+        if g is not None:
+            for (combo, term), probs in first.items():
+                prev = [0, 0]
+                for p, c in zip(parents, combo):
+                    prev["ab".index(p)] = domains[p].index(c)
+                assert _feature_transition(g, 0, tuple(prev), term) == probs
+
     def test_unknown_terminal_rejected(self):
         g = traffic()
         q = enumerate_states(g)[0]
         for bad in ("nope", "Drive", "*"):
             with pytest.raises(ValueError):
                 transition_probability(g, q, bad, q)
+
+
+class TestGuardCells:
+    def test_validation_evaluates_once_per_cell(self, monkeypatch):
+        """factored-state has 512 states in 18 guard cells (3 pos, 3 speed
+        and 2 progress classes) and 6 productions, all of one lhs."""
+        calls = []
+        evaluate = ProbabilityFunction.evaluate
+        monkeypatch.setattr(ProbabilityFunction, "evaluate",
+                            lambda f, idx: calls.append(idx)
+                            or evaluate(f, idx))
+        g = load_file(GOLDEN_FACTORED_STATE)
+        assert len(calls) <= 18 * 6
+        assert len({g.guard_cell(q) for q in enumerate_states(g)}) == 18
+
+    @pytest.mark.parametrize("path, cells, classes", [
+        (TRAFFIC_PATH, 12, 12), (GOLDEN_FACTORED_STATE, 18, 8)])
+    def test_states_of_a_cell_evaluate_alike(self, path, cells, classes):
+        """Every production evaluates alike on the states of one guard
+        cell.  The converse need not hold: on factored-state the
+        `progress in {g3}` rules come first and shadow the pos and speed
+        tests, so 18 cells share 8 probability vectors."""
+        g = load_file(path)
+        by_cell = {}
+        for q in enumerate_states(g):
+            by_cell.setdefault(g.guard_cell(q), set()).add(
+                tuple(p.prob.evaluate(q) for p in g.productions))
+        assert all(len(values) == 1 for values in by_cell.values())
+        assert len(by_cell) == cells
+        assert len(set.union(*by_cell.values())) == classes
 
 
 class TestPriorProbability:

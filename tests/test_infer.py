@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -708,7 +709,8 @@ class TestCheckInvariants:
         src = Path(psdg.__file__).resolve().parents[1]
         proc = subprocess.run([sys.executable, "-O", "-c", script],
                               capture_output=True, text=True,
-                              env={"PYTHONPATH": str(src)})
+                              env={**os.environ,
+                                   "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr
         mass, terminal = proc.stdout.splitlines()
         assert mass.startswith("state mass ")
@@ -777,7 +779,8 @@ class TestCheckInvariants:
         src = Path(psdg.__file__).resolve().parents[1]
         proc = subprocess.run([sys.executable, "-O", "-c", script],
                               capture_output=True, text=True,
-                              env={"PYTHONPATH": str(src)})
+                              env={**os.environ,
+                                   "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr
         halved, negative, nan = proc.stdout.splitlines()
         assert halved.startswith("chart mass ")
@@ -1192,10 +1195,10 @@ class TestBranchTable:
 
     def test_table_shares_skeletons_and_chain_probabilities(self):
         """The table holds one tuple per distinct skeleton, every move into
-        one (symbol, state)'s fresh chains holds that pair's probability
-        tuple, and an entry's key tuple holds one production key per level,
-        whose implied facts give each level's symbol and the terminating
-        levels, so building the table leaves few objects alive."""
+        one (symbol, guard cell)'s fresh chains holds that pair's
+        probability tuple, and an entry's key tuple holds one production
+        key per level, whose implied facts give each level's symbol and the
+        terminating levels, so building the table leaves few objects alive."""
         g = load_file(GOLDEN_DEEP_PLANS)
         belief = init_belief(g)
         for obs in sampled_stream(g, 5, 6):
@@ -1210,9 +1213,28 @@ class TestBranchTable:
         for (_, fresh_symbol), by_state in zip(table.skeletons, table.moves):
             for q2, (_, probs) in by_state.items():
                 if fresh_symbol is not None:
-                    assert probs is table.chains[fresh_symbol, q2][1]
+                    assert probs is \
+                        table.chains[fresh_symbol, g.guard_cell(q2)][1]
                     fresh += 1
         assert fresh > len(table.chains)
+
+    def test_chains_enumerated_once_per_symbol_and_guard_cell(
+            self, monkeypatch):
+        """States of one guard cell share their fresh chains, so over a
+        factored-state run (512 states in 18 cells, one nonterminal) each
+        (symbol, cell) is expanded at most once."""
+        g = load_file(GOLDEN_FACTORED_STATE)
+        expanded = []
+
+        def counted(psdg, symbol, state):
+            expanded.append((symbol, psdg.guard_cell(state)))
+            return enumerate_chains(psdg, symbol, state)
+
+        monkeypatch.setattr(infer_module, "enumerate_chains", counted)
+        belief = init_belief(g)
+        for obs in sampled_stream(g, 7, 6):
+            _, belief = step(g, belief, obs)
+        assert len(expanded) == len(set(expanded)) <= 18
 
     def test_explain_keeps_no_object_per_live_branch(self):
         """explain allocates nothing that lives across the call per live

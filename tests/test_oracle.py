@@ -2,6 +2,7 @@
 import dataclasses
 import itertools
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -253,7 +254,8 @@ class TestMalformedParseTree:
         src = Path(psdg.__file__).resolve().parents[1]
         proc = subprocess.run([sys.executable, "-O", "-c", script],
                               capture_output=True, text=True,
-                              env={"PYTHONPATH": str(src)})
+                              env={**os.environ,
+                                   "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr
         assert len(proc.stdout.splitlines()) == 4
 
