@@ -27,8 +27,7 @@ from .generate import observation_json_lines, sample_trajectory, \
 from .grammar import Psdg
 from .infer import (DEFAULT_SUPPORT_BOUND, BeliefState, Observation,
                     init_belief, recognize)
-from .oracle import (compare_reports, enumerate_joint, pcfg_text,
-                     reference_reports, to_pcfg)
+from .oracle import compare_reports, pcfg_text, streamed_reports, to_pcfg
 from .parse import load_text, validate_text
 
 ORACLE_TOL = 1e-9
@@ -167,9 +166,7 @@ def _skewed_belief(*args) -> BeliefState:
 def cmd_oracle_check(args) -> int:
     psdg = _read_grammar(args.grammar)
     observations = list(_read_observations(psdg, sys.stdin))
-    last = observations[-1].time if observations else 0
-    joint = enumerate_joint(psdg, max(last + 1, 1))
-    want = reference_reports(psdg, joint, observations)
+    want = streamed_reports(psdg, observations)
     start = _skewed_belief if args.corrupt_belief else init_belief
     got = [report.to_dict(psdg) for report in recognize(
         psdg, observations, args.support_bound, start=start)]

@@ -37,7 +37,7 @@ class TimeStep:
     state: StatePoint   # state after the terminal was emitted
 
 
-@dataclass
+@dataclass(slots=True)
 class Trajectory:
     initial_state: StatePoint
     steps: tuple[TimeStep, ...] = ()

@@ -1,9 +1,11 @@
 """Brute-force ground truth for small grammars.
 
 Everything here trades efficiency for obvious correctness: the joint
-distribution over parse prefixes and state sequences is materialized by
-exhaustive enumeration, and posteriors are computed by filtering that
-table.  The recognition engine is validated against these numbers.
+distribution over parse prefixes and state sequences is walked by
+exhaustive enumeration, one run at a time, and posteriors are sums over
+the runs that pass the evidence.  Reference reports read the walk once
+and keep no table; `enumerate_joint` collects it for callers that need
+one.  The recognition engine is validated against these numbers.
 
 The module also builds the state-annotated context-free grammar that is
 distribution-equivalent to a given state-dependent grammar over complete
@@ -15,8 +17,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from .errors import (ExplosionBound, InvalidTrajectory, UnknownProduction,
                      ZeroEvidenceMass)
@@ -31,13 +34,13 @@ if TYPE_CHECKING:
     import numpy as np
 
 PCFG_BOUND = 10**7      # to_pcfg's cap on tuple symbols
-# enumerate_joint's cap on walk nodes plus table rows.  The traffic table
-# at horizon 4 (183,982 rows) holds 330 bytes per row by tracemalloc, so
-# the table stays well under 1 GB at the bound.
+# joint_runs' cap on walk nodes plus yielded rows: it bounds the walk's
+# time, and the memory of a table collected from it (the traffic table at
+# horizon 4, 183,982 rows, holds 330 bytes per row by tracemalloc).
 DEFAULT_JOINT_BOUND = 2 * 10**6
 
 
-@dataclass
+@dataclass(slots=True)
 class JointEntry:
     trajectory: Trajectory
     prob: float
@@ -65,23 +68,24 @@ def _transition_options(psdg: Psdg, prev: tuple[int, ...], terminal: str
             yield tuple(v for v, _ in combo), p
 
 
-def enumerate_joint(psdg: Psdg, horizon: int,
-                    bound: int = DEFAULT_JOINT_BOUND) -> JointTable:
-    """Materialize every positive-probability execution of length <= horizon.
+def joint_runs(psdg: Psdg, horizon: int, bound: int = DEFAULT_JOINT_BOUND,
+               initial: Optional[StateSet] = None) -> Iterator[JointEntry]:
+    """Every positive-probability execution of length <= horizon, one row
+    at a time, depth first.
 
     Completion is absorbing: a run whose root terminates at t < horizon is
-    stored once, with length t.  Runs still alive at the horizon are stored
-    as length-horizon prefixes.  Raises ExplosionBound when walk nodes plus
-    table rows grow past `bound`, so the bound caps memory too.
+    yielded once, with length t.  Runs still alive at the horizon are
+    yielded as length-horizon prefixes.  `initial` (a t=0 constraint)
+    skips the initial states outside it.  Raises ExplosionBound when walk
+    nodes plus yielded rows grow past `bound`.
 
     The walk meets the same (state, terminal) transitions, (symbol, state)
     chains, stacks and (stack, state) time steps over and over; each is
-    computed once per call by a `functools.cache` function that dies with
-    the call.  Rows share their TimeStep and StatePoint objects.
+    computed once per walk by a `functools.cache` function that dies with
+    it.  Rows share their TimeStep and StatePoint objects.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    entries: list[JointEntry] = []
     count = 0
 
     @functools.cache
@@ -126,26 +130,32 @@ def enumerate_joint(psdg: Psdg, horizon: int,
             lp = logp + log_tp
             if complete_here or t == horizon:
                 count_one()
-                traj = Trajectory(q0, steps2, complete=complete_here)
-                entries.append(JointEntry(traj, math.exp(lp), lp))
+                traj = Trajectory(q0, steps2, complete_here)
+                yield JointEntry(traj, math.exp(lp), lp)
             else:
                 kept, fresh_symbol = skeleton
                 if fresh_symbol is None:
-                    walk(q0, steps2, kept, q, lp, t + 1)
+                    yield from walk(q0, steps2, kept, q, lp, t + 1)
                 else:
                     for chain, log_cp in fresh_chains(fresh_symbol, q):
-                        walk(q0, steps2, kept + chain, q, lp + log_cp, t + 1)
+                        yield from walk(q0, steps2, kept + chain, q,
+                                        lp + log_cp, t + 1)
 
     for q0_idx in enumerate_states(psdg):
         p0 = prior_probability(psdg, q0_idx)
-        if p0 <= 0.0:
+        if p0 <= 0.0 or (initial is not None and q0_idx not in initial):
             continue
         for chain, cp in enumerate_chains(psdg, psdg.start, q0_idx):
-            walk(StatePoint(q0_idx), (), chain, q0_idx,
-                 math.log(p0) + math.log(cp), 1)
+            yield from walk(StatePoint(q0_idx), (), chain, q0_idx,
+                            math.log(p0) + math.log(cp), 1)
 
-    total = math.fsum(e.prob for e in entries)
-    return JointTable(psdg, horizon, entries, total)
+
+def enumerate_joint(psdg: Psdg, horizon: int,
+                    bound: int = DEFAULT_JOINT_BOUND) -> JointTable:
+    """The rows of `joint_runs` collected into a table, in walk order."""
+    entries = list(joint_runs(psdg, horizon, bound))
+    return JointTable(psdg, horizon, entries,
+                      math.fsum(e.prob for e in entries))
 
 
 ### Queries against the table.
@@ -177,10 +187,6 @@ def state_at(traj: Trajectory, t: int) -> tuple[int, ...]:
     raise ValueError(f"time {t} is beyond the enumerated horizon")
 
 
-def _satisfies_state(traj: Trajectory, t: int, value) -> bool:
-    return _state_matches(state_at(traj, t), value)
-
-
 def _state_matches(q: tuple[int, ...], value) -> bool:
     if isinstance(value, StateSet):
         return q in value
@@ -192,7 +198,7 @@ def _state_matches(q: tuple[int, ...], value) -> bool:
 def query_holds(psdg: Psdg, traj: Trajectory, query: Query) -> bool:
     k = query.kind
     if k == "state":
-        return _satisfies_state(traj, query.time, query.value)
+        return _state_matches(state_at(traj, query.time), query.value)
     if k == "completed":
         return traj.complete and len(traj.steps) < query.time
     if query.time > len(traj.steps):
@@ -214,11 +220,6 @@ def query_holds(psdg: Psdg, traj: Trajectory, query: Query) -> bool:
     raise ValueError(f"unknown query kind {k!r}")
 
 
-def _matches_evidence(traj: Trajectory, evidence) -> bool:
-    return all(_satisfies_state(traj, obs.time, obs.constraint)
-               for obs in evidence)
-
-
 def exact_posterior(joint: JointTable, evidence, query: Query) -> float:
     """Pr(query | evidence) by filtering the table.
 
@@ -229,7 +230,8 @@ def exact_posterior(joint: JointTable, evidence, query: Query) -> float:
     ev_mass = 0.0
     q_mass = 0.0
     for entry in joint.entries:
-        if not _matches_evidence(entry.trajectory, evidence):
+        if not all(_state_matches(state_at(entry.trajectory, obs.time),
+                                  obs.constraint) for obs in evidence):
             continue
         ev_mass += entry.prob
         if query_holds(joint.psdg, entry.trajectory, query):
@@ -242,91 +244,122 @@ def exact_posterior(joint: JointTable, evidence, query: Query) -> float:
 ### Reference step reports.
 
 
-def _slice_marginals(psdg: Psdg, alive: list[tuple[Trajectory, float]],
-                     mass: float, t: int) -> dict:
-    """Symbol/production/terminal marginals of slice t, plus completed mass."""
-    symbols: dict[int, dict[str, float]] = {}
-    productions: dict[int, dict[str, float]] = {}
-    terminal: dict[str, float] = {}
-    completed = 0.0
-    # per stack: (symbol sums, lhs, production sums, "a:b") for each level
-    rows: dict[Stack, list] = {}
-    for traj, p in alive:
-        if len(traj.steps) < t:
-            completed += p      # complete runs only; horizon guards the rest
-            continue
-        step = traj.steps[t - 1]
-        levels = rows.get(step.stack)
+class _Slice:
+    """Symbol/production/terminal sums of slice t over the rows handed to
+    `add`, in the order they come, plus the completed mass."""
+
+    def __init__(self, psdg: Psdg, t: int):
+        self.psdg, self.t, self.completed = psdg, t, 0.0
+        self.symbols, self.productions, self.terminal = {}, {}, {}
+        # per stack: (symbol sums, lhs, production sums, "a:b") per level
+        self.rows: dict[Stack, list] = {}
+
+    def add(self, traj: Trajectory, p: float):
+        if len(traj.steps) < self.t:
+            self.completed += p     # only complete runs end before t
+            return
+        step = traj.steps[self.t - 1]
+        levels = self.rows.get(step.stack)
         if levels is None:
-            levels = rows[step.stack] = [
-                (symbols.setdefault(level, {}), psdg.production(a).lhs,
-                 productions.setdefault(level, {}), f"{a}:{b}")
+            levels = self.rows[step.stack] = [
+                (self.symbols.setdefault(level, {}),
+                 self.psdg.production(a).lhs,
+                 self.productions.setdefault(level, {}), f"{a}:{b}")
                 for level, (a, b) in enumerate(step.stack, start=1)]
         for s, symbol, r, key in levels:
             s[symbol] = s.get(symbol, 0.0) + p
             r[key] = r.get(key, 0.0) + p
-        terminal[step.terminal] = terminal.get(step.terminal, 0.0) + p
+        self.terminal[step.terminal] = self.terminal.get(step.terminal, 0.0) + p
 
-    def norm(d):
-        return {k: v / mass for k, v in d.items()}
+    def marginals(self, mass: float) -> dict:
+        def norm(d):
+            return {k: v / mass for k, v in d.items()}
 
-    return {
-        "symbols": {lvl: norm(d) for lvl, d in symbols.items()},
-        "productions": {lvl: norm(d) for lvl, d in productions.items()},
-        "terminal": norm(terminal),
-        "completed": completed / mass,
-    }
+        return {"symbols": {lvl: norm(d) for lvl, d in self.symbols.items()},
+                "productions": {lvl: norm(d)
+                                for lvl, d in self.productions.items()},
+                "terminal": norm(self.terminal),
+                "completed": self.completed / mass}
+
+
+def _reports(psdg: Psdg, runs: Iterable[JointEntry], observations
+             ) -> list[dict]:
+    """Reference reports from one pass over `runs`.  A row adds to
+    observation k's sums, in row order, only if it passes observations
+    1..k; masses are summed by `fsum` at the end.  Each observation tests
+    and renders a state once: a dict maps it to its key, or to None."""
+    times = [obs.time for obs in observations]
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError("observation times must be strictly increasing")
+    # per observation: t, constraint, keys, masses, state sums, slices
+    sums = [(obs.time, obs.constraint, {}, array("d"), {},
+             _Slice(psdg, obs.time), _Slice(psdg, obs.time + 1))
+            for obs in observations]
+    masses = array("d")
+    for entry in runs:
+        traj, p = entry.trajectory, entry.prob
+        masses.append(p)
+        steps = traj.steps
+        for t, constraint, keys, kept, state, explain, predict in sums:
+            # Q^t, frozen after completion (state_at, inlined)
+            q = (steps[min(t, len(steps)) - 1].state.idx if t
+                 else traj.initial_state.idx)
+            key = keys.get(q, False)
+            if key is False:
+                key = keys[q] = psdg.state_key(q) if q in constraint else None
+            if key is None:
+                break
+            kept.append(p)
+            if t:
+                state[key] = state.get(key, 0.0) + p
+                explain.add(traj, p)
+                predict.add(traj, p)
+    reports = []
+    mass = base_mass = math.fsum(masses)
+    for t, *_, kept, state, explain, predict in sums:
+        new_mass = math.fsum(kept)
+        if new_mass <= 0.0:
+            raise ZeroEvidenceMass(
+                f"no enumerated run matches the observation at t={t}")
+        if t == 0:
+            # a restriction of the initial state: rebases the evidence
+            # chain instead of producing a report
+            mass = base_mass = new_mass
+            continue
+        reports.append({
+            "t": t,
+            "evidence_likelihood": new_mass / mass,
+            "log_evidence": math.log(new_mass) - math.log(base_mass),
+            "state": {k: v / new_mass for k, v in state.items()},
+            "explain": explain.marginals(new_mass),
+            "predict": predict.marginals(new_mass),
+        })
+        mass = new_mass
+    return reports
 
 
 def reference_reports(psdg: Psdg, joint: JointTable, observations) -> list[dict]:
     """The exact step reports an ideal recognizer would emit.
 
     One dict per observation, same shape as the engine's report (slice
-    marginals for the observed step, predictions for the next).  The joint
-    horizon must exceed the last observation time so that prediction
-    slices exist in the table.  Each observation's constraint is tested
-    once per distinct state, and each state's report key rendered once, by
-    `functools.cache` functions local to the call.
+    marginals for the observed step, predictions for the next).  The table
+    must reach one step past the last observation, its prediction slice.
     """
-    times = [obs.time for obs in observations]
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("observation times must be strictly increasing")
-    if times and times[-1] + 1 > joint.horizon:
+    if observations and observations[-1].time + 1 > joint.horizon:
         raise ValueError("joint horizon too small for prediction slices")
-    alive = [(e.trajectory, e.prob) for e in joint.entries]
-    mass = math.fsum(p for _, p in alive)
-    reports = []
-    base_mass = mass
-    state_key = functools.cache(psdg.state_key)
-    for obs in observations:
-        member = functools.cache(functools.partial(_state_matches,
-                                                   value=obs.constraint))
-        kept = [(traj, p) for traj, p in alive
-                if member(state_at(traj, obs.time))]
-        new_mass = math.fsum(p for _, p in kept)
-        if new_mass <= 0.0:
-            raise ZeroEvidenceMass(
-                f"no enumerated run matches the observation at t={obs.time}")
-        if obs.time == 0:
-            # a restriction of the initial state: rebases the evidence
-            # chain instead of producing a report
-            alive, mass, base_mass = kept, new_mass, new_mass
-            continue
-        state: dict[str, float] = {}
-        for traj, p in kept:
-            key = state_key(state_at(traj, obs.time))
-            state[key] = state.get(key, 0.0) + p
-        report = {
-            "t": obs.time,
-            "evidence_likelihood": new_mass / mass,
-            "log_evidence": math.log(new_mass) - math.log(base_mass),
-            "state": {k: v / new_mass for k, v in state.items()},
-            "explain": _slice_marginals(psdg, kept, new_mass, obs.time),
-            "predict": _slice_marginals(psdg, kept, new_mass, obs.time + 1),
-        }
-        reports.append(report)
-        alive, mass = kept, new_mass
-    return reports
+    return _reports(psdg, joint.entries, observations)
+
+
+def streamed_reports(psdg: Psdg, observations,
+                     bound: int = DEFAULT_JOINT_BOUND) -> list[dict]:
+    """reference_reports with no table: `joint_runs` feeds the reducer up
+    to the horizon the last prediction slice needs, and a leading t=0
+    observation skips the initial states it excludes."""
+    horizon = observations[-1].time + 1 if observations else 1
+    initial = observations[0].constraint if observations and \
+        observations[0].time == 0 else None
+    return _reports(psdg, joint_runs(psdg, horizon, bound, initial),
+                    observations)
 
 
 def compare_reports(got: dict, want: dict, tol: float = 1e-9

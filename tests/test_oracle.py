@@ -1,25 +1,31 @@
 """Enumeration oracle, exact posteriors, parse trees, PCFG equivalence."""
+import ast
 import dataclasses
 import itertools
+import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from helpers import (ab_grammar, build, feature, forcing_grammar, production,
-                     random_psdg, repeated_child_grammar, sized_random_psdg,
-                     tail_recursive_grammar, traffic, unit_feature)
+                     random_psdg, random_stream, repeated_child_grammar,
+                     sized_random_psdg, tail_recursive_grammar, traffic,
+                     unit_feature)
 import psdg
-from psdg.errors import (ExplosionBound, InvalidTrajectory, UnknownProduction,
-                         ZeroEvidenceMass)
+from psdg.errors import (ExplosionBound, InvalidTrajectory, PsdgError,
+                         UnknownProduction, ZeroEvidenceMass)
 from psdg.generate import Trajectory, sample_trajectory, trajectory_probability
 from psdg.grammar import StateSet
 from psdg.infer import Observation
-from psdg.oracle import (Query, enumerate_joint, exact_posterior, parse_tree,
-                         pcfg_text, pcfg_tree_probability, to_pcfg)
+from psdg.oracle import (DEFAULT_JOINT_BOUND, Query, enumerate_joint,
+                         exact_posterior, parse_tree, pcfg_text,
+                         pcfg_tree_probability, reference_reports,
+                         streamed_reports, to_pcfg)
 
 
 class TestEnumerateJoint:
@@ -77,6 +83,124 @@ class TestEnumerateJoint:
             enumerate_joint(g, horizon=3, bound=6072 + 19350 - 1)
         joint = enumerate_joint(g, horizon=3, bound=6072 + 19350)
         assert len(joint.entries) == 19350
+
+
+def lanes(g, *stream):
+    """Observations from (t, lane) pairs on the traffic grammar."""
+    return [Observation.from_labels(g, t, {"lane": [lane]})
+            for t, lane in stream]
+
+
+def table_reports(g, observations, bound=DEFAULT_JOINT_BOUND):
+    """reference_reports over the whole table, up to the last prediction
+    slice."""
+    joint = enumerate_joint(g, observations[-1].time + 1, bound)
+    return reference_reports(g, joint, observations)
+
+
+def failure(call) -> tuple[type, str]:
+    with pytest.raises(PsdgError) as e:
+        call()
+    return type(e.value), str(e.value)
+
+
+class TestStreamedReports:
+    """`psdg oracle-check` feeds the walk straight to the report reducer;
+    the table path feeds it `enumerate_joint`'s rows.  Both must give the
+    same bytes, dict order included, and the same errors."""
+
+    def test_stream_and_table_give_the_same_bytes(self):
+        restricted = gappy = 0
+        for i in range(30):
+            g, joint = sized_random_psdg(4000 + i, horizon=5,
+                                         max_entries=8000)
+            obs = random_stream(g, joint, 700 + i, max_len=4)
+            times = [o.time for o in obs]
+            restricted += times[0] == 0
+            gappy += times[-1] > len(times) - (times[0] == 0)
+            assert json.dumps(streamed_reports(g, obs)) == \
+                json.dumps(table_reports(g, obs)), i
+        assert restricted and gappy
+
+    def test_errors_match(self):
+        g = traffic()
+        contradictions = [
+            lanes(g, (1, "left-lane"), (2, "right-lane")),
+            [Observation.from_labels(g, 0, {"exit": ["at"]})]
+            + lanes(g, (1, "left-lane")),
+        ]
+        for obs in contradictions:
+            want = failure(lambda: table_reports(g, obs))
+            assert want[0] is ZeroEvidenceMass
+            assert failure(lambda: streamed_reports(g, obs)) == want
+        obs = lanes(g, (1, "right-lane"), (2, "right-lane"))
+        want = failure(lambda: table_reports(g, obs, bound=100))
+        assert want == (ExplosionBound, "joint enumeration exceeded 100 "
+                                        "nodes and rows at horizon 3")
+        assert failure(lambda: streamed_reports(g, obs, bound=100)) == want
+
+    def test_a_leading_restriction_cuts_the_walk(self):
+        """With lane left-lane at t=0, traffic at horizon 3 walks 1820
+        nodes and 5802 rows instead of 6072 and 19350: the same reports
+        fit a bound that the whole table outgrows."""
+        g = traffic()
+        obs = lanes(g, (0, "left-lane"), (1, "left-lane"), (2, "center-lane"))
+        want = json.dumps(table_reports(g, obs))
+        assert json.dumps(streamed_reports(g, obs, bound=1820 + 5802)) == want
+        with pytest.raises(ExplosionBound):
+            streamed_reports(g, obs, bound=1820 + 5802 - 1)
+        with pytest.raises(ExplosionBound):
+            table_reports(g, obs, bound=1820 + 5802)
+
+    def test_the_stream_keeps_no_table(self):
+        g = traffic()
+        obs = lanes(g, (1, "right-lane"), (2, "right-lane"))
+
+        def peak(call) -> int:
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                call()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        table = peak(lambda: table_reports(g, obs))
+        stream = peak(lambda: streamed_reports(g, obs))
+        assert stream * 4 < table, (stream, table)
+
+
+def test_oracle_imports_nothing_from_infer():
+    """The referee shares no code with the engine it judges: no module
+    that oracle.py imports, directly or through another psdg module, is
+    infer.  A name taken from the package itself counts as importing
+    __init__, which imports infer."""
+    src = Path(psdg.__file__).parent
+    seen, todo = set(), ["oracle"]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(ast.parse((src / f"{name}.py").read_text())):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = ".".join(filter(None, ["psdg" * bool(node.level),
+                                                node.module]))
+                mods = ([f"psdg.{a.name}" for a in node.names]
+                        if module == "psdg" else [module])
+            else:
+                continue
+            for mod in mods:
+                top, _, rest = mod.partition(".")
+                if top == "psdg":
+                    part = rest.split(".")[0]
+                    todo.append(part if (src / f"{part}.py").is_file()
+                                else "__init__")
+    assert "infer" not in seen
+    assert {"generate", "grammar", "errors"} <= seen
 
 
 def vacuous(g, t):
