@@ -207,12 +207,20 @@ def cmd_to_pcfg(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    if not (text.isascii() and text.isdigit() and int(text) > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, found {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="psdg",
         description="State-dependent grammar tools: validation, sampling, "
                     "online plan recognition, and exact cross-checks.")
     sub = parser.add_subparsers(dest="command", required=True)
+    support_bound = dict(type=_positive_int, default=DEFAULT_SUPPORT_BOUND)
 
     p = sub.add_parser("validate", help="check a grammar file and print "
                                         "its summary")
@@ -221,9 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="sample trajectories as JSON lines")
     p.add_argument("grammar")
-    p.add_argument("--horizon", type=int, default=10)
+    p.add_argument("--horizon", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_positive_int, default=1)
     p.add_argument("--observations-only", action="store_true",
                    help="emit the state observations instead of the "
                         "full trajectory, for piping into `infer`")
@@ -232,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", help="run recognition over an observation "
                                      "stream from stdin")
     p.add_argument("grammar")
-    p.add_argument("--support-bound", type=int, default=DEFAULT_SUPPORT_BOUND)
+    p.add_argument("--support-bound", **support_bound)
     p.add_argument("--on-zero-evidence", choices=("error", "reinit"),
                    default="error")
     p.set_defaults(func=cmd_infer)
@@ -241,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compare recognition reports against exhaustive "
                             "enumeration")
     p.add_argument("grammar")
-    p.add_argument("--support-bound", type=int, default=DEFAULT_SUPPORT_BOUND)
+    p.add_argument("--support-bound", **support_bound)
     p.add_argument("--corrupt-belief", action="store_true",
                    help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_oracle_check)

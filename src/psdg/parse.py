@@ -22,18 +22,32 @@ step.  CPT rows are matched first to last; `*` is a wildcard for a parent
 value or for the terminal.  Production rule guards are conjunctions and
 are likewise matched first to last, falling through to `default`.
 
+Lexical rules: only `\\n` ends a line.  Space, tab and `\\r` separate
+tokens; any other character outside a comment must belong to a token.  A
+token is `->`, one of `{};:,|&*`, or a word: a run of `[\\w.+-]` (`\\w` is
+`str.isalnum()` or `_`) that stops before `->`, so `a->b` is three tokens.
+
 Symbols never appearing as a left-hand side are terminals.  Numbers are
 plain ASCII, without `_` digit separators.  All errors carry 1-based line
-and column positions.
+and column positions; a column counts code points, and a tab counts as 1.
 """
 from __future__ import annotations
+
+import re
+from bisect import bisect_left
+from itertools import compress, count
 
 from .errors import Diagnostic, GrammarError
 from .grammar import (Psdg, RawCptRow, RawFeature, RawGrammar, RawProduction,
                       RawRule, validate_grammar)
 
-_PUNCT = set("{};:,|&*")
-_WORD_EXTRA = set("_.+-")
+# A word is `(?:[\w.+]|-(?!>))+` unrolled, which reads long numbers twice as
+# fast.  The last branch takes any other character, for the parser to reject.
+_TOKEN = re.compile(
+    r"->|[{};:,|&*]|(?:[\w.+]|-(?!>))[\w.+]*(?:-(?!>)[\w.+]*)*|[^ \t\r]")
+_END = ""                               # stands after the last token
+_NOT_WORDS = frozenset("{};:,|&*") | {"->", _END}
+_NOT_NAMES = _NOT_WORDS - {"*"}         # cpt rows take `*` for a name
 
 
 class _ParseFailure(Exception):
@@ -42,264 +56,242 @@ class _ParseFailure(Exception):
         super().__init__(message)
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind, text, line, column):
-        self.kind = kind        # "word", "arrow", or the punct char itself
-        self.text = text
-        self.line = line
-        self.column = column
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == "-" and i + 1 < n and text[i + 1] == ">":
-            tokens.append(_Token("arrow", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if c in _PUNCT:
-            tokens.append(_Token(c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c.isalnum() or c in _WORD_EXTRA:
-            start, start_col = i, col
-            while i < n:
-                ch = text[i]
-                if ch == "-" and i + 1 < n and text[i + 1] == ">":
-                    break
-                if not (ch.isalnum() or ch in _WORD_EXTRA):
-                    break
-                i += 1
-                col += 1
-            tokens.append(_Token("word", text[start:i], line, start_col))
-            continue
-        raise _ParseFailure(f"unexpected character {c!r}", line, col)
-    return tokens
+def _find(tokens: list[str], k: int, test, step: int = 1) -> int:
+    """Index of the first of tokens[k], tokens[k + step], ... to pass
+    `test`, or one past the end.  (islice would walk from the list's head.)"""
+    while k < len(tokens):
+        for i in compress(count(), map(test, tokens[k:k + 64 * step:step])):
+            return k + step * i
+        k += 64 * step
+    return k
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    """A cursor over a text's tokens, which are plain strings.  `lines[k]`
+    is token k's line; its column is worked out only when asked for."""
+
+    def __init__(self, text: str):
+        self.source = text.split("\n")
+        self.tokens, self.lines = [], []
+        for n, line in enumerate(self.source, 1):
+            found = _TOKEN.findall(line.partition("#")[0])
+            self.tokens += found
+            self.lines += [n] * len(found)
+        # _END sits just past the last token: "" is found where that ends.
+        self.tokens.append(_END)
+        self.lines.append(self.lines[-1] if self.lines else 1)
         self.pos = 0
+        self._starts: dict[int, list[int]] = {}
+        bad = [t for t in set(self.tokens) - _NOT_WORDS if len(t) == 1
+               and not (t.isalnum() or t in "_.+-")]
+        if bad:
+            k = min(map(self.tokens.index, bad))
+            self.fail(f"unexpected character {self.tokens[k]!r}", k)
 
-    def _here(self) -> tuple[int, int]:
-        if self.pos < len(self.tokens):
-            t = self.tokens[self.pos]
-            return t.line, t.column
-        if self.tokens:
-            t = self.tokens[-1]
-            return t.line, t.column + len(t.text)
-        return 1, 1
+    def at(self, k: int) -> tuple[int, int]:
+        """1-based (line, column) of token k."""
+        n = self.lines[k]
+        first = bisect_left(self.lines, n)
+        starts = self._starts.setdefault(n, [])
+        while len(starts) <= k - first:
+            # Only blanks lie between two tokens, so the next occurrence
+            # of a token after the one before it is the token itself.
+            j = first + len(starts)
+            after = starts[-1] + len(self.tokens[j - 1]) if starts else 0
+            starts.append(self.source[n - 1].index(self.tokens[j], after))
+        return n, starts[k - first] + 1
 
-    def fail(self, message: str):
-        line, col = self._here()
-        raise _ParseFailure(message, line, col)
+    def fail(self, message: str, k: int | None = None):
+        raise _ParseFailure(message, *self.at(self.pos if k is None else k))
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def expected(self, what: str):
+        t = self.tokens[self.pos]
+        self.fail(f"expected {what}, found {t!r}" if t else
+                  f"unexpected end of file, expected {what}")
 
-    def next(self, kind: str | None = None, what: str = "") -> _Token:
-        t = self.peek()
-        if t is None:
-            self.fail(f"unexpected end of file{', expected ' + what if what else ''}")
-        if kind is not None and t.kind != kind:
-            self.fail(f"expected {what or kind}, found {t.text!r}")
+    def expect(self, mark: str) -> None:
+        if self.tokens[self.pos] != mark:
+            self.expected(f"'{mark}'")
+        self.pos += 1
+
+    def word(self, what: str) -> str:
+        t = self.tokens[self.pos]
+        if t in _NOT_WORDS:
+            self.expected(what)
         self.pos += 1
         return t
-
-    def accept(self, kind: str) -> _Token | None:
-        t = self.peek()
-        if t is not None and t.kind == kind:
-            self.pos += 1
-            return t
-        return None
-
-    def word(self, what: str) -> _Token:
-        return self.next("word", what)
 
     def number(self, what: str = "a number", kind=float):
         """The next word read by `kind` (float or int).  Python's readers
         also take `_` separators and non-ASCII digits, and int() a leading
         `+`; the format does not."""
+        k = self.pos
         t = self.word(what)
-        try:
-            if "_" in t.text or not t.text.isascii() or \
-                    kind is int and t.text.startswith("+"):
-                raise ValueError
-            return kind(t.text)
-        except ValueError:
-            raise _ParseFailure(f"expected {what}, found {t.text!r}",
-                                t.line, t.column) from None
+        if "_" not in t and t.isascii() and not (kind is int and t[0] == "+"):
+            try:
+                return kind(t)
+            except ValueError:
+                pass
+        self.fail(f"expected {what}, found {t!r}", k)
 
-    def word_list(self) -> list[str]:
-        out = [self.word("a name").text]
-        while self.accept(","):
-            out.append(self.word("a name").text)
+    def items(self) -> list[str]:
+        """The items of the `,`-separated list at the cursor, unchecked;
+        the cursor moves to the token after the list."""
+        start = self.pos
+        self.pos = _find(self.tokens, start + 1, ",".__ne__, 2)
+        return self.tokens[start:self.pos:2]
+
+    def word_list(self, what: str = "a name") -> list[str]:
+        start = self.pos
+        out = self.items()
+        bad = _find(out, 0, _NOT_WORDS.__contains__)
+        if bad < len(out):
+            self.pos = start + 2 * bad
+            self.expected(what)
         return out
 
     def number_list(self) -> list[float]:
+        """Reads a well-formed list in one step, and hands any other to
+        `number`, the one source of number diagnostics."""
+        start = self.pos
+        out = self.items()
+        joined = "".join(out)
+        if "_" not in joined and joined.isascii():
+            try:
+                return list(map(float, out))
+            except ValueError:
+                pass
+        self.pos = start
         out = [self.number()]
-        while self.accept(","):
+        while self.tokens[self.pos] == ",":
+            self.pos += 1
             out.append(self.number())
         return out
 
+    def clauses(self, what: str):
+        """(index, word) heading each clause of a `{...}` body."""
+        self.expect("{")
+        while self.tokens[self.pos] != "}":
+            key = self.pos
+            yield key, self.word(what)
+            if self.tokens[self.pos] == ";":
+                self.pos += 1
+            elif self.tokens[self.pos] != "}":
+                self.fail("expected ';' or '}'")
+        self.pos += 1
+
 
 def _parse_feature(p: _Parser) -> RawFeature:
-    head = p.word("a feature name")
-    feat = RawFeature(head.text, [], [], line=head.line, column=head.column)
-    p.next("{", "'{'")
-    while not p.accept("}"):
-        key = p.word("a feature clause")
-        p.next(":", "':'")
-        if key.text == "values":
+    head = p.pos
+    feat = RawFeature(p.word("a feature name"), [], [])
+    feat.line, feat.column = p.at(head)
+    for key, clause in p.clauses("a feature clause"):
+        p.expect(":")
+        if clause == "values":
             feat.values = p.word_list()
-        elif key.text == "prior":
+        elif clause == "prior":
             feat.prior = p.number_list()
-        elif key.text == "parents":
+        elif clause == "parents":
             feat.parents = p.word_list()
-        elif key.text == "cpt":
+        elif clause == "cpt":
             feat.cpt = feat.cpt if feat.cpt is not None else []
             feat.cpt.append(_parse_cpt_row(p, key))
         else:
-            raise _ParseFailure(f"unknown feature clause {key.text!r}",
-                                key.line, key.column)
-        if not p.accept(";") and (p.peek() is None or p.peek().kind != "}"):
-            p.fail("expected ';' or '}'")
+            p.fail(f"unknown feature clause {clause!r}", key)
     if not feat.values:
-        raise _ParseFailure(f"feature {feat.name!r} has no values clause",
-                            head.line, head.column)
+        p.fail(f"feature {feat.name!r} has no values clause", head)
     if not feat.prior:
-        raise _ParseFailure(f"feature {feat.name!r} has no prior clause",
-                            head.line, head.column)
+        p.fail(f"feature {feat.name!r} has no prior clause", head)
     return feat
 
 
-def _parse_cpt_row(p: _Parser, key: _Token) -> RawCptRow:
+def _parse_cpt_row(p: _Parser, key: int) -> RawCptRow:
     # Either "v1, v2 | terminal -> probs" or "terminal -> probs" (no parents).
-    def name_or_star(what: str) -> str:
-        t = p.peek()
-        if t is not None and t.kind in ("word", "*"):
-            return p.next().text
-        p.fail(f"expected {what}")
-
-    names = [name_or_star("a parent value, '*', or a terminal")]
-    while p.accept(","):
-        names.append(name_or_star("a parent value or '*' after ','"))
-    t = p.peek()
-    if t is not None and t.kind == "|":
-        p.next()
-        terminal = name_or_star("a terminal or '*' after '|'")
-        p.next("arrow", "'->'")
-        return RawCptRow(names, terminal, p.number_list(),
-                         line=key.line, column=key.column)
-    if t is not None and t.kind == "arrow":
-        p.next()
+    start = p.pos
+    names = p.items()
+    bad = _find(names, 0, _NOT_NAMES.__contains__)
+    if bad < len(names):
+        p.pos = start + 2 * bad
+        p.fail("expected a parent value or '*' after ','" if bad else
+               "expected a parent value, '*', or a terminal")
+    if p.tokens[p.pos] == "|":
+        p.pos += 1
+        terminal = p.tokens[p.pos]
+        if terminal in _NOT_NAMES:
+            p.fail("expected a terminal or '*' after '|'")
+        p.pos += 1
+        p.expect("->")
+    elif p.tokens[p.pos] == "->":
+        p.pos += 1
         if len(names) != 1:
-            raise _ParseFailure(
-                "cpt row without '|' must name exactly one terminal",
-                key.line, key.column)
-        return RawCptRow([], names[0], p.number_list(),
-                         line=key.line, column=key.column)
-    p.fail("expected ',', '|' or '->' in cpt row")
+            p.fail("cpt row without '|' must name exactly one terminal", key)
+        names, terminal = [], names[0]
+    else:
+        p.fail("expected ',', '|' or '->' in cpt row")
+    return RawCptRow(names, terminal, p.number_list(), *p.at(key))
 
 
 def _parse_production(p: _Parser) -> RawProduction:
-    head = p.peek()
+    head = p.pos
     index = p.number("a production index", int)
-    p.next(":", "':'")
-    lhs = p.word("a left-hand symbol").text
-    p.next("arrow", "'->'")
-    rhs = []
-    while p.peek() is not None and p.peek().kind == "word":
-        rhs.append(p.next().text)
-    prod = RawProduction(index, lhs, rhs, line=head.line, column=head.column)
-    p.next("{", "'{'")
+    p.expect(":")
+    lhs = p.word("a left-hand symbol")
+    p.expect("->")
+    rhs = p.tokens[p.pos:_find(p.tokens, p.pos, _NOT_WORDS.__contains__)]
+    p.pos += len(rhs)
+    prod = RawProduction(index, lhs, rhs)
+    prod.line, prod.column = p.at(head)
     saw_default = False
-    while not p.accept("}"):
-        key = p.word("'rule' or 'default'")
-        if key.text == "rule":
+    for key, clause in p.clauses("'rule' or 'default'"):
+        if clause == "rule":
             prod.rules.append(_parse_rule(p, key))
-        elif key.text == "default":
-            p.next(":", "':'")
+        elif clause == "default":
+            p.expect(":")
             prod.default = p.number("a probability")
             saw_default = True
         else:
-            raise _ParseFailure(f"expected 'rule' or 'default', found {key.text!r}",
-                                key.line, key.column)
-        if not p.accept(";") and (p.peek() is None or p.peek().kind != "}"):
-            p.fail("expected ';' or '}'")
+            p.fail(f"expected 'rule' or 'default', found {clause!r}", key)
     if not saw_default:
-        raise _ParseFailure(f"production {index} has no default clause",
-                            head.line, head.column)
+        p.fail(f"production {index} has no default clause", head)
     return prod
 
 
-def _parse_rule(p: _Parser, key: _Token) -> RawRule:
+def _parse_rule(p: _Parser, key: int) -> RawRule:
     guard = []
     while True:
-        feat = p.word("a feature name").text
-        kw = p.word("'in'")
-        if kw.text != "in":
-            raise _ParseFailure(f"expected 'in', found {kw.text!r}",
-                                kw.line, kw.column)
-        p.next("{", "'{'")
-        vals = [p.word("a value").text]
-        while p.accept(","):
-            vals.append(p.word("a value").text)
-        p.next("}", "'}'")
-        guard.append((feat, vals))
-        if not p.accept("&"):
+        feat = p.word("a feature name")
+        p.expect("in")
+        p.expect("{")
+        guard.append((feat, p.word_list("a value")))
+        p.expect("}")
+        if p.tokens[p.pos] != "&":
             break
-    p.next(":", "':'")
-    value = p.number("a probability")
-    return RawRule(guard, value, line=key.line, column=key.column)
+        p.pos += 1
+    p.expect(":")
+    return RawRule(guard, p.number("a probability"), *p.at(key))
 
 
 def parse_text(text: str) -> tuple[RawGrammar | None, list[Diagnostic]]:
     """Parse grammar text into raw declarations without validating them."""
     try:
-        tokens = _tokenize(text)
-        p = _Parser(tokens)
-        features: list[RawFeature] = []
-        productions: list[RawProduction] = []
-        start: str | None = None
-        start_line = 0
-        while p.peek() is not None:
-            head = p.word("'feature', 'start' or 'prod'")
-            if head.text == "feature":
+        p = _Parser(text)
+        features, productions = [], []
+        start, start_line = None, 0
+        while p.tokens[p.pos] != _END:
+            head = p.pos
+            decl = p.word("'feature', 'start' or 'prod'")
+            if decl == "feature":
                 features.append(_parse_feature(p))
-            elif head.text == "start":
+            elif decl == "start":
                 if start is not None:
-                    raise _ParseFailure("start symbol declared twice",
-                                        head.line, head.column)
-                t = p.word("a start symbol")
-                start, start_line = t.text, t.line
-            elif head.text == "prod":
+                    p.fail("start symbol declared twice", head)
+                start = p.word("a start symbol")
+                start_line = p.lines[p.pos - 1]
+            elif decl == "prod":
                 productions.append(_parse_production(p))
             else:
-                raise _ParseFailure(
-                    f"expected 'feature', 'start' or 'prod', found {head.text!r}",
-                    head.line, head.column)
+                p.fail("expected 'feature', 'start' or 'prod', "
+                       f"found {decl!r}", head)
         if start is None:
             raise _ParseFailure("no start symbol declared", 1, 1)
         return RawGrammar(features, productions, start, start_line), []

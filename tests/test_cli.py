@@ -597,6 +597,25 @@ class TestToPcfg:
 
 
 class TestMain:
+    @pytest.mark.parametrize("argv, option", [
+        (["sample", "--horizon", "0"], "--horizon"),
+        (["sample", "--horizon", "-1"], "--horizon"),
+        (["sample", "--count", "0"], "--count"),
+        (["sample", "--count", "-1"], "--count"),
+        (["infer", "--support-bound", "0"], "--support-bound"),
+        (["infer", "--support-bound", "-5"], "--support-bound"),
+        (["oracle-check", "--support-bound", "0"], "--support-bound"),
+    ])
+    def test_counts_below_one_are_usage_errors(self, capsys, argv, option):
+        """A horizon, count or support bound below 1 is refused as a usage
+        error naming the option, before any grammar is read."""
+        with pytest.raises(SystemExit) as e:
+            main([argv[0], str(TRAFFIC_PATH), *argv[1:]])
+        err = capsys.readouterr().err
+        assert e.value.code == 2
+        assert f"argument {option}: expected a positive integer" in err
+        assert "Traceback" not in err
+
     def test_memory_error_is_one_line(self, capsys, monkeypatch):
         def exhausted(psdg):
             raise MemoryError

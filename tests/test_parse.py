@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_parse
 from helpers import TRAFFIC_PATH
-from make_golden import token_spans
+from make_golden import GRAMMARS, token_spans
 from psdg.errors import GrammarError
 from psdg.grammar import Psdg
-from psdg.parse import load_file, load_text, parse_text, validate_text
+from psdg.parse import (_Parser, load_file, load_text, parse_text,
+                        validate_text)
 
 MINI = """
 # comment
@@ -202,21 +204,105 @@ def test_arbitrary_text_never_raises(text):
     assert_total(text)
 
 
-@st.composite
-def traffic_mutants(draw):
-    """The bundled grammar with one to three tokens replaced, deleted or
-    given a new token in front."""
-    edits = draw(st.lists(
-        st.tuples(st.sampled_from(_SPANS), st.sampled_from(_WORDS + ("",)),
+def mutants(text, spans=None, words=_WORDS):
+    """`text` with one to three tokens replaced, deleted or given a new
+    token in front."""
+    spans = spans or token_spans(text)
+    edits = st.lists(
+        st.tuples(st.sampled_from(spans), st.sampled_from(words + ("",)),
                   st.booleans()),
-        min_size=1, max_size=3))
-    text = TRAFFIC_TEXT
-    for (start, end), token, insert in sorted(edits, reverse=True):
-        text = text[:start] + f" {token} " + text[start if insert else end:]
-    return text
+        min_size=1, max_size=3)
+
+    def apply(edits):
+        out = text
+        for (start, end), token, insert in sorted(edits, reverse=True):
+            out = out[:start] + f" {token} " + out[start if insert else end:]
+        return out
+    return edits.map(apply)
 
 
 @settings(max_examples=100, deadline=None)
-@given(traffic_mutants())
+@given(mutants(TRAFFIC_TEXT, _SPANS))
 def test_bundled_grammar_mutants_never_raise(text):
     assert_total(text)
+
+
+### Differential net: the parser keeps the frozen reference's output.
+
+# Characters and fragments at the edges of the lexical rules: blanks that
+# are not blanks, line breaks other than `\n`, non-ASCII letters and
+# digits, and arrows glued to words.
+_LEXER_CHARS = ("\r", "\t", "\x0b", "\x0c", "\x85", "\xa0", "\u2028",
+                "\ufeff", "#", "-", ">", "_", ".", "+", ",", "|", "\u00e9",
+                "\u0663", "\u00b2")
+_LEXER_EDGES = _LEXER_CHARS + ("a->b", "-->", "a-", "->", "1", "x", " ", "\n")
+_GRAMMAR_TEXTS = {name: path.read_text(encoding="utf-8")
+                  for name, path in GRAMMARS.items()}
+
+
+def assert_same_as_reference(text: str):
+    """Equal raw declarations, every line and column included, or the same
+    diagnostics.  reprs compare floats so that nan matches nan."""
+    assert repr(parse_text(text)) == repr(reference_parse.parse_text(text))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from(_LEXER_CHARS), max_size=40)
+       | st.lists(st.sampled_from(_LEXER_EDGES + _WORDS),
+                  max_size=60).map("".join)
+       | st.lists(st.sampled_from(_WORDS), max_size=60).map(" ".join),
+       st.booleans())
+def test_arbitrary_text_parses_as_the_reference_does(text, hash_at_eof):
+    assert_same_as_reference(text + "#" * hash_at_eof)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutants(TRAFFIC_TEXT, _SPANS, _WORDS + _LEXER_EDGES)
+       | mutants(_GRAMMAR_TEXTS["factored-state"],
+                 words=_WORDS + _LEXER_EDGES)
+       | mutants(_GRAMMAR_TEXTS["deep-plans"], words=_WORDS + _LEXER_EDGES))
+def test_grammar_mutants_parse_as_the_reference_does(text):
+    assert_same_as_reference(text)
+
+
+@pytest.mark.parametrize("name", sorted(_GRAMMAR_TEXTS))
+def test_golden_grammars_parse_as_the_reference_does(name):
+    assert_same_as_reference(_GRAMMAR_TEXTS[name])
+
+
+@pytest.fixture
+def number_reads(monkeypatch):
+    """The `what` of each call of the per-number reader."""
+    calls = []
+    real = _Parser.number
+
+    def spy(self, what="a number", kind=float):
+        calls.append(what)
+        return real(self, what, kind)
+    monkeypatch.setattr(_Parser, "number", spy)
+    return calls
+
+
+def test_number_lists_are_read_whole(number_reads):
+    """Every prior and cpt list of the factored-state grammar (3,224
+    numbers) is read in one step: the per-number reader sees only the
+    production indices and probabilities."""
+    raw, _ = parse_text(_GRAMMAR_TEXTS["factored-state"])
+    assert sum(len(f.prior) + sum(len(r.probs) for r in f.cpt or ())
+               for f in raw.features) == 3224
+    assert "a number" not in number_reads
+    assert number_reads.count("a production index") == len(raw.productions)
+
+
+@pytest.mark.parametrize("old, new, what", [
+    ("prior: 0.25, 0.75;", "prior: 0.5,, 0.5;", "a number"),
+    ("prior: 0.25, 0.75;", "prior: 0_5, 0.5;", "a number"),
+    ("prod 0:", "prod +1:", "a production index"),
+])
+def test_malformed_numbers_reach_the_per_number_reader(number_reads, old, new,
+                                                       what):
+    text = MINI.replace(old, new, 1)
+    _, diags = parse_text(text)
+    assert diags == reference_parse.parse_text(text)[1]
+    assert diags[0].message.startswith("expected")
+    assert what in number_reads
