@@ -38,6 +38,8 @@ PCFG_BOUND = 10**7      # to_pcfg's cap on tuple symbols
 # time, and the memory of a table collected from it (the traffic table at
 # horizon 4, 183,982 rows, holds 330 bytes per row by tracemalloc).
 DEFAULT_JOINT_BOUND = 2 * 10**6
+# masses `_reports` holds per observation before it folds them (128 KB)
+_MASS_CHUNK = 1 << 14
 
 
 @dataclass(slots=True)
@@ -282,12 +284,24 @@ class _Slice:
                 "completed": self.completed / mass}
 
 
+def _fold(masses: array) -> None:
+    """Replace `masses` by the exact non-overlapping partials of its sum:
+    fsum, then fsum of the residual, until a residual is 0.0.  fsum is
+    correctly rounded, so a later fsum over the partials and more masses
+    equals one over all the masses."""
+    partials = array("d")
+    while total := math.fsum(itertools.chain(masses, (-p for p in partials))):
+        partials.append(total)
+    masses[:] = partials
+
+
 def _reports(psdg: Psdg, runs: Iterable[JointEntry], observations
              ) -> list[dict]:
     """Reference reports from one pass over `runs`.  A row adds to
     observation k's sums, in row order, only if it passes observations
-    1..k; masses are summed by `fsum` at the end.  Each observation tests
-    and renders a state once: a dict maps it to its key, or to None."""
+    1..k; masses are summed by `fsum` at the end, and folded into their
+    exact partials every `_MASS_CHUNK` rows.  Each observation tests and
+    renders a state once: a dict maps it to its key, or to None."""
     times = [obs.time for obs in observations]
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("observation times must be strictly increasing")
@@ -296,9 +310,14 @@ def _reports(psdg: Psdg, runs: Iterable[JointEntry], observations
              _Slice(psdg, obs.time), _Slice(psdg, obs.time + 1))
             for obs in observations]
     masses = array("d")
+    chunk = _MASS_CHUNK
     for entry in runs:
         traj, p = entry.trajectory, entry.prob
         masses.append(p)
+        if len(masses) >= chunk:
+            _fold(masses)
+            for obs in sums:
+                _fold(obs[3])
         steps = traj.steps
         for t, constraint, keys, kept, state, explain, predict in sums:
             # Q^t, frozen after completion (state_at, inlined)
@@ -499,10 +518,12 @@ class Pcfg:
         return sum(len(v) for v in self.productions.values())
 
 
-def _completion_matrices(psdg: Psdg, states: list[tuple[int, ...]]
+def _completion_matrices(psdg: Psdg, states: list[tuple[int, ...]],
+                         probs: dict[int, list[float]]
                          ) -> dict[str, np.ndarray]:
     """E_sym[i, j] = Pr(an expansion of sym begun in state i completes,
-    leaving state j after its final terminal)."""
+    leaving state j after its final terminal).  probs[a][i] is production
+    a's probability in state i."""
     # Only the PCFG export needs numpy; importing it here, not at module
     # level, keeps it out of `psdg infer` and its collector's heap.
     import numpy as np
@@ -525,13 +546,11 @@ def _completion_matrices(psdg: Psdg, states: list[tuple[int, ...]]
         b_mat = np.zeros((n, n))
         for a in psdg.by_lhs[sym]:
             prod = psdg.production(a)
-            probs = np.array([production_probability(psdg, prod, q)
-                              for q in states])
             body = prod.rhs[:-1] if prod.tail_recursive else prod.rhs
             chain = np.eye(n)
             for y in body:
                 chain = chain @ mats[y]
-            contrib = probs[:, None] * chain
+            contrib = np.array(probs[a])[:, None] * chain
             if prod.tail_recursive:
                 b_mat += contrib
             else:
@@ -567,8 +586,13 @@ def to_pcfg(psdg: Psdg) -> Pcfg:
     Start weights are unnormalized: their total is the probability that
     the root plan ever completes.  Raises ExplosionBound past PCFG_BOUND
     tuple symbols.
+
+    Each production is evaluated once per state, and each completion
+    matrix is read as plain-float rows with their (j, value) nonzeros.
+    A tuple production's rhs grows as a list of (state, factor, rhs)
+    prefixes: every symbol but the last extends each prefix over the
+    nonzeros of its row, and the last is read at q_out.
     """
-    import numpy as np
     states = enumerate_states(psdg)
     n = len(states)
     if len(psdg.nonterminals) * n * n > PCFG_BOUND:
@@ -576,17 +600,32 @@ def to_pcfg(psdg: Psdg) -> Pcfg:
             f"{len(psdg.nonterminals)} nonterminals over {n} states exceeds "
             f"bound {PCFG_BOUND}")
     pos = {q: i for i, q in enumerate(states)}
-    mats = _completion_matrices(psdg, states)
+    probs = {prod.index: [production_probability(psdg, prod, q)
+                          for q in states]
+             for prod in psdg.productions if psdg.levels[prod.lhs]}
+    mats = _completion_matrices(psdg, states, probs)
+    rows = {y: m.tolist() for y, m in mats.items()}
+    nonzero = {y: [[(j, v) for j, v in enumerate(row) if v > 0.0]
+                   for row in r] for y, r in rows.items()}
+
+    kind = {y: TERM if psdg.is_terminal(y) else NT for y in mats}
+    # per symbol, per production: (a, its probabilities, (kind, y,
+    # nonzeros) per body symbol, (kind, y, rows) of the last symbol)
+    shapes = {sym: [] for sym in psdg.nonterminals if psdg.levels[sym]}
+    for sym, shape in shapes.items():
+        for a in psdg.by_lhs[sym]:
+            *body, y = psdg.production(a).rhs
+            shape.append((a, probs[a],
+                          [(kind[b], b, nonzero[b]) for b in body],
+                          (kind[y], y, rows[y])))
 
     start: dict[tuple, float] = {}
-    for q0 in states:
+    for i, q0 in enumerate(states):
         p0 = prior_probability(psdg, q0)
         if p0 <= 0.0:
             continue
-        row = mats[psdg.start][pos[q0]]
-        for j, qf in enumerate(states):
-            if row[j] > 0.0:
-                start[(NT, q0, psdg.start, qf)] = p0 * row[j]
+        for j, v in nonzero[psdg.start][i]:
+            start[(NT, q0, psdg.start, states[j])] = p0 * v
 
     productions: dict[tuple, list[PcfgProduction]] = {}
     terminal_symbols: set[tuple] = set()
@@ -595,36 +634,25 @@ def to_pcfg(psdg: Psdg) -> Pcfg:
     while pending:
         lhs = pending.pop()
         _, q_in, sym, q_out = lhs
-        total = mats[sym][pos[q_in], pos[q_out]]
+        i_in, i_out = pos[q_in], pos[q_out]
+        total = rows[sym][i_in][i_out]
         rules: list[PcfgProduction] = []
-        for a in psdg.by_lhs[sym]:
-            prod = psdg.production(a)
-            p = production_probability(psdg, prod, q_in)
+        for a, p_row, body, (k_last, y_last, last) in shapes[sym]:
+            p = p_row[i_in]
             if p <= 0.0:
                 continue
-
-            def expand(i: int, q: tuple[int, ...], factor: float,
-                       rhs: tuple[tuple, ...]):
-                if i == len(prod.rhs):
-                    if q == q_out and factor > 0.0:
-                        rules.append(PcfgProduction(a, rhs, factor / total))
-                    return
-                y = prod.rhs[i]
-                kind = TERM if psdg.is_terminal(y) else NT
-                row = mats[y][pos[q]]
-                if i == len(prod.rhs) - 1:
-                    # the last symbol must land exactly on q_out
-                    f = row[pos[q_out]]
-                    if f > 0.0:
-                        expand(i + 1, q_out, factor * f,
-                               rhs + ((kind, q, y, q_out),))
-                    return
-                for j in np.flatnonzero(row > 0.0):
-                    q2 = states[j]
-                    expand(i + 1, q2, factor * row[j],
-                           rhs + ((kind, q, y, q2),))
-
-            expand(0, q_in, p, ())
+            prefixes = [(i_in, p, ())]
+            for k, y, nz in body:
+                prefixes = [(j, f * v, rhs + ((k, states[i], y, states[j]),))
+                            for i, f, rhs in prefixes for j, v in nz[i]]
+            for i, f, rhs in prefixes:
+                # the last symbol must land exactly on q_out; f > 0 or it
+                # underflowed to 0, so this drops v <= 0 too
+                f *= last[i][i_out]
+                if f > 0.0:
+                    rules.append(PcfgProduction(
+                        a, rhs + ((k_last, states[i], y_last, q_out),),
+                        f / total))
         productions[lhs] = rules
         for rule in rules:
             for child in rule.rhs:
@@ -686,25 +714,21 @@ def pcfg_tree_probability(pcfg: Pcfg, tree: ParseNode) -> float:
     return math.log(w) + logp
 
 
-def _render_state(psdg: Psdg, idx: tuple[int, ...]) -> str:
-    return ",".join(f.values[v] for f, v in zip(psdg.features, idx))
-
-
-def _render_symbol(psdg: Psdg, sym: tuple) -> str:
-    _, q, name, q2 = sym
-    return f"<{_render_state(psdg, q)}|{name}|{_render_state(psdg, q2)}>"
-
-
 def pcfg_text(pcfg: Pcfg) -> str:
-    """Plain `lhs -> rhs  # prob` listing, start weights as comments."""
-    render = functools.cache(functools.partial(_render_symbol, pcfg.psdg))
-    lines = []
-    for sym, w in sorted(pcfg.start.items(), key=lambda kv: str(kv[0])):
-        lines.append(f"# start {render(sym)}  # {w:.12g}")
+    """Plain `lhs -> rhs  # prob` listing, start weights as comments.
+    Each state and each tuple symbol is rendered once."""
+    features = pcfg.psdg.features
+    symbols = [*pcfg.productions, *pcfg.terminal_symbols]
+    state = {q: ",".join(f.values[v] for f, v in zip(features, q))
+             for q in {sym[i] for sym in symbols for i in (1, 3)}}
+    name = {sym: f"<{state[sym[1]]}|{sym[2]}|{state[sym[3]]}>"
+            for sym in symbols}
+    lines = [f"# start {name[sym]}  # {pcfg.start[sym]:.12g}"
+             for sym in sorted(pcfg.start, key=str)]
     for lhs in sorted(pcfg.productions, key=str):
-        for rule in pcfg.productions[lhs]:
-            rhs = " ".join(render(s) for s in rule.rhs)
-            lines.append(f"{render(lhs)} -> {rhs}  # {rule.prob:.12g}")
-    for sym in sorted(pcfg.terminal_symbols, key=str):
-        lines.append(f"{render(sym)} -> {sym[2]}  # 1")
+        head = name[lhs] + " -> "
+        lines += [f"{head}{' '.join(map(name.__getitem__, rule.rhs))}  "
+                  f"# {rule.prob:.12g}" for rule in pcfg.productions[lhs]]
+    lines += [f"{name[sym]} -> {sym[2]}  # 1"
+              for sym in sorted(pcfg.terminal_symbols, key=str)]
     return "\n".join(lines) + "\n"

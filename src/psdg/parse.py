@@ -42,9 +42,15 @@ from .grammar import (Psdg, RawCptRow, RawFeature, RawGrammar, RawProduction,
                       RawRule, validate_grammar)
 
 # A word is `(?:[\w.+]|-(?!>))+` unrolled, which reads long numbers twice as
-# fast.  The last branch takes any other character, for the parser to reject.
+# fast.  A text reaches _TOKEN only once _BAD finds nothing in it, so every
+# character outside [ \t\r] belongs to a token.
 _TOKEN = re.compile(
-    r"->|[{};:,|&*]|(?:[\w.+]|-(?!>))[\w.+]*(?:-(?!>)[\w.+]*)*|[^ \t\r]")
+    r"->|[{};:,|&*]|(?:[\w.+]|-(?!>))[\w.+]*(?:-(?!>)[\w.+]*)*")
+# A character no token takes: `>` is one only as the end of `->`.
+_BAD = re.compile(r"[^\w.+\-{};:,|&*> \t\r]|(?<!-)>")
+# The ASCII characters other than `>` that code lines may hold.
+_GOOD_ASCII = bytes(c for c in range(128) if chr(c).isalnum()
+                    or chr(c) in "_.+-{};:,|&* \t\r\n")
 _END = ""                               # stands after the last token
 _NOT_WORDS = frozenset("{};:,|&*") | {"->", _END}
 _NOT_NAMES = _NOT_WORDS - {"*"}         # cpt rows take `*` for a name
@@ -66,6 +72,17 @@ def _find(tokens: list[str], k: int, test, step: int = 1) -> int:
     return k
 
 
+def _clean(codes: list[str]) -> bool:
+    """True if the code lines are ASCII and hold no character that `_BAD`
+    finds.  One C-level pass over the whole text: `_BAD` runs a regex
+    character class with `\\w` at every position, several times slower."""
+    text = "\n".join(codes)
+    if not text.isascii():
+        return False
+    rest = text.encode().translate(None, _GOOD_ASCII)
+    return rest.count(b">") == len(rest) == text.count("->")
+
+
 class _Parser:
     """A cursor over a text's tokens, which are plain strings.  `lines[k]`
     is token k's line; its column is worked out only when asked for."""
@@ -73,8 +90,16 @@ class _Parser:
     def __init__(self, text: str):
         self.source = text.split("\n")
         self.tokens, self.lines = [], []
-        for n, line in enumerate(self.source, 1):
-            found = _TOKEN.findall(line.partition("#")[0])
+        codes = [line.partition("#")[0] for line in self.source]
+        if not _clean(codes):
+            for n, code in enumerate(codes, 1):
+                bad = _BAD.search(code)
+                if bad:
+                    raise _ParseFailure(
+                        f"unexpected character {bad.group()!r}", n,
+                        bad.start() + 1)
+        for n, code in enumerate(codes, 1):
+            found = _TOKEN.findall(code)
             self.tokens += found
             self.lines += [n] * len(found)
         # _END sits just past the last token: "" is found where that ends.
@@ -82,11 +107,6 @@ class _Parser:
         self.lines.append(self.lines[-1] if self.lines else 1)
         self.pos = 0
         self._starts: dict[int, list[int]] = {}
-        bad = [t for t in set(self.tokens) - _NOT_WORDS if len(t) == 1
-               and not (t.isalnum() or t in "_.+-")]
-        if bad:
-            k = min(map(self.tokens.index, bad))
-            self.fail(f"unexpected character {self.tokens[k]!r}", k)
 
     def at(self, k: int) -> tuple[int, int]:
         """1-based (line, column) of token k."""

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -16,16 +17,20 @@ from helpers import (ab_grammar, build, feature, forcing_grammar, production,
                      random_psdg, random_stream, repeated_child_grammar,
                      sized_random_psdg, tail_recursive_grammar, traffic,
                      unit_feature)
+from make_golden import GRAMMARS
+import reference_pcfg
 import psdg
+import psdg.oracle as oracle
 from psdg.errors import (ExplosionBound, InvalidTrajectory, PsdgError,
                          UnknownProduction, ZeroEvidenceMass)
 from psdg.generate import Trajectory, sample_trajectory, trajectory_probability
-from psdg.grammar import StateSet
+from psdg.grammar import ProbabilityFunction, StateSet
 from psdg.infer import Observation
 from psdg.oracle import (DEFAULT_JOINT_BOUND, Query, enumerate_joint,
                          exact_posterior, parse_tree, pcfg_text,
                          pcfg_tree_probability, reference_reports,
                          streamed_reports, to_pcfg)
+from psdg.parse import load_file
 
 
 class TestEnumerateJoint:
@@ -121,6 +126,56 @@ class TestStreamedReports:
             assert json.dumps(streamed_reports(g, obs)) == \
                 json.dumps(table_reports(g, obs)), i
         assert restricted and gappy
+
+    def test_folded_masses_give_the_same_bytes(self, monkeypatch):
+        """Folding the masses into their exact partials every 16 rows
+        leaves every report as the unfolded table gives it."""
+        cases = [(traffic(), lanes(traffic(), (1, "right-lane"),
+                                   (2, "right-lane")))]
+        for i in range(30):
+            g, joint = sized_random_psdg(4000 + i, horizon=5,
+                                         max_entries=8000)
+            cases.append((g, random_stream(g, joint, 700 + i, max_len=4)))
+        for g, obs in cases:
+            monkeypatch.setattr(oracle, "_MASS_CHUNK", 10**9)
+            want = json.dumps(table_reports(g, obs))
+            monkeypatch.setattr(oracle, "_MASS_CHUNK", 16)
+            assert json.dumps(streamed_reports(g, obs)) == want
+            assert json.dumps(table_reports(g, obs)) == want
+
+    def test_fold_keeps_the_exact_sum(self):
+        masses = array("d", [1.0, 1e-300, 3e-310, 0.1, 0.2, 0.3] * 5)
+        folded = array("d", masses)
+        oracle._fold(folded)
+        assert 1 < len(folded) < len(masses)
+        for more in ([], [1e-16], [-1.0, 2.5e-310]):
+            assert math.fsum(folded + array("d", more)) == \
+                math.fsum(masses + array("d", more))
+        zeros = array("d", [0.0] * 4)
+        oracle._fold(zeros)
+        assert not zeros
+
+    def test_masses_take_no_memory_per_row(self):
+        """Ten times the rows of traffic at horizon 3 raise the reducer's
+        peak by much less than the 8 bytes a row that keeping every mass
+        took."""
+        g = traffic()
+        obs = lanes(g, (1, "right-lane"), (2, "right-lane"))
+        rows = list(oracle.joint_runs(g, 3))
+
+        def peak(times: int) -> int:
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                oracle._reports(g, (e for _ in range(times) for e in rows),
+                                obs)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        grown = peak(10) - peak(1)
+        assert grown < 9 * len(rows), grown      # under a byte a row
 
     def test_errors_match(self):
         g = traffic()
@@ -384,6 +439,30 @@ class TestMalformedParseTree:
         assert len(proc.stdout.splitlines()) == 4
 
 
+def zero_prior_grammar():
+    """Two frozen states; only state 0 has prior mass, so every tuple
+    rooted in state 1 is pruned from the constructed grammar."""
+    f = feature("u", ["z", "w"], [1.0, 0.0])
+    return build([f],
+                 [production(0, "S", ["a"],
+                             rules=[([("u", ["z"])], 1.0)], default=0.0),
+                  production(1, "S", ["b"],
+                             rules=[([("u", ["z"])], 0.0)], default=1.0)],
+                 "S")
+
+
+def singular_completion_grammar():
+    """S -> a S at probability 1 in a state `a` keeps: I - B is
+    singular."""
+    f = feature("f", ["x", "y"], [0.5, 0.5])
+    return build([f],
+                 [production(0, "S", ["a", "S"],
+                             rules=[([("f", ["x"])], 1.0)], default=0.0),
+                  production(1, "S", ["b"],
+                             rules=[([("f", ["x"])], 0.0)], default=1.0)],
+                 "S")
+
+
 class TestPcfg:
     def test_single_state_is_isomorphic(self):
         g = ab_grammar(pa=0.3)
@@ -424,15 +503,7 @@ class TestPcfg:
             pcfg_tree_probability(pcfg, tree)
 
     def test_zero_probability_tree_is_minus_inf(self):
-        # two frozen states; only state 0 has prior mass, so every tuple
-        # rooted in state 1 is pruned from the constructed grammar
-        f = feature("u", ["z", "w"], [1.0, 0.0])
-        g = build([f],
-                  [production(0, "S", ["a"],
-                              rules=[([("u", ["z"])], 1.0)], default=0.0),
-                   production(1, "S", ["b"],
-                              rules=[([("u", ["z"])], 0.0)], default=1.0)],
-                  "S")
+        g = zero_prior_grammar()
         pcfg = to_pcfg(g)
         from psdg.generate import TimeStep
         from psdg.grammar import StatePoint
@@ -455,13 +526,7 @@ class TestPcfg:
         """S -> a S at probability 1 in a state `a` keeps never completes
         there, so I - B is singular and np.linalg.solve raises; the
         geometric series then gives that state no completion mass."""
-        f = feature("f", ["x", "y"], [0.5, 0.5])
-        g = build([f],
-                  [production(0, "S", ["a", "S"],
-                              rules=[([("f", ["x"])], 1.0)], default=0.0),
-                   production(1, "S", ["b"],
-                              rules=[([("f", ["x"])], 0.0)], default=1.0)],
-                  "S")
+        g = singular_completion_grammar()
         import numpy as np
         solve, singular = np.linalg.solve, []
 
@@ -497,6 +562,76 @@ class TestPcfg:
                      production(4, "V", ["b"])])
         assert g.levels["U"] == g.levels["V"] == ()
         assert pcfg_text(to_pcfg(g)) == pcfg_text(to_pcfg(grammar([])))
+
+
+def assert_same_export(g):
+    """to_pcfg and pcfg_text give what the frozen reference gives: equal
+    start weights, rules, rule order and insertion order, the same
+    terminal symbols and the same listing bytes, or the same
+    ExplosionBound message."""
+    try:
+        want = reference_pcfg.to_pcfg(g)
+    except ExplosionBound as e:
+        assert failure(lambda: to_pcfg(g)) == (ExplosionBound, str(e))
+        return None
+    got = to_pcfg(g)
+    assert list(got.start.items()) == list(want.start.items())
+    assert list(got.productions.items()) == list(want.productions.items())
+    assert got.terminal_symbols == want.terminal_symbols
+    assert pcfg_text(got) == reference_pcfg.pcfg_text(want)
+    return got
+
+
+class TestPcfgReference:
+    """The row-based export is held to a frozen copy of the recursive
+    one, float for float and byte for byte."""
+
+    def test_traffic_and_deep_plans(self):
+        assert_same_export(traffic())
+        g = load_file(GRAMMARS["deep-plans"])
+        assert g.max_rhs == 3
+        assert assert_same_export(g).production_count() > 0
+
+    def test_singular_completion_and_zero_prior(self):
+        assert_same_export(singular_completion_grammar())
+        assert_same_export(zero_prior_grammar())
+
+    def test_random_grammars(self):
+        exported = 0
+        for seed in range(40):
+            exported += assert_same_export(random_psdg(seed)) is not None
+        for seed in range(6):
+            g, _ = sized_random_psdg(3000 + seed, horizon=5,
+                                     max_entries=8000)
+            exported += assert_same_export(g) is not None
+        assert exported >= 30
+
+    @pytest.mark.parametrize("name, bound", [
+        ("traffic", 647),           # 2 nonterminals over 18 states
+        ("deep-plans", 20),         # 5 over 2 states, 28 tuple symbols
+        ("deep-plans", 24),
+    ])
+    def test_the_bound_message_is_unchanged(self, monkeypatch, name, bound):
+        monkeypatch.setattr(oracle, "PCFG_BOUND", bound)
+        monkeypatch.setattr(reference_pcfg, "PCFG_BOUND", bound)
+        g = load_file(GRAMMARS[name])
+        want = failure(lambda: reference_pcfg.to_pcfg(g))
+        assert want[0] is ExplosionBound
+        assert failure(lambda: to_pcfg(g)) == want
+
+    def test_each_production_is_evaluated_once_per_state(self, monkeypatch):
+        """|P| * |Q| = 7 * 18 values exist on traffic; the recursive
+        export evaluated 1,446 times."""
+        g = traffic()
+        calls = []
+        real = ProbabilityFunction.evaluate
+
+        def spy(self, idx):
+            calls.append(idx)
+            return real(self, idx)
+        monkeypatch.setattr(ProbabilityFunction, "evaluate", spy)
+        to_pcfg(g)
+        assert 0 < len(calls) <= len(g.productions) * g.state_count == 126
 
 
 class TestPcfgEquivalenceSuite:

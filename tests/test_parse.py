@@ -306,3 +306,22 @@ def test_malformed_numbers_reach_the_per_number_reader(number_reads, old, new,
     assert diags == reference_parse.parse_text(text)[1]
     assert diags[0].message.startswith("expected")
     assert what in number_reads
+
+
+@pytest.mark.parametrize("old, new", [
+    ("# comment", "# (comment) -> 'x' > y, ü"),      # odd only in comments
+    ("values: lo, hi;", "values: lö, hi;"),           # non-ASCII, no fault
+    ("values: lo, hi;", "values: lo, hi;  $"),
+    ("prod 1: S -> b", "prod 1: S > b"),              # `>` outside `->`
+    ("prod 1: S -> b", "prod 1: S -> b ->>"),
+    ("prod 1: S -> b", "prod 1: S -> b\x0b"),
+    ("values: lo, hi;", "values: lo, hi; ‽"),
+])
+def test_unexpected_characters_are_found_as_the_reference_finds_them(old,
+                                                                     new):
+    """The whole-text ASCII check and the per-line scan behind it report
+    the first bad character of the text, or none."""
+    text = MINI.replace(old, new, 1)
+    assert text != MINI
+    assert_same_as_reference(text)
+    assert_same_as_reference(text.replace("prod 0:", "prod 0: ¤", 1))
