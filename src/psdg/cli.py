@@ -15,6 +15,7 @@ report line.  Both commands run the stream through `infer.recognize`.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -27,7 +28,6 @@ from .generate import observation_json_lines, sample_trajectory, \
 from .grammar import Psdg
 from .infer import (DEFAULT_SUPPORT_BOUND, BeliefState, Observation,
                     init_belief, recognize)
-from .oracle import compare_reports, pcfg_text, streamed_reports, to_pcfg
 from .parse import load_text, validate_text
 
 ORACLE_TOL = 1e-9
@@ -164,6 +164,7 @@ def _skewed_belief(*args) -> BeliefState:
 
 
 def cmd_oracle_check(args) -> int:
+    from .oracle import compare_reports, streamed_reports
     psdg = _read_grammar(args.grammar)
     observations = list(_read_observations(psdg, sys.stdin))
     want = streamed_reports(psdg, observations)
@@ -186,6 +187,7 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_to_pcfg(args) -> int:
+    from .oracle import pcfg_text, to_pcfg
     psdg = _read_grammar(args.grammar)
     pcfg = to_pcfg(psdg)
     text = pcfg_text(pcfg)
@@ -214,7 +216,9 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use; do not alter it."""
     parser = argparse.ArgumentParser(
         prog="psdg",
         description="State-dependent grammar tools: validation, sampling, "

@@ -236,8 +236,9 @@ class BeliefState:
 
     The chart maps (state q, branch entry) to Pr(Q^{time-1}=q, branch
     active at slice `time`); `completed` holds the mass of runs whose root
-    already terminated, keyed by their frozen state.  The first read of a
-    published table projects the chart onto all seven: b_q sums to one;
+    already terminated, keyed by their frozen state; `dropped`, by those
+    init_belief left out.  The first read of a published table projects
+    the chart onto all seven: b_q sums to one less `dropped`;
     b_n (ℓ, X, q), b_p (ℓ, (a,b), q), b_sigma (x, q), b_t (ℓ, q), b_tn
     (ℓ, X, q) and completed_given_q are conditioned on their state.
     `groups` is the chart summed by `predict`, or on first read.
@@ -249,6 +250,7 @@ class BeliefState:
     chart: dict[State, dict[BranchEntry, float]]
     completed: dict[State, float]
     log_evidence: float = 0.0
+    dropped: float = 0.0
 
     def __getattr__(self, name):    # only for attributes not set yet
         if name == "groups":
@@ -276,14 +278,14 @@ class BeliefState:
 
     def check_chart(self):
         """Raise AssertionError unless all chart and completed masses are
-        > 0 and sum to one; the projection's symbol, production and terminal
-        rows then hold by construction of the entries' keys."""
+        > 0 and sum to one with `dropped`; the projection's symbol, production
+        and terminal rows then hold by construction of the entries' keys."""
         masses = [m for row in self.chart.values() for m in row.values()]
         masses += self.completed.values()
         low = min(masses, default=math.inf)
         if not low > 0.0:
             raise AssertionError(f"chart holds mass {low}")
-        total = math.fsum(masses)
+        total = math.fsum(masses) + self.dropped
         if not abs(total - 1.0) <= MASS_TOL:
             raise AssertionError(f"chart mass {total}")
 
@@ -293,7 +295,7 @@ class BeliefState:
         self.check_chart()
         if not self.entry_count() <= self.entry_bound():
             raise AssertionError("belief size blew up")
-        total = math.fsum(self.b_q.values())
+        total = math.fsum(self.b_q.values()) + self.dropped
         if not abs(total - 1.0) <= MASS_TOL:
             raise AssertionError(f"state mass {total}")
         per_level_n: dict[tuple, float] = {}
@@ -384,15 +386,32 @@ def _spread(psdg: Psdg, pools: dict[State, dict[int, float]]
     return chart
 
 
+def _reaches(psdg: Psdg, target: StateSet, q: State, memo: dict) -> bool:
+    """Whether every feature has a terminal whose CPT row at q's parent key
+    puts mass on a value `target` allows; `memo` keeps each key's answer."""
+    for fi, feat in enumerate(psdg.features):
+        key = (fi, feat.parent_key(q))
+        if key not in memo:
+            memo[key] = any(rows[key[1]][v] > 0.0 for rows in
+                            feat.table.values() for v in target.allowed[fi])
+        if not memo[key]:
+            return False
+    return True
+
+
 def init_belief(psdg: Psdg, support_bound: int = DEFAULT_SUPPORT_BOUND,
-                restrict: Optional[StateSet] = None, time: int = 1
-                ) -> BeliefState:
+                restrict: Optional[StateSet] = None, time: int = 1,
+                reach: Optional[StateSet] = None) -> BeliefState:
     """Belief before any observation: the prior over initial states and a
     freshly expanded root at every one of them.
 
     `restrict` conditions the initial state on a set (the prior is
     renormalized over it); without it the support is the full state space,
-    which must fit the support bound.
+    which must fit the support bound.  `reach`, the constraint observed
+    at `time`, leaves out the states `_reaches` shows cannot move into it,
+    their prior share going to `dropped`.  That is exact: explain would
+    scale their groups by 0.0, so they add nothing, and kept states keep
+    the whole support's p0 / total, so reports match bit for bit.
     """
     support = restrict if restrict is not None else StateSet.full(psdg)
     if support.size() > support_bound:
@@ -407,9 +426,14 @@ def init_belief(psdg: Psdg, support_bound: int = DEFAULT_SUPPORT_BOUND,
     total = math.fsum(weights.values())
     if total <= 0.0:
         raise ZeroEvidence(0, "the prior puts no mass on the initial support")
+    memo: dict[tuple, bool] = {}
+    out = [q for q in weights
+           if reach is not None and not _reaches(psdg, reach, q, memo)]
+    dropped = math.fsum(map(weights.pop, out)) / total
     chart = _spread(psdg, {q: {_ROOT: p0 / total}
                            for q, p0 in weights.items()})
-    belief = BeliefState(psdg, time, support, support_bound, chart, {})
+    belief = BeliefState(psdg, time, support, support_bound, chart, {},
+                         dropped=dropped)
     belief.check_chart()
     return belief
 
@@ -646,14 +670,14 @@ def recognize(psdg: Psdg, observations: Iterable[Observation],
     observation at t ≥ 1 before reading the next.
 
     A leading t=0 observation restricts the initial state; `start`, with
-    init_belief's signature, builds the belief at the first later one.
-    Missing times pass as unconstrained steps.  Once the chart is empty, a
-    vacuous step that leaves the completed mass and log evidence as they
-    were is a fixed point, so the rest of the gap is skipped.  Zero
-    evidence raises, or under `reinit` restarts from the prior restricted
-    to the observation, reported with evidence likelihood 0 and the new
-    belief's marginals; a failed restart raises with the contradiction as
-    its `__context__`.
+    init_belief's signature, builds the belief at the first later one,
+    and is passed it as `reach` if it falls at t=1.  Missing times pass
+    as unconstrained steps.  Once the chart is empty, a vacuous step that
+    leaves the completed mass and log evidence as they were is a fixed
+    point, so the rest of the gap is skipped.  Zero evidence raises, or
+    under `reinit` restarts from the prior restricted to the observation,
+    reported with evidence likelihood 0 and the new belief's marginals; a
+    failed restart raises with the contradiction as its `__context__`.
     """
     belief = restrict = None
     for obs in observations:
@@ -661,7 +685,8 @@ def recognize(psdg: Psdg, observations: Iterable[Observation],
             restrict = obs.constraint
             continue
         if belief is None:
-            belief = start(psdg, support_bound, restrict)
+            belief = start(psdg, support_bound, restrict, 1,
+                           obs.constraint if obs.time == 1 else None)
         now = None
         while now is not obs:
             now = obs if belief.time >= obs.time else \

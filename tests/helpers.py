@@ -17,7 +17,7 @@ import psdg as _pkg
 from psdg.errors import ExplosionBound
 from psdg.grammar import (Psdg, RawCptRow, RawFeature, RawProduction, RawRule,
                           compile_grammar)
-from psdg.infer import Observation
+from psdg.infer import Observation, init_belief
 from psdg.oracle import JointTable, enumerate_joint
 from psdg.parse import load_file
 
@@ -297,3 +297,9 @@ def assert_evidence_restarts(reports):
 
 def close(a: float, b: float, tol: float = 1e-9) -> bool:
     return math.isfinite(a) and math.isfinite(b) and abs(a - b) <= tol
+
+
+def unpruned(psdg, support_bound, restrict, time=1, reach=None):
+    """init_belief without the first observation, as a `recognize` start:
+    a belief over every initial state, as runs opened before pruning."""
+    return init_belief(psdg, support_bound, restrict, time)

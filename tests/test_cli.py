@@ -1,5 +1,6 @@
 """End-to-end command behavior, driven through main(argv)."""
 import contextlib
+import functools
 import io
 import json
 import math
@@ -14,11 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (REINIT_CYCLE, RESTARTS, TRAFFIC_PATH,
-                     assert_evidence_restarts, traffic)
-from psdg.cli import main
+                     assert_evidence_restarts, traffic, unpruned)
+from psdg.cli import build_parser, main
 from psdg.generate import observation_json_lines, sample_trajectory
 from psdg.grammar import StateSet
-from psdg.infer import Observation, recognize
+from psdg.infer import Observation, init_belief, recognize
 from psdg.parse import load_text
 
 AB_TEXT = """\
@@ -343,6 +344,26 @@ class TestInfer:
             [(r["t"], r["evidence_likelihood"], r["log_evidence"])
              for r in json_lines(out)])
 
+    @pytest.mark.parametrize("policy", ["error", "reinit"])
+    @pytest.mark.parametrize("lines, reinit_code", [
+        ([(t, {"lane": [lane]}) for t, lane in REINIT_CYCLE], 0),
+        ([(0, {"lane": ["left-lane"]}), (1, {"lane": ["right-lane"]}),
+          (2, {"lane": ["center-lane"]})], 0),
+        ([(0, {"speed": ["slow"]}), (1, {"exit": ["at"]}), (2, {})], 3),
+    ], ids=["reinit-cycle", "restart-continues", "restart-fails"])
+    def test_a_first_observation_no_state_reaches_reads_as_before(
+            self, capsys, monkeypatch, policy, lines, reinit_code):
+        """When no initial state can reach the t=1 observation, the first
+        belief is empty: the run's exit code, stdout and stderr are those
+        of a run that spreads every initial state."""
+        argv = ["infer", str(TRAFFIC_PATH), "--on-zero-evidence", policy]
+        stdin = "".join(obs_line(t, observe) + "\n" for t, observe in lines)
+        pruned = run(capsys, argv, stdin, monkeypatch)
+        monkeypatch.setattr("psdg.cli.recognize",
+                            functools.partial(recognize, start=unpruned))
+        assert run(capsys, argv, stdin, monkeypatch) == pruned
+        assert pruned[0] == (3 if policy == "error" else reinit_code)
+
     def test_reinit_onto_a_zero_prior_exits_3(self, capsys, monkeypatch,
                                               tmp_path):
         path = tmp_path / "zero-prior.psdg"
@@ -546,6 +567,28 @@ class TestOracleCheck:
         assert final["max_deviation"] > 1e-9
         assert err
 
+    def test_corruption_is_detected_on_a_pruned_belief(self, capsys,
+                                                       monkeypatch):
+        """lane = right-lane at t=1 leaves the left-lane initial states out
+        of the first belief, and the skewed belief is still caught."""
+        dropped = []
+
+        def spy(*args):
+            belief = init_belief(*args)
+            dropped.append(belief.dropped)
+            return belief
+        monkeypatch.setattr("psdg.cli.init_belief", spy)
+        stdin = obs_line(1, {"lane": ["right-lane"]}) + "\n"
+        code, out, err = run(capsys, ["oracle-check", str(TRAFFIC_PATH),
+                                      "--corrupt-belief"],
+                             stdin, monkeypatch)
+        assert dropped == [pytest.approx(0.2)]
+        assert code == 1
+        final = json_lines(out)[-1]
+        assert final["ok"] is False
+        assert final["max_deviation"] > 1e-9
+        assert err
+
     def test_corruption_report_does_not_follow_the_hash_seed(self):
         g = traffic()
         traj = sample_trajectory(g, horizon=2, seed=3)
@@ -616,10 +659,26 @@ class TestMain:
         assert f"argument {option}: expected a positive integer" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["infer", "--help"], ["oracle-check", "--help"], [],
+        ["infer"], ["nope"], ["sample", "g", "--count", "0"],
+        ["infer", "g", "--on-zero-evidence", "retry"]])
+    def test_the_one_parser_reads_as_a_fresh_one(self, capsys, argv):
+        """main builds its parser once; help and usage errors through it
+        are byte for byte those of a freshly built parser."""
+        assert build_parser() is build_parser()
+        outputs = []
+        for parse in (main, build_parser.__wrapped__().parse_args):
+            with pytest.raises(SystemExit) as e:
+                parse(argv)
+            outputs.append((e.value.code, *capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] in (0, 2)
+
     def test_memory_error_is_one_line(self, capsys, monkeypatch):
         def exhausted(psdg):
             raise MemoryError
-        monkeypatch.setattr("psdg.cli.to_pcfg", exhausted)
+        monkeypatch.setattr("psdg.oracle.to_pcfg", exhausted)
         code, out, err = run(capsys, ["to-pcfg", str(TRAFFIC_PATH)])
         assert code == 1
         assert out == ""
@@ -662,3 +721,25 @@ class TestConsoleScript:
         noted = [line for line in proc.stderr.splitlines()
                  if line.startswith("numpy ")]
         assert noted == ["numpy 0 False", "numpy True"]
+
+    def test_infer_does_not_import_the_oracle(self):
+        """Only oracle-check and to-pcfg use the oracle, so an infer run
+        neither imports nor compiles it."""
+        root = Path(__file__).resolve().parents[1]
+        script = (
+            "import io, sys\n"
+            "from psdg.cli import main\n"
+            "sys.stdin = io.StringIO('{\"t\": 1}\\n{\"t\": 2}\\n')\n"
+            "code = main(['infer', 'src/psdg/data/traffic.psdg'])\n"
+            "print('oracle', code, 'psdg.oracle' in sys.modules,\n"
+            "      file=sys.stderr)\n"
+            "sys.stdin = io.StringIO('{\"t\": 1}\\n')\n"
+            "main(['oracle-check', 'src/psdg/data/traffic.psdg'])\n"
+            "print('oracle', 'psdg.oracle' in sys.modules, file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-B", "-c", script],
+                              capture_output=True, text=True, cwd=root,
+                              env={**os.environ, "PYTHONPATH": "src"})
+        assert proc.returncode == 0, proc.stderr
+        noted = [line for line in proc.stderr.splitlines()
+                 if line.startswith("oracle ")]
+        assert noted == ["oracle 0 False", "oracle True"]

@@ -12,12 +12,15 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (REINIT_CYCLE, TRAFFIC_PATH, assert_evidence_restarts,
                      build, feature, forcing_grammar, production,
-                     random_stream, repeated_child_grammar,
+                     random_psdg, random_stream, repeated_child_grammar,
                      single_production_grammar, sized_random_psdg,
-                     tail_recursive_grammar, traffic, unit_feature)
+                     tail_recursive_grammar, traffic, unit_feature,
+                     unpruned)
 import psdg
 import psdg.infer as infer_module
 from psdg.cli import main as cli_main
@@ -524,6 +527,101 @@ class TestRecognize:
         assert calls[-2] < 1050
 
 
+def report_bytes(g, stream, reinit, start=init_belief) -> list[str]:
+    """Each report of a run as JSON text, then how the run ended."""
+    out = []
+    try:
+        for report in recognize(g, stream, reinit=reinit, start=start):
+            out.append(json.dumps(report.to_dict(g)))
+    except ZeroEvidence as e:
+        out.append(f"zero evidence at t={e.time}, "
+                   f"after t={getattr(e.__context__, 'time', None)}")
+    return out
+
+
+@st.composite
+def grammars_and_streams(draw):
+    """A random grammar and stream: a sized_random_psdg run's widened
+    states, or arbitrary product-form sets on random_psdg, where the first
+    observation may have zero evidence.  Either may open with t=0 and may
+    skip t=1."""
+    seed = draw(st.integers(0, 10_000))
+    if draw(st.booleans()):
+        g, joint = sized_random_psdg(seed, horizon=4, max_entries=4000)
+        return g, random_stream(g, joint, seed, max_len=4)
+    g = random_psdg(seed)
+    times = sorted(draw(st.sets(st.integers(1, 4), min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        times.insert(0, 0)
+    return g, [Observation(t, StateSet(tuple(
+        frozenset(draw(st.sets(st.integers(0, len(f.values) - 1),
+                               min_size=1)))
+        for f in g.features))) for t in times]
+
+
+def reaching_prior_states(g, target):
+    """The prior's states where, for every feature, some terminal's CPT row
+    at the state's parent key puts mass on a value `target` allows."""
+    return [q for q in StateSet.full(g).iter_states()
+            if prior_probability(g, q) > 0.0
+            and all(any(rows[f.parent_key(q)][v] > 0.0
+                        for rows in f.table.values() for v in allowed)
+                    for f, allowed in zip(g.features, target.allowed))]
+
+
+class TestFirstObservationPruning:
+    """The first belief spans only initial states that can reach an
+    observation at t=1; the reports stay the same bytes."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(grammars_and_streams(), st.booleans())
+    def test_reports_match_the_unpruned_run(self, case, reinit):
+        g, stream = case
+        assert report_bytes(g, stream, reinit) == \
+            report_bytes(g, stream, reinit, start=unpruned)
+
+    def test_factored_state_window_keeps_the_reaching_states(self):
+        g = load_file(GOLDEN_FACTORED_STATE)
+        window = StateSet.from_labels(g, {
+            "pos": [f"p{i}" for i in range(10, 15)], "progress": ["g0"]})
+        full, pruned = init_belief(g), init_belief(g, reach=window)
+        kept = reaching_prior_states(g, window)
+        assert len(full.chart) == 128
+        assert sorted(pruned.chart) == kept and len(kept) < 128
+        for q in set(full.chart) - set(kept):   # every row out is empty
+            assert not any(transition_probability(g, q, x, q2)
+                           for x in g.terminals
+                           for q2 in window.iter_states())
+        assert pruned.dropped == pytest.approx(1 - len(kept) / 128)
+        obs = Observation(1, window)
+        assert report_bytes(g, [obs], False) == \
+            report_bytes(g, [obs], False, start=unpruned)
+
+    def test_the_dropped_share_enters_the_mass_checks(self):
+        g = traffic()
+        belief = init_belief(g, reach=StateSet.from_labels(
+            g, {"lane": ["right-lane"]}))
+        assert {q[0] for q in belief.chart} == {1, 2}    # no left lane
+        assert belief.dropped == pytest.approx(0.2)
+        belief.check_invariants()
+        belief.dropped = 0.0
+        with pytest.raises(AssertionError, match=r"chart mass 0\.8"):
+            belief.check_chart()
+
+    def test_only_a_first_observation_at_t1_prunes(self):
+        g = traffic()
+        right = StateSet.from_labels(g, {"lane": ["right-lane"]})
+        calls = []
+
+        def start(*args):
+            calls.append(args[3:])
+            return init_belief(*args)
+        for times in ((1, 2), (0, 1), (0, 2), (2,)):
+            list(recognize(g, [Observation(t, right) for t in times],
+                           start=start))
+        assert calls == [(1, right), (1, right), (1, None), (1, None)]
+
+
 class TestStreamsAgainstOracle:
     def test_fixed_grammars_full_reports(self):
         cases = [(repeated_child_grammar(), 4, 11),
@@ -690,6 +788,7 @@ class TestCheckInvariants:
             import sys
             from pathlib import Path
             import psdg
+            from psdg.grammar import StateSet
             from psdg.infer import init_belief
             from psdg.parse import load_file
             if __debug__:
@@ -705,6 +804,18 @@ class TestCheckInvariants:
                     print(e)
                 else:
                     sys.exit(f"halved {table} passed the checks")
+            right = StateSet.from_labels(g, {"lane": ["right-lane"]})
+            b = init_belief(g, reach=right)     # no left-lane states
+            if not b.dropped > 0.0:
+                sys.exit("the first belief was not pruned")
+            row = next(iter(b.chart.values()))
+            row[next(iter(row))] *= 0.5
+            try:
+                b.check_invariants()
+            except AssertionError as e:
+                print(e)
+            else:
+                sys.exit("a halved mass in a pruned chart passed the checks")
         """
         src = Path(psdg.__file__).resolve().parents[1]
         proc = subprocess.run([sys.executable, "-O", "-c", script],
@@ -712,11 +823,13 @@ class TestCheckInvariants:
                               env={**os.environ,
                                    "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr
-        mass, terminal = proc.stdout.splitlines()
+        mass, terminal, pruned = proc.stdout.splitlines()
         assert mass.startswith("state mass ")
         assert float(mass.split()[-1]) == pytest.approx(0.5)
         assert terminal.startswith("terminal row of ")
         assert float(terminal.split()[-1]) == pytest.approx(0.5)
+        assert pruned.startswith("chart mass ")
+        assert float(pruned.split()[-1]) < 1.0 - 1e-6
 
 
     def test_production_row_off_its_symbol_row_is_named(self):
