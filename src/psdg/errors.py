@@ -72,10 +72,6 @@ class ZeroEvidence(PsdgError):
         super().__init__(message or f"observation at t={time} has zero probability")
 
 
-class UndefinedConditional(PsdgError):
-    """A conditional query was made against a zero-probability condition."""
-
-
 class ExplosionBound(PsdgError):
     """Exhaustive enumeration exceeded the configured entry bound."""
 

@@ -60,13 +60,11 @@ def termination_flags(psdg: Psdg, stack: Stack) -> tuple[bool, ...]:
     symbol is the emitted terminal or a child expansion that terminates.
     True entries always form a suffix of the stack.
     """
-    flags = [False] * len(stack)
-    below = True    # the terminal leaf itself always completes
-    for i in range(len(stack) - 1, -1, -1):
-        a, b = stack[i]
-        flags[i] = below and b == len(psdg.production(a).rhs)
-        below = flags[i]
-    return tuple(flags)
+    live = len(stack)       # the terminal leaf itself always completes
+    while live and stack[live - 1][1] == len(
+            psdg.production(stack[live - 1][0]).rhs):
+        live -= 1
+    return (False,) * live + (True,) * (len(stack) - live)
 
 
 def enumerate_chains(psdg: Psdg, symbol: str,
@@ -125,9 +123,7 @@ def advance_skeleton(psdg: Psdg, stack: Stack
     flags = termination_flags(psdg, stack)
     if flags[0]:
         return None
-    d = 0
-    while d < len(stack) and not flags[d]:
-        d += 1
+    d = flags.count(False)      # the deepest surviving level
     a, b = stack[d - 1]
     prod = psdg.production(a)
     if prod.tail_recursive and b + 1 == len(prod.rhs):

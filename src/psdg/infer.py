@@ -10,18 +10,20 @@ update (install and check the predicted chart as the next belief).
 The belief is a joint chart over (previous state, active branch), where a
 branch is a generator stack (the (production, cursor) pairs from the root down
 to the terminal leaf) that the chart keys by its branch-table entry, which
-keeps only its production key per level.  The published tables are exact
-marginal projections of the chart, made on first read, and derive symbol,
-terminal and termination from those keys.  Keeping the branch resolved is what
-makes the engine agree with brute-force enumeration: per-level tables alone
-lose the correlation between a frame and the depth below it, and repeated
-children (say S -> A A) then mix mass across branches.  The projections stay
-within the documented size bound; the chart is linear in the number of live
-branches.  An observation touches a branch only through its state and emitted
-terminal, so predict sums each chart it builds once into (state, terminal)
-groups, and explain works from those groups rather than the chart.  Rows are
-built one way, by spreading pooled mass over a skeleton's moves (runs open
-through the root's), and shares that underflow stay out: masses are positive.
+keeps its production key per level and how many levels stay live
+(`termination_flags`, taken once per entry).  The published tables are exact
+marginal projections of the chart, made on first read: symbol and terminal
+derive from the keys, termination from the levels past the live ones.
+Keeping the branch resolved is what makes the engine agree with brute-force
+enumeration: per-level tables alone lose the correlation between a frame and
+the depth below it, and repeated children (say S -> A A) then mix mass across
+branches.  The projections stay within the documented size bound; the chart is
+linear in the number of live branches.  An observation touches a branch only
+through its state and emitted terminal, so predict sums each chart it builds
+once into (state, terminal) groups, and explain works from those groups rather
+than the chart.  Rows are built one way, by spreading pooled mass over a
+skeleton's moves (runs open through the root's), and shares that underflow
+stay out: masses are positive.
 
 Completion is absorbing: once the root terminates, the final state is
 frozen and later observations simply constrain that frozen value.
@@ -34,10 +36,10 @@ import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .errors import (SupportTooLarge, UndefinedConditional, ZeroEvidence)
-from .generate import Stack, advance_skeleton, enumerate_chains, leaf_terminal
-from .grammar import (Psdg, StateSet, _as_idx, prior_probability,
-                      transition_probability)
+from .errors import SupportTooLarge, ZeroEvidence
+from .generate import (Stack, advance_skeleton, enumerate_chains,
+                       leaf_terminal, termination_flags)
+from .grammar import Psdg, StateSet, prior_probability
 
 DEFAULT_SUPPORT_BOUND = 100_000
 SIZE_CONSTANT = 8       # public-table entries stay under 8·|R|·|P|·d·m
@@ -69,6 +71,7 @@ class BranchEntry:
     branch: Stack
     leaf: str                       # the terminal it emits
     keys: tuple[int, ...]           # production key ids, one per level
+    live: int                       # levels above the terminating suffix
     skeleton_id: int                # the table's id of its skeleton, or -1
 
 
@@ -87,16 +90,15 @@ class BranchTable:
     table holds the skeleton.  `chains` holds the fresh expansions of each
     (symbol, guard cell), which every state of the cell shares, as a
     (tails, probabilities) pair whose probability tuple every move into
-    them shares.  An entry keeps only its production key ids: key k
-    stands for `slots[k]`, a (level, (a, b)) pair, and implies
-    `implied[k]`, its lhs, the terminal under its cursor or None (only the
-    deepest frame's cursor sits on one), and whether the cursor is on the
-    production's last rhs symbol.  A level terminates when its frame and
-    every frame below it have that last fact, so symbol, terminal and
-    termination tables all derive from the keys.  Entries hold ids, never
-    the move dicts, so the table has no reference cycle; it holds no
-    reference to its grammar either, so the two die together by
-    reference counting.
+    them shares.  An entry keeps its production key ids: key k stands for
+    `slots[k]`, a (level, (a, b)) pair, and implies `implied[k]`, its lhs
+    and the terminal under its cursor or None (only the deepest frame's
+    cursor sits on one), so symbol and terminal tables derive from the
+    keys.  Its `live` count, the levels `termination_flags` leaves
+    unterminated, is taken once when it is compiled; the levels past it
+    terminate with the branch.  Entries hold ids, never the move dicts, so
+    the table has no reference cycle; it holds no reference to its grammar
+    either, so the two die together by reference counting.
     """
 
     def __init__(self, psdg: Psdg):
@@ -105,8 +107,8 @@ class BranchTable:
         self.slots = [(lvl, (p.index, b)) for lvl, p, b in frames]
         self.key_id = {slot: k for k, slot in enumerate(self.slots)}
         self.implied = [
-            (p.lhs, p.rhs[b - 1] if psdg.is_terminal(p.rhs[b - 1]) else None,
-             b == len(p.rhs)) for _, p, b in frames]
+            (p.lhs, p.rhs[b - 1] if psdg.is_terminal(p.rhs[b - 1]) else None)
+            for _, p, b in frames]
         self.entries: dict[Stack, BranchEntry] = {}
         self.chains: dict[tuple[str, State],
                           tuple[tuple[Stack, ...], tuple[float, ...]]] = {}
@@ -127,7 +129,8 @@ class BranchTable:
             self.moves.append({})
         keys = tuple(map(self.key_id.__getitem__, enumerate(branch, 1)))
         hit = self.entries[branch] = BranchEntry(
-            branch, leaf_terminal(psdg, branch), keys, sid)
+            branch, leaf_terminal(psdg, branch), keys,
+            termination_flags(psdg, branch).count(False), sid)
         return hit
 
     def successors(self, psdg: Psdg, skeleton_id: int, state: State
@@ -207,7 +210,7 @@ class _Groups:
             totals[i % n] = totals.get(i % n, 0.0) + s
         symbols, productions, terminal = {}, {}, {}
         for k, v in totals.items():
-            (level, rho), (symbol, leaf, _) = self.slots[k], self.implied[k]
+            (level, rho), (symbol, leaf) = self.slots[k], self.implied[k]
             for out, key in ((productions.setdefault(level, {}), rho),
                              (symbols.setdefault(level, {}), symbol),
                              (terminal, leaf)):
@@ -245,7 +248,6 @@ class BeliefState:
     """
     psdg: Psdg
     time: int
-    support: StateSet
     support_bound: int
     chart: dict[State, dict[BranchEntry, float]]
     completed: dict[State, float]
@@ -326,7 +328,7 @@ def _project(belief: BeliefState):
 
     Each entry adds its share, mass / b_q, to its production key and that
     key's symbol at every level, to its terminal, and to b_t and the b_tn
-    numerators at each level of its terminating suffix.  Sums go in under
+    numerators at each level past its `live` count.  Sums go in under
     int ids (a symbol under the first key id of its (level, lhs)), in
     chart order, and each table keeps the first-touch order of its keys.
     """
@@ -346,9 +348,7 @@ def _project(belief: BeliefState):
                 p[k] = p.get(k, 0.0) + share
                 s = symbol[k]
                 n[s] = n.get(s, 0.0) + share
-            level = len(keys)       # the levels past it terminate
-            while level and implied[keys[level - 1]][2]:
-                level -= 1
+            level = entry.live      # the levels past it terminate
             for k in keys[level:]:
                 level += 1
                 t[level] = t.get(level, 0.0) + share
@@ -432,7 +432,7 @@ def init_belief(psdg: Psdg, support_bound: int = DEFAULT_SUPPORT_BOUND,
     dropped = math.fsum(map(weights.pop, out)) / total
     chart = _spread(psdg, {q: {_ROOT: p0 / total}
                            for q, p0 in weights.items()})
-    belief = BeliefState(psdg, time, support, support_bound, chart, {},
+    belief = BeliefState(psdg, time, support_bound, chart, {},
                          dropped=dropped)
     belief.check_chart()
     return belief
@@ -441,7 +441,6 @@ def init_belief(psdg: Psdg, support_bound: int = DEFAULT_SUPPORT_BOUND,
 @dataclass
 class Explanation:
     """Posteriors about the step that the new observation closes out."""
-    observation: Observation
     evidence: float                      # Pr(Q^t ∈ R^t | earlier evidence)
     state_posterior: dict[State, float]
     completed_post: dict[State, float]
@@ -517,29 +516,10 @@ def explain(psdg: Psdg, belief: BeliefState, observation: Observation
               for q, x in zip(groups.states, groups.leaves)]
     completed_post = {q: c / evidence for q, c in completed_post.items()}
     return Explanation(
-        observation, evidence,
+        evidence,
         {q: v / evidence for q, v in state_posterior.items()},
         completed_post, transitions, *groups.marginals(scales),
         completed=math.fsum(completed_post.values()))
-
-
-def symbol_transition(psdg: Psdg, belief: BeliefState, symbol: str,
-                      level: int, q_prev, q_next) -> float:
-    """Pr(next state | previous state, `symbol` active at `level`).
-
-    Marginalizes the belief's branch distribution at that level down to
-    the emitted terminal and applies the state transition.  Returns 0.0
-    when the belief puts no mass on the symbol there.
-    """
-    qp, qn = _as_idx(q_prev), _as_idx(q_next)
-    implied = branch_table(psdg).implied
-    num = den = 0.0
-    for entry, mass in belief.chart.get(qp, {}).items():
-        if 0 < level <= len(entry.keys) \
-                and implied[entry.keys[level - 1]][0] == symbol:
-            den += mass
-            num += mass * transition_probability(psdg, qp, entry.leaf, qn)
-    return num / den if den > 0.0 else 0.0
 
 
 @dataclass
@@ -598,9 +578,8 @@ def update(psdg: Psdg, belief: BeliefState, explanation: Explanation,
            prediction: Prediction, observation: Observation) -> BeliefState:
     """Install the predicted chart as the belief for the next step, after
     checking it."""
-    new = BeliefState(psdg, belief.time + 1, observation.constraint,
-                      belief.support_bound, prediction.chart,
-                      prediction.completed,
+    new = BeliefState(psdg, observation.time + 1, belief.support_bound,
+                      prediction.chart, prediction.completed,
                       belief.log_evidence + math.log(explanation.evidence))
     new.check_chart()
     new.groups = prediction.groups
@@ -650,7 +629,7 @@ def step(psdg: Psdg, belief: BeliefState, observation: Observation
         time=observation.time,
         evidence_likelihood=explanation.evidence,
         log_evidence=new_belief.log_evidence,
-        state=dict(explanation.state_posterior),
+        state=explanation.state_posterior,
         explain_symbols=explanation.symbols,
         explain_productions=explanation.productions,
         explain_terminal=explanation.terminal,
@@ -707,19 +686,3 @@ def recognize(psdg: Psdg, observations: Iterable[Observation],
                 belief.time = max(belief.time, obs.time)    # a fixed point
         yield report
 
-
-def conditional_production_given_symbol(belief: BeliefState, level: int,
-                                        rho, symbol: str, q) -> float:
-    """Pr(production-state ρ | symbol at the level): the ratio of the two
-    belief rows; 0 when ρ expands a different symbol.  The complementary
-    child-symbol-given-production value needs no table at all: the cursor
-    pins it to exactly one symbol."""
-    idx = _as_idx(q)
-    den = belief.b_n.get((level, symbol, idx), 0.0)
-    if den <= 0.0:
-        raise UndefinedConditional(
-            f"no belief mass on {symbol!r} at level {level} in state {idx}")
-    a, b = rho
-    if belief.psdg.production(a).lhs != symbol:
-        return 0.0
-    return belief.b_p.get((level, (a, b), idx), 0.0) / den

@@ -192,8 +192,6 @@ def state_at(traj: Trajectory, t: int) -> tuple[int, ...]:
 def _state_matches(q: tuple[int, ...], value) -> bool:
     if isinstance(value, StateSet):
         return q in value
-    if isinstance(value, StatePoint):
-        return q == value.idx
     return q == tuple(value)
 
 

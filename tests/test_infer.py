@@ -24,15 +24,13 @@ from helpers import (REINIT_CYCLE, TRAFFIC_PATH, assert_evidence_restarts,
 import psdg
 import psdg.infer as infer_module
 from psdg.cli import main as cli_main
-from psdg.errors import SupportTooLarge, UndefinedConditional, ZeroEvidence
+from psdg.errors import SupportTooLarge, ZeroEvidence
 from psdg.generate import (advance_skeleton, enumerate_chains, leaf_terminal,
                            observation_json_lines, sample_trajectory,
                            termination_flags)
 from psdg.grammar import StateSet, prior_probability, transition_probability
-from psdg.infer import (BranchEntry, Observation, branch_table,
-                        conditional_production_given_symbol, explain,
-                        init_belief, predict, recognize, step,
-                        symbol_transition, update)
+from psdg.infer import (BranchEntry, Observation, branch_table, explain,
+                        init_belief, predict, recognize, step, update)
 from psdg.oracle import (Query, enumerate_joint, exact_posterior,
                          reference_reports, state_at)
 from psdg.parse import load_file
@@ -84,7 +82,8 @@ class TestInitBelief:
         g = traffic()
         left = StateSet.from_labels(g, {"lane": "left-lane"})
         belief = init_belief(g, restrict=left)
-        assert belief.support.size() == 6
+        assert set(belief.chart) == {q for q in left.iter_states()
+                                     if prior_probability(g, q) > 0.0}
         assert math.fsum(belief.b_q.values()) == pytest.approx(1.0)
         q = g.state_from_labels(
             {"lane": "left-lane", "speed": "slow", "exit": "far"}).idx
@@ -130,44 +129,6 @@ def flip_grammar(identity=False):
            else [(["l"], "a", [0.8, 0.2]), (["r"], "a", [0.3, 0.7])])
     f = feature("f", ["l", "r"], [0.5, 0.5], parents=["f"], cpt=cpt)
     return build([f], [production(0, "S", ["a"])], "S")
-
-
-class TestSymbolTransition:
-    def test_single_terminal_reduces_to_state_dynamics(self):
-        g = flip_grammar()
-        belief = init_belief(g)
-        for qp in ((0,), (1,)):
-            for qn in ((0,), (1,)):
-                want = transition_probability(g, qp, "a", qn)
-                assert symbol_transition(g, belief, "S", 1, qp, qn) == \
-                    pytest.approx(want)
-
-    def test_identity_dynamics_indicator(self):
-        g = flip_grammar(identity=True)
-        belief = init_belief(g)
-        assert symbol_transition(g, belief, "S", 1, (0,), (0,)) == 1.0
-        assert symbol_transition(g, belief, "S", 1, (0,), (1,)) == 0.0
-
-    def test_mixture_over_emitted_terminals(self):
-        g = traffic()
-        belief = init_belief(g)
-        q = g.state_from_labels(
-            {"lane": "center-lane", "speed": "slow", "exit": "far"}).idx
-        # both Pass productions sit at 0.5 in the center lane
-        for qn in StateSet.full(g).iter_states():
-            want = 0.5 * transition_probability(g, q, "Left", qn) \
-                 + 0.5 * transition_probability(g, q, "Right", qn)
-            got = symbol_transition(g, belief, "Pass", 2, q, qn)
-            assert got == pytest.approx(want)
-
-    def test_no_mass_on_symbol_gives_zero(self):
-        g = traffic()
-        belief = init_belief(g)
-        q = next(StateSet.full(g).iter_states())
-        assert symbol_transition(g, belief, "Pass", 1, q, q) == 0.0
-        # levels outside the stack hold no symbol
-        assert symbol_transition(g, belief, "Drive", 0, q, q) == 0.0
-        assert symbol_transition(g, belief, "Pass", 3, q, q) == 0.0
 
 
 def three_feature_grammar():
@@ -364,7 +325,6 @@ class TestUpdate:
         left = StateSet.from_labels(g, {"lane": "left-lane"})
         report, after = step(g, belief, Observation(1, left))
         assert after.time == 2
-        assert after.support == left
         assert after.log_evidence == pytest.approx(
             math.log(report.evidence_likelihood))
         for q in after.chart:
@@ -649,47 +609,6 @@ class TestStreamsAgainstOracle:
         base = sum(e.prob for e in joint.entries
                    if state_at(e.trajectory, 0) in obs[0].constraint)
         assert chain == pytest.approx(full / base, rel=1e-9)
-
-
-class TestConditionalProductionGivenSymbol:
-    def nested_grammar(self):
-        return build(
-            [unit_feature()],
-            [production(0, "S", ["C", "d"], default=0.2),
-             production(1, "S", ["e"], default=0.8),
-             production(2, "C", ["a"], default=0.3),
-             production(3, "C", ["b"], default=0.7)],
-            "S")
-
-    def test_ratio_of_belief_rows(self):
-        g = self.nested_grammar()
-        belief = init_belief(g)
-        q = (0,)
-        assert belief.b_n[(2, "C", q)] == pytest.approx(0.2)
-        assert belief.b_p[(2, (2, 1), q)] == pytest.approx(0.06)
-        assert belief.b_p[(2, (3, 1), q)] == pytest.approx(0.14)
-        got = conditional_production_given_symbol(belief, 2, (2, 1), "C", q)
-        assert got == pytest.approx(0.3)
-        got = conditional_production_given_symbol(belief, 2, (3, 1), "C", q)
-        assert got == pytest.approx(0.7)
-
-    def test_single_production_gives_one(self):
-        g = single_production_grammar()
-        belief = init_belief(g)
-        got = conditional_production_given_symbol(belief, 1, (0, 1), "S", (0,))
-        assert got == pytest.approx(1.0)
-
-    def test_other_lhs_gives_zero(self):
-        g = self.nested_grammar()
-        belief = init_belief(g)
-        assert conditional_production_given_symbol(
-            belief, 1, (2, 1), "S", (0,)) == 0.0
-
-    def test_empty_condition_rejected(self):
-        g = self.nested_grammar()
-        belief = init_belief(g)
-        with pytest.raises(UndefinedConditional):
-            conditional_production_given_symbol(belief, 3, (2, 1), "C", (0,))
 
 
 def _zero_mass(b):
@@ -1122,21 +1041,14 @@ def ref_tables(g, chart, completed):
 
 def assert_keys_follow_the_stack(g, table, entry):
     """An entry's keys are its (level, frame) production keys.  Each
-    implies its frame's symbol, the deepest one alone the emitted terminal
-    under its cursor, and whether its cursor is on its production's last
-    symbol; the levels from which every key down has that last fact are
-    the ones `termination_flags` says terminate."""
+    implies its frame's symbol and, the deepest one alone, the emitted
+    terminal under its cursor."""
     branch = entry.branch
     assert [table.slots[k] for k in entry.keys] == list(
         enumerate(branch, start=1))
-    implied = [table.implied[k] for k in entry.keys]
-    assert [(lhs, leaf) for lhs, leaf, _ in implied] == [
+    assert [table.implied[k] for k in entry.keys] == [
         (g.production(a).lhs, entry.leaf if level == len(branch) else None)
         for level, (a, _) in enumerate(branch, start=1)]
-    last = [ends for _, _, ends in implied]
-    assert last == [b == len(g.production(a).rhs) for a, b in branch]
-    assert [all(last[i:]) for i in range(len(last))] == list(
-        termination_flags(g, branch))
 
 
 def published(belief):
@@ -1159,6 +1071,7 @@ class TestBranchTable:
             assert entry.branch == branch
             assert table.entry(g, branch) is entry
             assert entry.leaf == leaf_terminal(g, branch)
+            assert entry.live == termination_flags(g, branch).count(False)
             assert_keys_follow_the_stack(g, table, entry)
             skeleton = advance_skeleton(g, branch)
             if skeleton is None:
@@ -1310,8 +1223,8 @@ class TestBranchTable:
         """The table holds one tuple per distinct skeleton, every move into
         one (symbol, guard cell)'s fresh chains holds that pair's
         probability tuple, and an entry's key tuple holds one production
-        key per level, whose implied facts give each level's symbol and the
-        terminating levels, so building the table leaves few objects alive."""
+        key per level, whose implied facts give each level's symbol, so
+        building the table leaves few objects alive."""
         g = load_file(GOLDEN_DEEP_PLANS)
         belief = init_belief(g)
         for obs in sampled_stream(g, 5, 6):
