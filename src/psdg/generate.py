@@ -13,6 +13,11 @@ with a freshly drawn production once the cursor has cleared the preceding
 symbols.  The cursor of such a frame therefore never reaches the final
 position, and the frame itself never terminates; this is what lets
 self-embedding plans run for unbounded time in bounded depth.
+
+What a stack does at a step apart from fresh draws (its emitted terminal,
+the levels that terminate and where it advances to) does not depend on
+the state.  `stack_rule` states it once; the recognizer's branch table and
+the oracle's walk both read it.
 """
 from __future__ import annotations
 
@@ -43,28 +48,6 @@ class Trajectory:
     steps: tuple[TimeStep, ...] = ()
     complete: bool = False
     seed: Optional[int] = None
-
-
-def leaf_terminal(psdg: Psdg, stack: Stack) -> str:
-    a, b = stack[-1]
-    sym = psdg.production(a).rhs[b - 1]
-    if not psdg.is_terminal(sym):
-        raise InvalidTrajectory(f"leaf of stack is {sym!r}, not a terminal")
-    return sym
-
-
-def termination_flags(psdg: Psdg, stack: Stack) -> tuple[bool, ...]:
-    """Per-level termination at the current step, deepest level decided first.
-
-    A frame terminates iff its cursor is on the final rhs symbol and that
-    symbol is the emitted terminal or a child expansion that terminates.
-    True entries always form a suffix of the stack.
-    """
-    live = len(stack)       # the terminal leaf itself always completes
-    while live and stack[live - 1][1] == len(
-            psdg.production(stack[live - 1][0]).rhs):
-        live -= 1
-    return (False,) * live + (True,) * (len(stack) - live)
 
 
 def enumerate_chains(psdg: Psdg, symbol: str,
@@ -108,29 +91,38 @@ def sample_chain(psdg: Psdg, symbol: str, state: StatePoint,
             return tuple(frames)
 
 
-def advance_skeleton(psdg: Psdg, stack: Stack
-                     ) -> Optional[tuple[Stack, Optional[str]]]:
-    """The deterministic part of one stack advance.
+def stack_rule(psdg: Psdg, stack: Stack
+               ) -> tuple[str, int, Optional[tuple[Stack, Optional[str]]]]:
+    """The state-free part of one step of `stack`: (leaf, live, skeleton).
 
-    Returns None when the root has terminated.  Otherwise returns
-    (kept frames, symbol needing a fresh chain or None); a fresh chain
-    always opens at level len(kept) + 1.  Terminated frames below the
-    deepest surviving level are dropped; that frame's cursor moves to the
-    next rhs symbol, which either is the new terminal leaf, re-enters the
-    same level (trailing-lhs recursion), or opens a fresh chain one level
-    down.
+    `leaf` is the emitted terminal; InvalidTrajectory is raised if the
+    deepest cursor sits on a nonterminal.  A frame terminates iff its
+    cursor is on the final rhs symbol and every deeper frame terminates
+    (the terminal leaf always completes), so the terminating levels are
+    those past the first `live`.  With `live` 0 the root has terminated
+    and `skeleton` is None.  Otherwise `skeleton` is (kept frames, symbol
+    needing a fresh chain or None); a fresh chain always opens at level
+    len(kept) + 1.  The deepest live frame's cursor moves to the next rhs
+    symbol, which either is the new terminal leaf, re-enters the same
+    level (trailing-lhs recursion), or opens a fresh chain one level down.
     """
-    flags = termination_flags(psdg, stack)
-    if flags[0]:
-        return None
-    d = flags.count(False)      # the deepest surviving level
-    a, b = stack[d - 1]
+    a, b = stack[-1]
+    leaf = psdg.production(a).rhs[b - 1]
+    if not psdg.is_terminal(leaf):
+        raise InvalidTrajectory(f"leaf of stack is {leaf!r}, not a terminal")
+    live = len(stack)
+    while live and stack[live - 1][1] == len(
+            psdg.production(stack[live - 1][0]).rhs):
+        live -= 1
+    if not live:
+        return leaf, 0, None
+    a, b = stack[live - 1]
     prod = psdg.production(a)
     if prod.tail_recursive and b + 1 == len(prod.rhs):
-        return stack[:d - 1], prod.lhs
+        return leaf, live, (stack[:live - 1], prod.lhs)
     sym = prod.rhs[b]
-    return (stack[:d - 1] + ((a, b + 1),),
-            None if psdg.is_terminal(sym) else sym)
+    return leaf, live, (stack[:live - 1] + ((a, b + 1),),
+                        None if psdg.is_terminal(sym) else sym)
 
 
 def advance_stack(psdg: Psdg, stack: Stack, state: StatePoint,
@@ -140,7 +132,7 @@ def advance_stack(psdg: Psdg, stack: Stack, state: StatePoint,
     Fresh productions (re-entries and newly opened subtrees) are drawn
     with probabilities evaluated at `state`.
     """
-    skeleton = advance_skeleton(psdg, stack)
+    skeleton = stack_rule(psdg, stack)[2]
     if skeleton is None:
         return None
     kept, fresh_symbol = skeleton
@@ -192,7 +184,7 @@ def sample_trajectory(psdg: Psdg, horizon: int, seed: Optional[int] = None
     stack = sample_chain(psdg, psdg.start, q0, rng)
     q_prev = q0
     for _ in range(horizon):
-        terminal = leaf_terminal(psdg, stack)
+        terminal = stack_rule(psdg, stack)[0]
         q = sample_next_state(psdg, q_prev, terminal, rng)
         steps.append(TimeStep(stack, terminal, q))
         nxt = advance_stack(psdg, stack, q, rng)
@@ -256,16 +248,11 @@ def trajectory_probability(psdg: Psdg, traj: Trajectory) -> float:
 
     times(prior_probability(psdg, traj.initial_state))
     q_prev = traj.initial_state
-    prev_stack: Optional[Stack] = None
+    skeleton: Optional[tuple[Stack, Optional[str]]] = ((), psdg.start)
     for t, step in enumerate(traj.steps, start=1):
-        if prev_stack is None:
-            kept: Stack = ()
-            fresh_symbol: Optional[str] = psdg.start
-        else:
-            skeleton = advance_skeleton(psdg, prev_stack)
-            if skeleton is None:
-                raise InvalidTrajectory(f"step {t}: follows a completed root")
-            kept, fresh_symbol = skeleton
+        if skeleton is None:
+            raise InvalidTrajectory(f"step {t}: follows a completed root")
+        kept, fresh_symbol = skeleton
         if step.stack[:len(kept)] != kept:
             raise InvalidTrajectory(f"step {t}: carried-over frames differ")
         rest = step.stack[len(kept):]
@@ -275,15 +262,13 @@ def trajectory_probability(psdg: Psdg, traj: Trajectory) -> float:
         else:
             for a in _match_chain(psdg, rest, fresh_symbol, t):
                 times(production_probability(psdg, a, q_prev))
-        terminal = leaf_terminal(psdg, step.stack)
+        terminal, _, skeleton = stack_rule(psdg, step.stack)
         if terminal != step.terminal:
             raise InvalidTrajectory(
                 f"step {t}: terminal {step.terminal!r} but leaf is {terminal!r}")
         times(transition_probability(psdg, q_prev, terminal, step.state))
         q_prev = step.state
-        prev_stack = step.stack
-    finished = termination_flags(psdg, traj.steps[-1].stack)[0]
-    if finished != traj.complete:
+    if (skeleton is None) != traj.complete:
         raise InvalidTrajectory("completion flag disagrees with the final stack")
     return float("-inf") if dead else log_p
 

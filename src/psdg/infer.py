@@ -10,8 +10,8 @@ update (install and check the predicted chart as the next belief).
 The belief is a joint chart over (previous state, active branch), where a
 branch is a generator stack (the (production, cursor) pairs from the root down
 to the terminal leaf) that the chart keys by its branch-table entry, which
-keeps its production key per level and how many levels stay live
-(`termination_flags`, taken once per entry).  The published tables are exact
+keeps its production key per level and how many levels stay live (from one
+`generate.stack_rule` call per entry).  The published tables are exact
 marginal projections of the chart, made on first read: symbol and terminal
 derive from the keys, termination from the levels past the live ones.
 Keeping the branch resolved is what makes the engine agree with brute-force
@@ -37,8 +37,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .errors import SupportTooLarge, ZeroEvidence
-from .generate import (Stack, advance_skeleton, enumerate_chains,
-                       leaf_terminal, termination_flags)
+from .generate import Stack, enumerate_chains, stack_rule
 from .grammar import Psdg, StateSet, prior_probability
 
 DEFAULT_SUPPORT_BOUND = 100_000
@@ -78,10 +77,11 @@ class BranchEntry:
 class BranchTable:
     """The grammar's branch alphabet, filled lazily.
 
-    `entries` maps each branch seen so far to its BranchEntry, derived once
-    by the generator's stack rules, since a branch is a generator stack;
-    validation bounds depth and rhs length, so it stays finite.  A
-    skeleton is `advance_skeleton` of the branch: None once the root
+    `entries` maps each branch seen so far to its BranchEntry, derived by
+    one `stack_rule` call when it is compiled, since a branch is a
+    generator stack; validation bounds depth and rhs length, so it stays
+    finite.  The call gives the entry's leaf, its `live` count (the levels
+    past it terminate with the branch) and its skeleton: None once the root
     terminates, else (kept prefix, symbol needing a fresh chain or None).
     Skeleton 0 (`_ROOT`) is ((), start), which opens every run; each other
     skeleton gets the next id when its first entry is compiled:
@@ -94,11 +94,9 @@ class BranchTable:
     `slots[k]`, a (level, (a, b)) pair, and implies `implied[k]`, its lhs
     and the terminal under its cursor or None (only the deepest frame's
     cursor sits on one), so symbol and terminal tables derive from the
-    keys.  Its `live` count, the levels `termination_flags` leaves
-    unterminated, is taken once when it is compiled; the levels past it
-    terminate with the branch.  Entries hold ids, never the move dicts, so
-    the table has no reference cycle; it holds no reference to its grammar
-    either, so the two die together by reference counting.
+    keys.  Entries hold ids, never the move dicts, so the table has no
+    reference cycle; it holds no reference to its grammar either, so the
+    two die together by reference counting.
     """
 
     def __init__(self, psdg: Psdg):
@@ -121,16 +119,14 @@ class BranchTable:
         hit = self.entries.get(branch)
         if hit is not None:
             return hit
-        skeleton = advance_skeleton(psdg, branch)
+        leaf, live, skeleton = stack_rule(psdg, branch)
         sid = -1 if skeleton is None else self.skeleton_ids.get(skeleton)
         if sid is None:
             sid = self.skeleton_ids[skeleton] = len(self.skeletons)
             self.skeletons.append(skeleton)
             self.moves.append({})
         keys = tuple(map(self.key_id.__getitem__, enumerate(branch, 1)))
-        hit = self.entries[branch] = BranchEntry(
-            branch, leaf_terminal(psdg, branch), keys,
-            termination_flags(psdg, branch).count(False), sid)
+        hit = self.entries[branch] = BranchEntry(branch, leaf, keys, live, sid)
         return hit
 
     def successors(self, psdg: Psdg, skeleton_id: int, state: State

@@ -23,9 +23,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from .errors import (ExplosionBound, InvalidTrajectory, UnknownProduction,
                      ZeroEvidenceMass)
-from .generate import (Stack, TimeStep, Trajectory, advance_skeleton,
-                       enumerate_chains, leaf_terminal, termination_flags,
-                       trajectory_probability)
+from .generate import (Stack, TimeStep, Trajectory, enumerate_chains,
+                       stack_rule, trajectory_probability)
 from .grammar import (Psdg, StatePoint, StateSet, _feature_transition,
                       enumerate_states, prior_probability,
                       production_probability)
@@ -34,6 +33,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 PCFG_BOUND = 10**7      # to_pcfg's cap on tuple symbols
+PCFG_PRODUCTION_BOUND = 10**6   # and on the productions that hold its memory
 # joint_runs' cap on walk nodes plus yielded rows: it bounds the walk's
 # time, and the memory of a table collected from it (the traffic table at
 # horizon 4, 183,982 rows, holds 330 bytes per row by tracemalloc).
@@ -84,7 +84,8 @@ def joint_runs(psdg: Psdg, horizon: int, bound: int = DEFAULT_JOINT_BOUND,
     The walk meets the same (state, terminal) transitions, (symbol, state)
     chains, stacks and (stack, state) time steps over and over; each is
     computed once per walk by a `functools.cache` function that dies with
-    it.  Rows share their TimeStep and StatePoint objects.
+    it, a stack's leaf, live levels and skeleton by `generate.stack_rule`
+    itself.  Rows share their TimeStep and StatePoint objects.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -109,11 +110,7 @@ def joint_runs(psdg: Psdg, horizon: int, bound: int = DEFAULT_JOINT_BOUND,
         return [(chain, math.log(cp))
                 for chain, cp in enumerate_chains(psdg, symbol, q)]
 
-    @functools.cache
-    def stack_facts(stack: Stack) -> tuple:
-        """(leaf terminal, root completes here, advance skeleton)."""
-        skeleton = advance_skeleton(psdg, stack)
-        return leaf_terminal(psdg, stack), skeleton is None, skeleton
+    stack_facts = functools.cache(functools.partial(stack_rule, psdg))
 
     def count_one():
         nonlocal count
@@ -126,13 +123,13 @@ def joint_runs(psdg: Psdg, horizon: int, bound: int = DEFAULT_JOINT_BOUND,
     def walk(q0: StatePoint, steps: tuple[TimeStep, ...], stack: Stack,
              q_prev: tuple[int, ...], logp: float, t: int):
         count_one()
-        _, complete_here, skeleton = stack_facts(stack)
+        _, live, skeleton = stack_facts(stack)
         for q, log_tp, step in time_steps(stack, q_prev):
             steps2 = steps + (step,)
             lp = logp + log_tp
-            if complete_here or t == horizon:
+            if not live or t == horizon:
                 count_one()
-                traj = Trajectory(q0, steps2, complete_here)
+                traj = Trajectory(q0, steps2, not live)
                 yield JointEntry(traj, math.exp(lp), lp)
             else:
                 kept, fresh_symbol = skeleton
@@ -215,8 +212,7 @@ def query_holds(psdg: Psdg, traj: Trajectory, query: Query) -> bool:
         return (query.level <= len(stack)
                 and stack[query.level - 1] == tuple(query.value))
     if k == "terminated":
-        return (query.level <= len(stack)
-                and termination_flags(psdg, stack)[query.level - 1])
+        return stack_rule(psdg, stack)[1] < query.level <= len(stack)
     raise ValueError(f"unknown query kind {k!r}")
 
 
@@ -452,7 +448,7 @@ def parse_tree(psdg: Psdg, traj: Trajectory) -> ParseNode:
             # previous stack bit for bit.  Replaying the deterministic
             # advance of the previous stack gives the true split between
             # carried-over frames and fresh ones.
-            kept, fresh_symbol = advance_skeleton(psdg, prev)
+            kept, fresh_symbol = stack_rule(psdg, prev)[2]
             k = len(kept)
             if fresh_symbol is not None and kept == prev[:k]:
                 # trailing-lhs re-entry: the first fresh frame replaces
@@ -583,7 +579,7 @@ def to_pcfg(psdg: Psdg) -> Pcfg:
     probabilities) equals its probability under the source grammar.
     Start weights are unnormalized: their total is the probability that
     the root plan ever completes.  Raises ExplosionBound past PCFG_BOUND
-    tuple symbols.
+    tuple symbols or PCFG_PRODUCTION_BOUND productions.
 
     Each production is evaluated once per state, and each completion
     matrix is read as plain-float rows with their (j, value) nonzeros.
@@ -629,6 +625,7 @@ def to_pcfg(psdg: Psdg) -> Pcfg:
     terminal_symbols: set[tuple] = set()
     pending = list(start)
     seen = set(pending)
+    made = 0
     while pending:
         lhs = pending.pop()
         _, q_in, sym, q_out = lhs
@@ -652,6 +649,10 @@ def to_pcfg(psdg: Psdg) -> Pcfg:
                         a, rhs + ((k_last, states[i], y_last, q_out),),
                         f / total))
         productions[lhs] = rules
+        made += len(rules)
+        if made > PCFG_PRODUCTION_BOUND:
+            raise ExplosionBound(f"converted grammar exceeds bound "
+                                 f"{PCFG_PRODUCTION_BOUND} on productions")
         for rule in rules:
             for child in rule.rhs:
                 if child[0] == TERM:

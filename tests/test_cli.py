@@ -20,6 +20,7 @@ from psdg.cli import build_parser, main
 from psdg.generate import observation_json_lines, sample_trajectory
 from psdg.grammar import StateSet
 from psdg.infer import Observation, init_belief, recognize
+from psdg.oracle import PCFG_PRODUCTION_BOUND
 from psdg.parse import load_text
 
 AB_TEXT = """\
@@ -637,6 +638,27 @@ class TestToPcfg:
         assert code == 0
         ratio = float(err.rsplit("ratio:", 1)[1])
         assert 0.0 < ratio < 1.0
+
+
+    def test_factored_state_stops_at_the_production_bound(self):
+        """512 states give far fewer tuple symbols than PCFG_BOUND but
+        8.4M productions; the production bound stops the export with its
+        message well inside a 1.5 GB address space."""
+        root = Path(__file__).resolve().parents[1]
+        script = (
+            "import resource, sys\n"
+            "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, hard))\n"
+            "from psdg.cli import main\n"
+            "sys.exit(main(['to-pcfg', sys.argv[1]]))\n")
+        proc = subprocess.run([sys.executable, "-c", script,
+                               "tests/golden/factored-state.psdg"],
+                              capture_output=True, text=True, cwd=root,
+                              env={**os.environ, "PYTHONPATH": "src"})
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (f"converted grammar exceeds bound "
+                               f"{PCFG_PRODUCTION_BOUND} on productions\n")
+        assert "out of memory" not in proc.stderr
 
 
 class TestMain:

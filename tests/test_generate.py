@@ -14,8 +14,8 @@ from helpers import (ab_grammar, build, feature, forcing_grammar, production,
                      random_psdg, repeated_child_grammar,
                      single_production_grammar, traffic, unit_feature)
 from psdg.errors import InvalidTrajectory
-from psdg.generate import (TimeStep, Trajectory, advance_stack, leaf_terminal,
-                           sample_trajectory, termination_flags,
+from psdg.generate import (TimeStep, Trajectory, advance_stack,
+                           sample_trajectory, stack_rule,
                            trajectory_json_lines, trajectory_probability)
 from psdg.grammar import production_probability
 from psdg.oracle import enumerate_joint
@@ -27,34 +27,32 @@ def drive_pass_stack(pass_cursor: int):
 
 
 class TestTermination:
+    """`stack_rule`'s live count: the levels past it terminate."""
+
     def test_pass_terminates_at_final_cursor(self):
         g = traffic()
-        assert termination_flags(g, drive_pass_stack(2))[1]
-        assert not termination_flags(g, drive_pass_stack(1))[1]
+        assert stack_rule(g, drive_pass_stack(2))[1] == 1
+        assert stack_rule(g, drive_pass_stack(1))[1] == 2
 
     def test_mid_production_frame_never_terminates(self):
         g = traffic()
         # Drive frame sits at cursor 1 of a length-2 rhs
-        assert not termination_flags(g, drive_pass_stack(2))[0]
+        assert stack_rule(g, drive_pass_stack(2))[1] >= 1
 
     def test_flags_form_suffix(self):
+        """The levels past `live` are the deepest ones whose cursors all
+        sit on their final rhs symbol."""
         g = traffic()
         for stack in (drive_pass_stack(1), drive_pass_stack(2),
                       ((4, 1),)):
-            flags = termination_flags(g, stack)
-            assert len(flags) == len(stack)
-            # once a frame fails to terminate, everything above fails too
-            seen_true = False
-            for f in reversed(flags):
-                if f:
-                    seen_true = True
-                else:
-                    assert not seen_true or f is False
+            live = stack_rule(g, stack)[1]
+            final = [b == len(g.production(a).rhs) for a, b in stack]
+            assert all(final[live:])
+            assert live == 0 or not final[live - 1]
 
     def test_exit_frame_terminates_root(self):
         g = traffic()
-        assert termination_flags(g, ((4, 1),)) \
-            == (True,)
+        assert stack_rule(g, ((4, 1),)) == ("Exit", 0, None)
 
 
 class TestAdvanceStack:
@@ -65,14 +63,14 @@ class TestAdvanceStack:
         rng = random.Random(0)
         nxt = advance_stack(g, drive_pass_stack(1), q, rng)
         assert nxt == drive_pass_stack(2)
-        assert leaf_terminal(g, nxt) == "Right"
+        assert stack_rule(g, nxt)[0] == "Right"
 
     def test_two_symbol_production_steps_through(self):
         g = build([unit_feature()], [production(0, "S", ["a", "b"])], "S")
         stack = ((0, 1),)
         nxt = advance_stack(g, stack, (0,), random.Random(0))
         assert nxt == ((0, 2),)
-        assert leaf_terminal(g, nxt) == "b"
+        assert stack_rule(g, nxt)[0] == "b"
 
     def test_root_termination_returns_none(self):
         g = traffic()
@@ -267,7 +265,7 @@ class TestStackWellFormedness:
         raise, so `python -O` keeps it."""
         with pytest.raises(InvalidTrajectory,
                            match="leaf of stack is 'Pass', not a terminal"):
-            leaf_terminal(traffic(), ((3, 1),))
+            stack_rule(traffic(), ((3, 1),))
 
 
 def test_package_checks_never_use_assert():

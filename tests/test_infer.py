@@ -25,13 +25,12 @@ import psdg
 import psdg.infer as infer_module
 from psdg.cli import main as cli_main
 from psdg.errors import SupportTooLarge, ZeroEvidence
-from psdg.generate import (advance_skeleton, enumerate_chains, leaf_terminal,
-                           observation_json_lines, sample_trajectory,
-                           termination_flags)
+from psdg.generate import (enumerate_chains, observation_json_lines,
+                           sample_trajectory, stack_rule)
 from psdg.grammar import StateSet, prior_probability, transition_probability
 from psdg.infer import (BranchEntry, Observation, branch_table, explain,
                         init_belief, predict, recognize, step, update)
-from psdg.oracle import (Query, enumerate_joint, exact_posterior,
+from psdg.oracle import (Query, enumerate_joint, exact_posterior, joint_runs,
                          reference_reports, state_at)
 from psdg.parse import load_file
 
@@ -888,6 +887,37 @@ def sampled_stream(g, seed, steps):
     return out
 
 
+def ref_leaf(g, branch):
+    """The terminal under the deepest cursor."""
+    a, b = branch[-1]
+    return g.production(a).rhs[b - 1]
+
+
+def ref_terminating(g, branch):
+    """Per level, root first: whether it terminates at this step, which it
+    does when its cursor is on its last rhs symbol and every deeper level
+    terminates."""
+    final = [b == len(g.production(a).rhs) for a, b in branch]
+    return [all(final[level:]) for level in range(len(branch))]
+
+
+def ref_skeleton(g, branch):
+    """None once the root terminates; else the frames kept, the deepest
+    live one's cursor moved on, and the symbol needing a fresh chain or
+    None.  Moving onto a trailing copy of the production's lhs re-enters
+    that level instead."""
+    live = ref_terminating(g, branch).count(False)
+    if not live:
+        return None
+    a, b = branch[live - 1]
+    prod = g.production(a)
+    if prod.tail_recursive and b + 1 == len(prod.rhs):
+        return branch[:live - 1], prod.lhs
+    nxt = prod.rhs[b]
+    return (branch[:live - 1] + ((a, b + 1),),
+            None if g.is_terminal(nxt) else nxt)
+
+
 def ref_marginals(g, weighted):
     """Symbols and productions per level and the terminal, one branch at
     a time in the order given."""
@@ -899,7 +929,7 @@ def ref_marginals(g, weighted):
             srow[sym] = srow.get(sym, 0.0) + w
             prow = productions.setdefault(pos + 1, {})
             prow[(a, b)] = prow.get((a, b), 0.0) + w
-        x = leaf_terminal(g, branch)
+        x = ref_leaf(g, branch)
         terminal[x] = terminal.get(x, 0.0) + w
     return symbols, productions, terminal
 
@@ -910,7 +940,7 @@ def ref_explain(g, belief, exp):
         for branch, mass in row.items():
             if mass <= 0.0:
                 continue
-            x = leaf_terminal(g, branch)
+            x = ref_leaf(g, branch)
             post = (mass * math.fsum(exp.transitions[(q, x)].values())
                     / exp.evidence)
             if post > 0.0:
@@ -924,8 +954,8 @@ def ref_predict(g, belief, exp):
         for branch, mass in row.items():
             if mass <= 0.0:
                 continue
-            skeleton = advance_skeleton(g, branch)
-            trow = exp.transitions[(q, leaf_terminal(g, branch))]
+            skeleton = ref_skeleton(g, branch)
+            trow = exp.transitions[(q, ref_leaf(g, branch))]
             for q2, p in trow.items():
                 share = mass * p / exp.evidence
                 if skeleton is None:
@@ -1018,7 +1048,7 @@ def ref_tables(g, chart, completed):
             if mass <= 0.0:
                 continue
             share = mass / cq
-            flags = termination_flags(g, branch)
+            flags = ref_terminating(g, branch)
             for level, (f, done) in enumerate(zip(branch, flags), start=1):
                 nk = (level, g.production(f[0]).lhs, q)
                 b_n[nk] = b_n.get(nk, 0.0) + share
@@ -1027,7 +1057,7 @@ def ref_tables(g, chart, completed):
                 if done:
                     b_t[(level, q)] = b_t.get((level, q), 0.0) + share
                     tn[nk] = tn.get(nk, 0.0) + share
-            sk = (leaf_terminal(g, branch), q)
+            sk = (ref_leaf(g, branch), q)
             b_sigma[sk] = b_sigma.get(sk, 0.0) + share
     for q, c in completed.items():
         if c <= 0.0:
@@ -1070,10 +1100,10 @@ class TestBranchTable:
         for branch, entry in table.entries.items():
             assert entry.branch == branch
             assert table.entry(g, branch) is entry
-            assert entry.leaf == leaf_terminal(g, branch)
-            assert entry.live == termination_flags(g, branch).count(False)
+            assert entry.leaf == ref_leaf(g, branch)
+            assert entry.live == ref_terminating(g, branch).count(False)
             assert_keys_follow_the_stack(g, table, entry)
-            skeleton = advance_skeleton(g, branch)
+            skeleton = ref_skeleton(g, branch)
             if skeleton is None:
                 assert entry.skeleton_id == -1
             else:
@@ -1083,6 +1113,22 @@ class TestBranchTable:
                 if fresh_symbol is not None:
                     # the fresh chain opens at level len(kept) + 1
                     assert len(kept) + 1 in g.levels[fresh_symbol]
+
+    @pytest.mark.parametrize("make, horizon", [
+        (traffic, 2), (lambda: load_file(GOLDEN_DEEP_PLANS), 4),
+        (branchy_grammar, 6)])
+    def test_stack_rule_follows_the_per_level_definition(self, make,
+                                                         horizon):
+        """On every stack of the joint walk, `stack_rule` gives the leaf,
+        live count and skeleton the test's own definitions give."""
+        g = make()
+        stacks = {step.stack for e in joint_runs(g, horizon)
+                  for step in e.trajectory.steps}
+        assert len(stacks) >= 8
+        for stack in stacks:
+            assert stack_rule(g, stack) == (
+                ref_leaf(g, stack), ref_terminating(g, stack).count(False),
+                ref_skeleton(g, stack))
 
     def test_successors_are_kept_prefix_plus_fresh_chains(self):
         g = branchy_grammar()

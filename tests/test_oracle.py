@@ -25,10 +25,10 @@ from psdg.errors import (ExplosionBound, InvalidTrajectory, PsdgError,
                          UnknownProduction, ZeroEvidenceMass)
 from psdg.generate import Trajectory, sample_trajectory, trajectory_probability
 from psdg.grammar import ProbabilityFunction, StateSet
-from psdg.infer import Observation
-from psdg.oracle import (DEFAULT_JOINT_BOUND, Query, enumerate_joint,
-                         exact_posterior, parse_tree, pcfg_text,
-                         pcfg_tree_probability, reference_reports,
+from psdg.infer import Observation, recognize
+from psdg.oracle import (DEFAULT_JOINT_BOUND, Query, compare_reports,
+                         enumerate_joint, exact_posterior, parse_tree,
+                         pcfg_text, pcfg_tree_probability, reference_reports,
                          streamed_reports, to_pcfg)
 from psdg.parse import load_file
 
@@ -126,6 +126,22 @@ class TestStreamedReports:
             assert json.dumps(streamed_reports(g, obs)) == \
                 json.dumps(table_reports(g, obs)), i
         assert restricted and gappy
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_recognize_matches_a_stream_opened_at_t0(self, seed):
+        """A t=0 point restriction keeps the walk within the joint bound
+        up to t = 5, where an unrestricted traffic walk exceeds it; lane
+        observations of a sampled run then hold the engine to 1e-9."""
+        g = traffic()
+        traj = sample_trajectory(g, 4, seed)
+        point = StateSet(tuple(frozenset({v})
+                               for v in traj.initial_state.idx))
+        obs = [Observation(0, point)] + lanes(g, *(
+            (t, traj.steps[min(t, len(traj.steps)) - 1].state.labels(g)[
+                "lane"]) for t in range(1, 5)))
+        got = [r.to_dict(g) for r in recognize(g, obs)]
+        for a, b in zip(got, streamed_reports(g, obs), strict=True):
+            assert compare_reports(a, b, tol=1e-9)[1] == []
 
     def test_folded_masses_give_the_same_bytes(self, monkeypatch):
         """Folding the masses into their exact partials every 16 rows
