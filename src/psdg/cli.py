@@ -3,8 +3,8 @@
 Subcommands: validate, sample, infer, oracle-check, to-pcfg.  Data goes
 to standard output as JSON lines (or grammar text for to-pcfg), every
 diagnostic to standard error.  Exit codes: 0 success, 1 validation or
-model error (or running out of memory), 2 I/O or input-format error, 3
-zero-evidence under the `error` policy.
+model error (or running out of memory or recursion depth), 2 I/O or
+input-format error, 3 zero-evidence under the `error` policy.
 
 Observation streams are JSON lines `{"t": k, "observe": {feature:
 [values, ...]}}` with strictly increasing times.  A `t: 0` line may come
@@ -290,8 +290,10 @@ def main(argv=None) -> int:
     except MemoryError:
         # Report after the handler, once the traceback no longer holds the
         # failed call's memory: printing inside it can fail again or hang.
-        pass
-    print(f"{args.command}: out of memory", file=sys.stderr)
+        problem = "out of memory"
+    except RecursionError:
+        problem = "input nested past the interpreter's recursion limit"
+    print(f"{args.command}: {problem}", file=sys.stderr)
     return 1
 
 

@@ -16,8 +16,8 @@ self-embedding plans run for unbounded time in bounded depth.
 
 What a stack does at a step apart from fresh draws (its emitted terminal,
 the levels that terminate and where it advances to) does not depend on
-the state.  `stack_rule` states it once; the recognizer's branch table and
-the oracle's walk both read it.
+the state.  `stack_rule` states it once; the recognizer's branch table,
+the oracle's walk and the sampler all read it.
 """
 from __future__ import annotations
 
@@ -125,22 +125,6 @@ def stack_rule(psdg: Psdg, stack: Stack
                         None if psdg.is_terminal(sym) else sym)
 
 
-def advance_stack(psdg: Psdg, stack: Stack, state: StatePoint,
-                  rng: random.Random) -> Optional[Stack]:
-    """One step of the generative process; None once the root terminates.
-
-    Fresh productions (re-entries and newly opened subtrees) are drawn
-    with probabilities evaluated at `state`.
-    """
-    skeleton = stack_rule(psdg, stack)[2]
-    if skeleton is None:
-        return None
-    kept, fresh_symbol = skeleton
-    if fresh_symbol is None:
-        return kept
-    return kept + sample_chain(psdg, fresh_symbol, state, rng)
-
-
 def _sample_indexed(probs: Sequence[float], rng: random.Random,
                     total: float = 1.0) -> int:
     """Index i drawn with probability probs[i] / total."""
@@ -184,14 +168,17 @@ def sample_trajectory(psdg: Psdg, horizon: int, seed: Optional[int] = None
     stack = sample_chain(psdg, psdg.start, q0, rng)
     q_prev = q0
     for _ in range(horizon):
-        terminal = stack_rule(psdg, stack)[0]
+        terminal, _, skeleton = stack_rule(psdg, stack)
         q = sample_next_state(psdg, q_prev, terminal, rng)
         steps.append(TimeStep(stack, terminal, q))
-        nxt = advance_stack(psdg, stack, q, rng)
-        if nxt is None:
+        if skeleton is None:
             complete = True
             break
-        stack, q_prev = nxt, q
+        # Fresh productions are drawn at the state after the emission.
+        stack, fresh_symbol = skeleton
+        if fresh_symbol is not None:
+            stack += sample_chain(psdg, fresh_symbol, q, rng)
+        q_prev = q
     return Trajectory(q0, tuple(steps), complete, seed)
 
 

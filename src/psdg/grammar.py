@@ -588,31 +588,46 @@ def validate_grammar(raw: RawGrammar) -> tuple[Psdg | None, list[Diagnostic]]:
         return None, diags
     features = tuple(features)
 
-    # Level assignment and tail-recursion structure.
+    # Levels.  A symbol's children are the nonterminals on its productions'
+    # right-hand sides, save the trailing self-reference of a tail-recursive
+    # production, which stays on its parent's level.  A depth-first walk
+    # from the start symbol, on its own stack and with children in sorted
+    # order, either meets a child already on its path (recursion other than
+    # direct tail recursion, named from the cycle's least symbol) or lists
+    # the reachable symbols children first.  A cycle the start symbol never
+    # reaches is no fault: no derivation enters it.  Read in reverse, the
+    # list puts every parent before its children: the start symbol sits at
+    # level 1, and each child one level below each level of each parent.
+    children = {nt: sorted({s for prod in by_lhs[nt] for s in (
+        prod.rhs[:-1] if prod.tail_recursive else prod.rhs) if s in by_lhs})
+        for nt in nonterminals}
+    path, todo = [raw.start], [iter(children[raw.start])]
+    on_path = {raw.start: True}         # False once a symbol is listed
+    order = []
+    while todo:
+        for child in todo[-1]:
+            if on_path.get(child):
+                cycle = path[path.index(child):]
+                least = cycle.index(min(cycle))
+                cycle = cycle[least:] + cycle[:least + 1]
+                return None, [Diagnostic(
+                    "NonTailRecursion",
+                    "recursion other than direct tail recursion: cycle "
+                    + " -> ".join(cycle))]
+            if child not in on_path:
+                on_path[child] = True
+                path.append(child)
+                todo.append(iter(children[child]))
+                break
+        else:
+            todo.pop()
+            on_path[path[-1]] = False
+            order.append(path.pop())
     levels: dict[str, set[int]] = {raw.start: {1}}
-    frontier = [(raw.start, 1)]
-    seen = {(raw.start, 1)}
-    max_level = 1
-    overflow = False
-    while frontier:
-        sym, lvl = frontier.pop()
-        for prod in by_lhs[sym]:
-            for child, down in _child_levels(prod, by_lhs):
-                child_lvl = lvl + down
-                if child_lvl > len(nonterminals):
-                    overflow = True
-                    continue
-                levels.setdefault(child, set()).add(child_lvl)
-                if (child, child_lvl) not in seen:
-                    seen.add((child, child_lvl))
-                    frontier.append((child, child_lvl))
-                max_level = max(max_level, child_lvl)
-    if overflow:
-        diags.append(Diagnostic(
-            "NonTailRecursion",
-            "recursion other than direct tail recursion: cycle "
-            + " -> ".join(_find_level_cycle(by_lhs))))
-        return None, diags
+    for sym in reversed(order):
+        for child in children[sym]:
+            levels.setdefault(child, set()).update(
+                lvl + 1 for lvl in levels[sym])
 
     # Normalization of production probabilities for every state.  A
     # function reads a state only through its guards, so the least state
@@ -623,7 +638,7 @@ def validate_grammar(raw: RawGrammar) -> tuple[Psdg | None, list[Diagnostic]]:
     # lexicographically least failing state.
     lv = {nt: tuple(sorted(levels.get(nt, set()))) for nt in nonterminals}
     psdg = Psdg(features, raw.start, tuple(productions), terminals,
-                nonterminals, lv, max_level)
+                nonterminals, lv, max(map(max, levels.values())))
     for nt in nonterminals:
         funcs = [prod.prob for prod in by_lhs[nt]]
         scope = {fi for fn in funcs for guard, _ in fn.rules for fi, _ in guard}
@@ -654,46 +669,6 @@ def _check_distribution(diags, probs, what, line, column):
         diags.append(Diagnostic("BadDistribution",
                                 f"{what} sums to {sum(probs):.15g}",
                                 line, column))
-
-
-def _child_levels(prod: Production, nonterminals):
-    """(child, levels down) for each nonterminal child of a production.
-    A child sits one level below its parent, except the trailing symbol of
-    a tail-recursive production, which stays on the parent's level."""
-    last = len(prod.rhs) - 1
-    for i, child in enumerate(prod.rhs):
-        if child in nonterminals:
-            yield child, 0 if (i == last and prod.tail_recursive) else 1
-
-
-def _find_level_cycle(by_lhs: dict[str, list[Production]]) -> list[str]:
-    """Find a cycle in the level-increment graph for the error message."""
-    edges = {nt: {child for prod in prods
-                  for child, down in _child_levels(prod, by_lhs) if down}
-             for nt, prods in by_lhs.items()}
-    color: dict[str, int] = {}
-    stack: list[str] = []
-
-    def dfs(u: str) -> list[str] | None:
-        color[u] = 1
-        stack.append(u)
-        for v in sorted(edges[u]):
-            if color.get(v, 0) == 1:
-                return stack[stack.index(v):] + [v]
-            if color.get(v, 0) == 0:
-                found = dfs(v)
-                if found:
-                    return found
-        stack.pop()
-        color[u] = 2
-        return None
-
-    for nt in sorted(by_lhs):
-        if color.get(nt, 0) == 0:
-            found = dfs(nt)
-            if found:
-                return found
-    return ["<unknown>"]
 
 
 def compile_grammar(features: list[RawFeature],

@@ -491,7 +491,7 @@ NT = "nt"
 TERM = "t"
 
 
-@dataclass
+@dataclass(slots=True)
 class PcfgProduction:
     origin: int                 # production index in the source grammar
     rhs: tuple[tuple, ...]

@@ -102,6 +102,16 @@ prod 1: S -> stop { rule f in {lo} : 0.1; default: 0.2; }
 """
 
 
+def nest_text(n, body, last):
+    """Symbols N0 .. N(n-1) with one production each: N_i -> `body`
+    formatted with i + 1, and N(n-1) -> `last`."""
+    rules = [f"prod {i}: N{i} -> {body.format(i + 1)} {{ default: 1; }}"
+             for i in range(n - 1)]
+    rules.append(f"prod {n - 1}: N{n - 1} -> {last} {{ default: 1; }}")
+    return "feature f { values: a; prior: 1; }\nstart N0\n" + \
+        "\n".join(rules) + "\n"
+
+
 @pytest.fixture
 def ab_path(tmp_path):
     path = tmp_path / "ab.psdg"
@@ -146,6 +156,17 @@ class TestValidate:
         code, _, err = run(capsys, ["validate", str(path)])
         assert code == 1
         assert json_lines(err)[0]["line"] == 1
+
+    def test_long_cycle_is_one_diagnostic(self, capsys, tmp_path):
+        path = tmp_path / "ring.psdg"
+        path.write_text(nest_text(1200, "x N{}", "x N0"))
+        code, out, err = run(capsys, ["validate", str(path)])
+        assert (code, out) == (1, "")
+        (diag,) = json_lines(err)
+        assert diag["kind"] == "NonTailRecursion"
+        assert diag["message"] == (
+            "recursion other than direct tail recursion: cycle "
+            + " -> ".join(f"N{i}" for i in [*range(1200), 0]))
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["validate", str(tmp_path / "nope.psdg")])
@@ -705,6 +726,28 @@ class TestMain:
         assert code == 1
         assert out == ""
         assert err == "to-pcfg: out of memory\n"
+
+    @pytest.mark.parametrize("command, text, stdin", [
+        ("infer", nest_text(1200, "N{}", "x"), '{"t": 1}\n'),
+        ("oracle-check", "feature f { values: a; prior: 1; }\nstart S\n"
+                         "prod 0: S -> x S { default: 1; }\n",
+         "".join(f'{{"t": {t}}}\n' for t in range(1, 1201)))],
+        ids=["infer", "oracle-check"])
+    def test_recursion_limit_is_one_line(self, tmp_path, command, text,
+                                         stdin):
+        """A derivation 1,200 levels deep (infer's fresh chains) and a
+        1,200-step stream (the oracle's walk) outrun the interpreter's
+        recursion limit; each run ends in one line, not a traceback."""
+        path = tmp_path / "deep.psdg"
+        path.write_text(text)
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-m", "psdg", command,
+                               str(path)], input=stdin, capture_output=True,
+                              text=True, cwd=root,
+                              env={**os.environ, "PYTHONPATH": "src"})
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (f"{command}: input nested past the "
+                               f"interpreter's recursion limit\n")
 
 
 class TestConsoleScript:

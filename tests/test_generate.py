@@ -14,7 +14,7 @@ from helpers import (ab_grammar, build, feature, forcing_grammar, production,
                      random_psdg, repeated_child_grammar,
                      single_production_grammar, traffic, unit_feature)
 from psdg.errors import InvalidTrajectory
-from psdg.generate import (TimeStep, Trajectory, advance_stack,
+from psdg.generate import (TimeStep, Trajectory, sample_chain,
                            sample_trajectory, stack_rule,
                            trajectory_json_lines, trajectory_probability)
 from psdg.grammar import production_probability
@@ -56,40 +56,35 @@ class TestTermination:
 
 
 class TestAdvanceStack:
+    """A step's next stack: `stack_rule`'s skeleton, with any fresh chain
+    drawn by `sample_chain` at the new state."""
+
     def test_pass_cursor_advances(self):
         g = traffic()
-        q = g.state_from_labels(
-            {"lane": "left-lane", "speed": "slow", "exit": "far"})
-        rng = random.Random(0)
-        nxt = advance_stack(g, drive_pass_stack(1), q, rng)
-        assert nxt == drive_pass_stack(2)
-        assert stack_rule(g, nxt)[0] == "Right"
+        assert stack_rule(g, drive_pass_stack(1)) == \
+            ("Left", 2, (drive_pass_stack(2), None))
+        assert stack_rule(g, drive_pass_stack(2))[0] == "Right"
 
     def test_two_symbol_production_steps_through(self):
         g = build([unit_feature()], [production(0, "S", ["a", "b"])], "S")
-        stack = ((0, 1),)
-        nxt = advance_stack(g, stack, (0,), random.Random(0))
-        assert nxt == ((0, 2),)
-        assert stack_rule(g, nxt)[0] == "b"
+        assert stack_rule(g, ((0, 1),)) == ("a", 1, (((0, 2),), None))
+        assert stack_rule(g, ((0, 2),))[0] == "b"
 
     def test_root_termination_returns_none(self):
         g = traffic()
-        q = g.state_from_labels(
-            {"lane": "center-lane", "speed": "slow", "exit": "at"})
-        assert advance_stack(g, ((4, 1),),
-                             q, random.Random(0)) is None
+        assert stack_rule(g, ((4, 1),))[2] is None
 
     def test_tail_reentry_samples_fresh_root_production(self):
         g = traffic()
         q = g.state_from_labels(
             {"lane": "center-lane", "speed": "slow", "exit": "far"})
+        kept, fresh_symbol = stack_rule(g, drive_pass_stack(2))[2]
+        assert (kept, fresh_symbol) == ((), "Drive")
         rng = random.Random(7)
         n = 100_000
         counts = Counter()
         for _ in range(n):
-            nxt = advance_stack(g, drive_pass_stack(2), q, rng)
-            assert nxt is not None
-            root, _ = nxt[0]
+            root, _ = sample_chain(g, fresh_symbol, q, rng)[0]
             assert g.production(root).lhs == "Drive"
             counts[root] += 1
         for p in g.productions:

@@ -1,4 +1,5 @@
 """Model layer: probability functions, state sets, validation."""
+import functools
 import itertools
 import math
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (TRAFFIC_PATH, build, feature, production,
+from helpers import (TRAFFIC_PATH, build, feature, production, random_psdg,
                      single_production_grammar, traffic, unit_feature)
 import psdg.grammar as grammar_module
 from psdg.errors import GrammarError, SetTooLarge
@@ -18,8 +19,8 @@ from psdg.grammar import (ProbabilityFunction, StatePoint, StateSet,
                           RawGrammar)
 from psdg.parse import load_file, validate_text
 
-GOLDEN_FACTORED_STATE = (Path(__file__).parent / "golden"
-                         / "factored-state.psdg")
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_FACTORED_STATE = GOLDEN / "factored-state.psdg"
 
 
 def two_flip_features():
@@ -249,6 +250,91 @@ class TestValidate:
         q = g.state_from_labels(
             {"lane": "left-lane", "speed": "fast", "exit": "far"}).idx
         assert g.state_key(q) == "left-lane|fast|far"
+
+
+def path_lengths(g):
+    """Reference levels: for each nonterminal, 1 + the lengths of the
+    paths from the start symbol, where a step goes from a production's
+    lhs to a nonterminal on its rhs, except the final symbol when it
+    repeats the lhs.  Grown to a fixed point, which exists because a
+    valid grammar has no cycle of such steps."""
+    levels = {nt: set() for nt in g.nonterminals}
+    levels[g.start].add(1)
+    grown = True
+    while grown:
+        grown = False
+        for p in g.productions:
+            for i, sym in enumerate(p.rhs):
+                if sym not in levels or (i == len(p.rhs) - 1
+                                         and sym == p.lhs):
+                    continue
+                new = {lvl + 1 for lvl in levels[p.lhs]} - levels[sym]
+                if new:
+                    levels[sym] |= new
+                    grown = True
+    return {nt: tuple(sorted(lvls)) for nt, lvls in levels.items()}
+
+
+def ring(n):
+    """N0 -> x N1 -> ... -> x N(n-1) -> x N0: a cycle of n symbols, none
+    of them a direct tail recursion."""
+    return [production(i, f"N{i}", ["x", f"N{(i + 1) % n}"])
+            for i in range(n)]
+
+
+class TestLevels:
+    CYCLE = "recursion other than direct tail recursion: cycle "
+
+    def test_reachable_cycle_is_named_before_a_lesser_unreachable_one(self):
+        """The walk meets the cycle as Y -> X -> Y and names it from X."""
+        prods = [production(0, "S", ["Y"]),
+                 production(1, "X", ["x", "Y"]),
+                 production(2, "Y", ["y", "X"]),
+                 production(3, "C", ["c", "D"]),
+                 production(4, "D", ["d", "C"])]
+        psdg, diags = validate_grammar(RawGrammar([unit_feature()], prods,
+                                                  "S"))
+        assert psdg is None
+        assert [(d.kind, d.message, d.line, d.column) for d in diags] == [
+            ("NonTailRecursion", self.CYCLE + "X -> Y -> X", 0, 0)]
+
+    def test_long_cycle_is_a_diagnostic(self):
+        psdg, diags = validate_grammar(RawGrammar([unit_feature()],
+                                                  ring(1200), "N0"))
+        assert psdg is None
+        assert [(d.kind, d.message) for d in diags] == [
+            ("NonTailRecursion", self.CYCLE + " -> ".join(
+                f"N{i}" for i in [*range(1200), 0]))]
+
+    def test_unreachable_cycle_validates_without_levels(self):
+        g = build([unit_feature()],
+                  [production(0, "S", ["s"]),
+                   production(3, "C", ["c", "D"]),
+                   production(4, "D", ["d", "C"])], "S")
+        assert g.levels == {"C": (), "D": (), "S": (1,)}
+        assert g.depth == 1
+
+    def test_long_chain_validates(self):
+        n = 1200
+        g = build([unit_feature()],
+                  [production(i, f"N{i}", [f"N{i + 1}"])
+                   for i in range(n - 1)]
+                  + [production(n - 1, f"N{n - 1}", ["x"])], "N0")
+        assert g.depth == n
+        assert g.levels == {f"N{i}": (i + 1,) for i in range(n)}
+
+    @pytest.mark.parametrize("load", [
+        pytest.param(traffic, id="traffic"),
+        *(pytest.param(functools.partial(load_file, GOLDEN / name), id=name)
+          for name in ("deep-plans.psdg", "factored-state.psdg")),
+        *(pytest.param(functools.partial(random_psdg, seed),
+                       id=f"random{seed}") for seed in range(40))])
+    def test_levels_are_the_path_lengths_from_the_start(self, load):
+        """deep-plans puts C, D and E on two or three levels each."""
+        g = load()
+        assert g.levels == path_lengths(g)
+        assert g.depth == max(max(lvls) for lvls in g.levels.values()
+                              if lvls)
 
 
 class TestProductionProbability:
