@@ -66,6 +66,9 @@ def _parse_observation(psdg: Psdg, line: str, lineno: int) -> Observation:
         payload = json.loads(line)
     except json.JSONDecodeError as e:
         raise _CliError(2, f"line {lineno}: invalid JSON: {e.msg}") from None
+    except RecursionError:
+        raise _CliError(2, f"line {lineno}: invalid JSON: nested too "
+                           "deeply") from None
     t = payload.get("t") if isinstance(payload, dict) else None
     if not isinstance(t, int) or isinstance(t, bool):
         raise _CliError(2, f"line {lineno}: expected an object with an "

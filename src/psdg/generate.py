@@ -52,24 +52,36 @@ class Trajectory:
 
 def enumerate_chains(psdg: Psdg, symbol: str,
                      state: StatePoint) -> list[tuple[Stack, float]]:
-    """All ways to freshly expand `symbol` down to a terminal leaf.
-
-    Returns (frame chain, probability) pairs in production-index order,
-    depth first.  Chains of probability zero, including products that
-    underflow, are skipped.  Validation bounds chain length, so the
-    recursion terminates.
-    """
+    """All ways to freshly expand `symbol` down to a terminal leaf:
+    (frame chain, probability) pairs in production-index order, depth
+    first, each probability multiplied from the leaf up.  Chains of
+    probability zero, including products that underflow, are skipped.
+    The walk keeps its own stack, so chains may be as deep as validation
+    allows."""
     out: list[tuple[Stack, float]] = []
-    for a in psdg.by_lhs[symbol]:
-        prod = psdg.production(a)
-        p = production_probability(psdg, prod, state)
-        if p <= 0.0:
-            continue
-        head = ((a, 1),)    # one frame tuple that all its chains share
-        first = prod.rhs[0]
-        tails = [((), 1.0)] if psdg.is_terminal(first) else \
-            enumerate_chains(psdg, first, state)
-        out += [(head + tail, p * tp) for tail, tp in tails if p * tp > 0.0]
+    frames: list[tuple[int, int]] = []      # the open frames, root first
+    probs: list[float] = []                 # and their probabilities
+    todo = [iter(psdg.by_lhs[symbol])]
+    while todo:
+        for a in todo[-1]:
+            prod = psdg.production(a)
+            p = production_probability(psdg, prod, state)
+            if p <= 0.0:
+                continue
+            if psdg.is_terminal(prod.rhs[0]):
+                cp = math.prod(reversed(probs), start=p)    # leaf up
+                if cp > 0.0:
+                    out.append(((*frames, (a, 1)), cp))
+                continue
+            frames.append((a, 1))
+            probs.append(p)
+            todo.append(iter(psdg.by_lhs[prod.rhs[0]]))
+            break
+        else:
+            todo.pop()
+            if frames:
+                frames.pop()
+                probs.pop()
     return out
 
 

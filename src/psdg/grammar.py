@@ -93,20 +93,9 @@ class RawGrammar:
 
 
 @dataclass(frozen=True)
-class CptRow:
-    """One transition row: parent value indices (None = wildcard), the
-    conditioning terminal (None = wildcard), and a distribution over the
-    feature's own domain.  Rows are matched first to last."""
-
-    parent_values: tuple[int | None, ...]
-    terminal: str | None
-    probs: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class FeatureSpec:
     """A validated feature.  `table` is the CPT compiled at validation:
-    table[terminal][parent_key(prev)] is the first row of `cpt` matching
+    table[terminal][parent_key(prev)] is the first declared row matching
     that terminal and those previous parent values.  `parent_key` reads
     the parent values of a full previous state: a bare value index for
     one parent, a tuple for several, () for none."""
@@ -114,8 +103,6 @@ class FeatureSpec:
     name: str
     values: tuple[str, ...]
     prior: tuple[float, ...]
-    parent_indices: tuple[int, ...]       # feature indices at the previous step
-    cpt: tuple[CptRow, ...]
     table: dict[str, dict[object, tuple[float, ...]]] = field(
         compare=False, repr=False)
     parent_key: Callable[[tuple[int, ...]], object] = field(
@@ -484,34 +471,37 @@ def validate_grammar(raw: RawGrammar) -> tuple[Psdg | None, list[Diagnostic]]:
             tail_recursive=len(p.rhs) >= 2 and p.rhs[-1] == p.lhs))
         by_lhs[p.lhs].append(productions[-1])
 
-    # CPTs (terminals are known only now), each row resolved to a CptRow.
-    # A feature with parents but no rows is reported only once every
-    # other check is clean.
-    resolved = []
-    rowless = []
+    # CPTs (terminals are known only now).  Each row, once checked, fills
+    # the (parent combo, terminal) pairs it covers that no earlier row did,
+    # so each table entry is the first matching row; after any failure
+    # nothing is filled, as the tables are dropped.  A feature with parents
+    # but no rows, then the pairs no row covers (in combo order, then
+    # terminal order), are reported only once every other check is clean.
+    features = []
+    rowless, gaps = [], []
     for f in raw.features:
         parents = f.parents if f.parents is not None else [f.name]
-        parent_ok = True
-        for pname in parents:
-            if pname not in feature_index:
-                diags.append(Diagnostic("UndeclaredSymbol",
-                                        f"feature {f.name!r} lists unknown "
-                                        f"parent {pname!r}",
-                                        f.line, f.column))
-                parent_ok = False
+        unknown = [pname for pname in parents if pname not in feature_index]
+        for pname in unknown:
+            diags.append(Diagnostic("UndeclaredSymbol",
+                                    f"feature {f.name!r} lists unknown "
+                                    f"parent {pname!r}", f.line, f.column))
         if f.cpt is None and parents != [f.name]:
             rowless.append(Diagnostic("BadDistribution",
                                       f"feature {f.name!r} declares parents "
                                       "but no CPT rows", f.line, f.column))
             continue
-        if not parent_ok or len(f.prior) != len(f.values) or not f.values:
+        if unknown or len(f.prior) != len(f.values) or not f.values:
             continue
         pidx = tuple(feature_index[pname] for pname in parents)
-        # No dynamics given: the feature keeps its value.
-        rows = [] if f.cpt is not None else [
-            CptRow((vi,), None, tuple(1.0 if j == vi else 0.0
-                                      for j in range(len(f.values))))
-            for vi in range(len(f.values))]
+        domains = [range(len(raw.features[pi].values)) for pi in pidx]
+        slot_key = _key_getter(range(len(pidx)))
+        table = {term: {} for term in terminals}
+        if f.cpt is None:       # no dynamics given: the feature keeps its value
+            n = len(f.values)
+            keep = {vi: tuple(float(j == vi) for j in range(n))
+                    for vi in range(n)}
+            table = dict.fromkeys(terminals, keep)
         for row in f.cpt or ():
             if len(row.parent_values) != len(parents):
                 diags.append(Diagnostic("BadDistribution",
@@ -542,34 +532,16 @@ def validate_grammar(raw: RawGrammar) -> tuple[Psdg | None, list[Diagnostic]]:
                 _check_distribution(diags, row.probs,
                                     f"CPT row of feature {f.name!r}",
                                     row.line, row.column)
-            rows.append(CptRow(
-                tuple(None if v == "*" else value_index[pi].get(v)
-                      for pi, v in zip(pidx, row.parent_values)),
-                None if row.terminal == "*" else row.terminal,
-                tuple(row.probs)))
-        resolved.append((f, pidx, tuple(rows)))
-    if diags:
-        return None, diags
-    if rowless:
-        return None, rowless
-
-    # CPT compilation: rows in order fill the (parent combo, terminal)
-    # pairs they cover that no earlier row did, so each table entry is
-    # the first matching row; pairs left uncovered are reported in combo
-    # order, then terminal order.
-    features = []
-    for f, pidx, rows in resolved:
-        slot_key = _key_getter(range(len(pidx)))
-        table: dict[str, dict] = {term: {} for term in terminals}
-        domains = [range(len(raw.features[pi].values)) for pi in pidx]
-        for row in rows:
+            if diags:
+                continue
             keys = [slot_key(combo) for combo in itertools.product(*(
-                dom if pv is None else (pv,)
-                for dom, pv in zip(domains, row.parent_values)))]
-            for term in terminals if row.terminal is None else (row.terminal,):
+                dom if v == "*" else (value_index[pi][v],)
+                for dom, pi, v in zip(domains, pidx, row.parent_values)))]
+            probs = tuple(row.probs)
+            for term in terminals if row.terminal == "*" else (row.terminal,):
                 fill = table[term].setdefault
                 for key in keys:
-                    fill(key, row.probs)
+                    fill(key, probs)
         for combo in itertools.product(*domains):
             key = slot_key(combo)
             for term in terminals:
@@ -577,16 +549,16 @@ def validate_grammar(raw: RawGrammar) -> tuple[Psdg | None, list[Diagnostic]]:
                     vals = ", ".join(
                         f"{raw.features[pi].name}={raw.features[pi].values[c]}"
                         for pi, c in zip(pidx, combo))
-                    diags.append(Diagnostic(
+                    gaps.append(Diagnostic(
                         "BadDistribution",
                         f"feature {f.name!r} has no CPT row for "
                         f"({vals}) with terminal {term!r}",
                         f.line, f.column))
         features.append(FeatureSpec(f.name, tuple(f.values), tuple(f.prior),
-                                    pidx, rows, table, _key_getter(pidx)))
-    if diags:
-        return None, diags
-    features = tuple(features)
+                                    table, _key_getter(pidx)))
+    for found in (diags, rowless, gaps):
+        if found:
+            return None, found
 
     # Levels.  A symbol's children are the nonterminals on its productions'
     # right-hand sides, save the trailing self-reference of a tail-recursive
@@ -637,7 +609,7 @@ def validate_grammar(raw: RawGrammar) -> tuple[Psdg | None, list[Diagnostic]]:
     # least state no greater, so the first failure found is the
     # lexicographically least failing state.
     lv = {nt: tuple(sorted(levels.get(nt, set()))) for nt in nonterminals}
-    psdg = Psdg(features, raw.start, tuple(productions), terminals,
+    psdg = Psdg(tuple(features), raw.start, tuple(productions), terminals,
                 nonterminals, lv, max(map(max, levels.values())))
     for nt in nonterminals:
         funcs = [prod.prob for prod in by_lhs[nt]]

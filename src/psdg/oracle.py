@@ -120,8 +120,10 @@ def joint_runs(psdg: Psdg, horizon: int, bound: int = DEFAULT_JOINT_BOUND,
                 f"joint enumeration exceeded {bound} nodes and rows at "
                 f"horizon {horizon}")
 
-    def walk(q0: StatePoint, steps: tuple[TimeStep, ...], stack: Stack,
+    def node(q0: StatePoint, steps: tuple[TimeStep, ...], stack: Stack,
              q_prev: tuple[int, ...], logp: float, t: int):
+        """One node of the walk, counted once read: its rows, and the
+        arguments of its child nodes, in walk order."""
         count_one()
         _, live, skeleton = stack_facts(stack)
         for q, log_tp, step in time_steps(stack, q_prev):
@@ -134,19 +136,28 @@ def joint_runs(psdg: Psdg, horizon: int, bound: int = DEFAULT_JOINT_BOUND,
             else:
                 kept, fresh_symbol = skeleton
                 if fresh_symbol is None:
-                    yield from walk(q0, steps2, kept, q, lp, t + 1)
+                    yield q0, steps2, kept, q, lp, t + 1
                 else:
                     for chain, log_cp in fresh_chains(fresh_symbol, q):
-                        yield from walk(q0, steps2, kept + chain, q,
-                                        lp + log_cp, t + 1)
+                        yield q0, steps2, kept + chain, q, lp + log_cp, t + 1
 
+    # The walk keeps its own stack, one node per time step of the run, so
+    # a run may be as long as the bound allows.
     for q0_idx in enumerate_states(psdg):
         p0 = prior_probability(psdg, q0_idx)
         if p0 <= 0.0 or (initial is not None and q0_idx not in initial):
             continue
         for chain, cp in enumerate_chains(psdg, psdg.start, q0_idx):
-            yield from walk(StatePoint(q0_idx), (), chain, q0_idx,
-                            math.log(p0) + math.log(cp), 1)
+            todo = [node(StatePoint(q0_idx), (), chain, q0_idx,
+                         math.log(p0) + math.log(cp), 1)]
+            while todo:
+                for item in todo[-1]:
+                    if type(item) is not JointEntry:
+                        todo.append(node(*item))
+                        break
+                    yield item
+                else:
+                    todo.pop()
 
 
 def enumerate_joint(psdg: Psdg, horizon: int,

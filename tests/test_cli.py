@@ -727,27 +727,59 @@ class TestMain:
         assert out == ""
         assert err == "to-pcfg: out of memory\n"
 
+    @pytest.mark.parametrize("command, target", [
+        ("infer", "psdg.cli.recognize"),
+        ("oracle-check", "psdg.oracle.streamed_reports")],
+        ids=["infer", "oracle-check"])
+    def test_recursion_limit_is_one_line(self, capsys, monkeypatch, command,
+                                         target):
+        """Input nested past the interpreter's recursion limit ends the
+        run in one line, not a traceback."""
+        def nested(*args, **kwargs):
+            raise RecursionError
+        monkeypatch.setattr(target, nested)
+        code, out, err = run(capsys, [command, str(TRAFFIC_PATH)],
+                             '{"t": 1}\n', monkeypatch)
+        assert (code, out) == (1, "")
+        assert err == (f"{command}: input nested past the interpreter's "
+                       f"recursion limit\n")
+
     @pytest.mark.parametrize("command, text, stdin", [
         ("infer", nest_text(1200, "N{}", "x"), '{"t": 1}\n'),
         ("oracle-check", "feature f { values: a; prior: 1; }\nstart S\n"
                          "prod 0: S -> x S { default: 1; }\n",
          "".join(f'{{"t": {t}}}\n' for t in range(1, 1201)))],
         ids=["infer", "oracle-check"])
-    def test_recursion_limit_is_one_line(self, tmp_path, command, text,
-                                         stdin):
+    def test_deep_input_runs(self, tmp_path, command, text, stdin):
         """A derivation 1,200 levels deep (infer's fresh chains) and a
-        1,200-step stream (the oracle's walk) outrun the interpreter's
-        recursion limit; each run ends in one line, not a traceback."""
+        1,200-step stream (the oracle's walk) nest past the interpreter's
+        recursion limit; both walks keep their own stacks, so both run."""
         path = tmp_path / "deep.psdg"
         path.write_text(text)
-        root = Path(__file__).resolve().parents[1]
-        proc = subprocess.run([sys.executable, "-m", "psdg", command,
-                               str(path)], input=stdin, capture_output=True,
-                              text=True, cwd=root,
-                              env={**os.environ, "PYTHONPATH": "src"})
-        assert (proc.returncode, proc.stdout) == (1, "")
-        assert proc.stderr == (f"{command}: input nested past the "
-                               f"interpreter's recursion limit\n")
+        proc = module_run([command, str(path)], stdin)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        last = json.loads(proc.stdout.splitlines()[-1])
+        if command == "infer":
+            assert last["t"] == 1 and last["evidence_likelihood"] == 1.0
+        else:
+            assert (last["ok"], last["reports"]) == (True, 1200)
+
+    @pytest.mark.parametrize("command", ["infer", "oracle-check"])
+    def test_deeply_nested_json_is_a_format_error(self, command):
+        """A JSON line nested past the decoder's recursion limit is a
+        located format error, exit 2, not a traceback."""
+        proc = module_run([command, str(TRAFFIC_PATH)],
+                          "[" * 100_000 + "]" * 100_000 + "\n")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "line 1: invalid JSON: nested too deeply\n"
+
+
+def module_run(argv, stdin):
+    """`python -m psdg` with `argv`, run from the repository root."""
+    root = Path(__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, "-m", "psdg", *argv], input=stdin,
+                          capture_output=True, text=True, cwd=root,
+                          env={**os.environ, "PYTHONPATH": "src"})
 
 
 class TestConsoleScript:

@@ -3,6 +3,7 @@ import ast
 import json
 import math
 import random
+import sys
 from collections import Counter
 
 from pathlib import Path
@@ -14,10 +15,10 @@ from helpers import (ab_grammar, build, feature, forcing_grammar, production,
                      random_psdg, repeated_child_grammar,
                      single_production_grammar, traffic, unit_feature)
 from psdg.errors import InvalidTrajectory
-from psdg.generate import (TimeStep, Trajectory, sample_chain,
-                           sample_trajectory, stack_rule,
+from psdg.generate import (TimeStep, Trajectory, enumerate_chains,
+                           sample_chain, sample_trajectory, stack_rule,
                            trajectory_json_lines, trajectory_probability)
-from psdg.grammar import production_probability
+from psdg.grammar import enumerate_states, production_probability
 from psdg.oracle import enumerate_joint
 
 
@@ -95,6 +96,56 @@ class TestAdvanceStack:
             sigma = math.sqrt(want * (1.0 - want) / n)
             assert abs(got - want) <= 3.0 * sigma + 1e-12, \
                 (p.index, got, want)
+
+
+def recursive_chains(g, symbol, state):
+    """Reference fresh chains: one call per level, each chain's
+    probability multiplied from the leaf up, zero products dropped."""
+    out = []
+    for a in g.by_lhs[symbol]:
+        p = production_probability(g, a, state)
+        first = g.production(a).rhs[0]
+        tails = ([((), 1.0)] if g.is_terminal(first)
+                 else recursive_chains(g, first, state))
+        out += [(((a, 1),) + tail, p * tp) for tail, tp in tails
+                if p * tp > 0.0]
+    return out
+
+
+def underflow_chain_grammar():
+    """S -> A -> B is positive at each level, but its product underflows
+    to zero."""
+    return build([unit_feature()], [
+        production(1, "S", ["A"], default=1e-200),
+        production(2, "S", ["x"], default=1.0 - 1e-200),
+        production(3, "A", ["B"], default=1e-200),
+        production(4, "A", ["y"], default=1.0 - 1e-200),
+        production(5, "B", ["z"])], "S")
+
+
+class TestEnumerateChains:
+    @pytest.mark.parametrize("make", [
+        traffic, repeated_child_grammar, underflow_chain_grammar,
+        *(lambda seed=seed: random_psdg(seed) for seed in range(40))],
+        ids=["traffic", "repeated_child", "underflow",
+             *map("random-{}".format, range(40))])
+    def test_equals_the_recursive_reference(self, make):
+        """Same chains, in the same order, with bit-equal probabilities."""
+        g = make()
+        for q in enumerate_states(g):
+            for nt in g.nonterminals:
+                got = enumerate_chains(g, nt, q)
+                want = recursive_chains(g, nt, q)
+                assert got == want
+                assert [p.hex() for _, p in got] == [p.hex() for _, p in want]
+
+    def test_chain_deeper_than_the_recursion_limit(self):
+        n = sys.getrecursionlimit() + 200
+        g = build([unit_feature()], [
+            production(i, f"N{i}", [f"N{i + 1}" if i < n - 1 else "x"])
+            for i in range(n)], "N0")
+        assert enumerate_chains(g, "N0", (0,)) == [
+            (tuple((i, 1) for i in range(n)), 1.0)]
 
 
 class TestSampleTrajectory:
@@ -273,3 +324,50 @@ def test_package_checks_never_use_assert():
              if isinstance(node, ast.Assert)]
     assert len(list(src.glob("*.py"))) >= 8
     assert found == []
+
+
+# Functions allowed to call themselves, each with why its depth is bounded
+# or out of the way.
+SELF_CALLS_ALLOWED = {
+    # the report shape fixes the depth: a few nested dicts
+    "oracle.compare_reports.walk",
+    # referees only tests use; their depth grows with the tail re-entries
+    # of a long complete run
+    "oracle.parse_tree.annotate",
+    "oracle.pcfg_tree_probability.walk",
+}
+
+
+def _calls(node: ast.AST, name: str) -> bool:
+    """Whether `node` is a call of `name`, bare or as a self./cls. method."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Name) and func.id == name
+            or isinstance(func, ast.Attribute) and func.attr == name
+            and isinstance(func.value, ast.Name)
+            and func.value.id in ("self", "cls"))
+
+
+def _self_calls(tree: ast.AST, scope: tuple[str, ...]):
+    """Qualified names of the functions under `tree` that call themselves."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            inner = scope + (node.name,)
+            if not isinstance(node, ast.ClassDef) and any(
+                    _calls(call, node.name) for call in ast.walk(node)):
+                yield ".".join(inner)
+        yield from _self_calls(node, inner)
+
+
+def test_package_functions_do_not_recurse():
+    """Walks over input keep their own stacks, so input of any depth that
+    validation accepts runs instead of hitting the interpreter's recursion
+    limit.  The named exceptions are listed with their reasons."""
+    src = Path(psdg.__file__).parent
+    found = {name for path in sorted(src.glob("*.py"))
+             for name in _self_calls(ast.parse(
+                 path.read_text(encoding="utf-8")), (path.stem,))}
+    assert found == SELF_CALLS_ALLOWED

@@ -17,7 +17,7 @@ from psdg.grammar import (ProbabilityFunction, StatePoint, StateSet,
                           prior_probability, production_probability,
                           transition_probability, validate_grammar,
                           RawGrammar)
-from psdg.parse import load_file, validate_text
+from psdg.parse import load_file, parse_text, validate_text
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_FACTORED_STATE = GOLDEN / "factored-state.psdg"
@@ -408,19 +408,24 @@ class TestTransitionProbability:
                 assert abs(total - 1.0) <= 1e-9
 
 
-def first_match_row(feat, prev, terminal):
-    """Reference CPT semantics: the first declared row whose terminal and
-    parent values match, walked row by row."""
-    for row in feat.cpt:
-        if row.terminal is not None and row.terminal != terminal:
-            continue
-        if all(pv is None or prev[pi] == pv
-               for pi, pv in zip(feat.parent_indices, row.parent_values)):
-            return row.probs
-    raise AssertionError(f"no row of {feat.name!r} matches")
+def first_match_row(g, raw, prev, terminal):
+    """Reference CPT semantics: the first declared row of raw feature
+    `raw` whose terminal and parent values (by label) match, walked row
+    by row; a feature declared without rows keeps its value."""
+    labels = StatePoint(prev).labels(g)
+    if raw.cpt is None:
+        return tuple(1.0 if v == labels[raw.name] else 0.0
+                     for v in raw.values)
+    parents = raw.parents if raw.parents is not None else [raw.name]
+    for row in raw.cpt:
+        if (row.terminal in ("*", terminal)
+                and all(pv in ("*", labels[p])
+                        for p, pv in zip(parents, row.parent_values))):
+            return tuple(row.probs)
+    raise AssertionError(f"no row of {raw.name!r} matches")
 
 
-def shadowed_rows_grammar():
+def shadowed_rows_raw() -> RawGrammar:
     """`b` has a `* | *` row ahead of a specific row that it shadows, and
     `a` has two parents with partly wildcarded rows, so the table is only
     right if it keeps the first match."""
@@ -438,22 +443,33 @@ def shadowed_rows_grammar():
     prods = [production(0, "S", ["x", "S"], default=0.4),
              production(1, "S", ["y"], default=0.3),
              production(2, "S", ["z"], default=0.3)]
-    return build([a, b], prods, "S")
+    return RawGrammar([a, b], prods, "S")
+
+
+def shadowed_rows_grammar():
+    raw = shadowed_rows_raw()
+    return build(raw.features, raw.productions, raw.start)
 
 
 class TestCompiledTables:
-    @pytest.mark.parametrize("make", [traffic, shadowed_rows_grammar])
-    def test_table_equals_first_match_walk(self, make):
-        g = make()
+    @pytest.mark.parametrize("make_raw", [
+        lambda: parse_text(TRAFFIC_PATH.read_text())[0], shadowed_rows_raw,
+        lambda: RawGrammar([*shadowed_rows_raw().features,
+                            feature("c", ["c0", "c1"], [0.5, 0.5])],
+                           shadowed_rows_raw().productions, "S")],
+        ids=["traffic", "shadowed_rows_grammar", "with_a_kept_feature"])
+    def test_table_equals_first_match_walk(self, make_raw):
+        raw = make_raw()
+        g = build(raw.features, raw.productions, raw.start)
         for prev in enumerate_states(g):
             for x in g.terminals:
-                for fi, feat in enumerate(g.features):
+                for fi, feat in enumerate(raw.features):
                     assert (_feature_transition(g, fi, prev, x)
-                            == first_match_row(feat, prev, x))
+                            == first_match_row(g, feat, prev, x))
                 for nxt in enumerate_states(g):
                     want = 1.0
-                    for feat, v in zip(g.features, nxt):
-                        want *= first_match_row(feat, prev, x)[v]
+                    for feat, v in zip(raw.features, nxt):
+                        want *= first_match_row(g, feat, prev, x)[v]
                     assert transition_probability(g, prev, x, nxt) == want
 
     def test_earlier_wildcard_row_shadows_later_row(self):
