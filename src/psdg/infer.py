@@ -646,10 +646,11 @@ def recognize(psdg: Psdg, observations: Iterable[Observation],
 
     A leading t=0 observation restricts the initial state; `start`, with
     init_belief's signature, builds the belief at the first later one,
-    and is passed it as `reach` if it falls at t=1.  Missing times pass
-    as unconstrained steps.  Once the chart is empty, a vacuous step that
-    leaves the completed mass and log evidence as they were is a fixed
-    point, so the rest of the gap is skipped.  Zero evidence raises, or
+    and is passed it as `reach` if it falls at t=1; a stream with no later
+    one still calls it, so a t=0 line alone is checked too.  Missing times
+    pass as unconstrained steps.  Once the chart is empty, a vacuous step
+    that leaves the completed mass and log evidence as they were is a
+    fixed point, so the rest of the gap is skipped.  Zero evidence raises, or
     under `reinit` restarts from the prior restricted to the observation,
     reported with evidence likelihood 0 and the new belief's marginals; a
     failed restart raises with the contradiction as its `__context__`.
@@ -681,4 +682,6 @@ def recognize(psdg: Psdg, observations: Iterable[Observation],
                     and belief.log_evidence == before.log_evidence:
                 belief.time = max(belief.time, obs.time)    # a fixed point
         yield report
+    if belief is None and restrict is not None:
+        start(psdg, support_bound, restrict, 1, None)
 

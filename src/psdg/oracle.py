@@ -81,28 +81,21 @@ def joint_runs(psdg: Psdg, horizon: int, bound: int = DEFAULT_JOINT_BOUND,
     skips the initial states outside it.  Raises ExplosionBound when walk
     nodes plus yielded rows grow past `bound`.
 
-    The walk meets the same (state, terminal) transitions, (symbol, state)
-    chains, stacks and (stack, state) time steps over and over; each is
-    computed once per walk by a `functools.cache` function that dies with
-    it, a stack's leaf, live levels and skeleton by `generate.stack_rule`
-    itself.  Rows share their TimeStep and StatePoint objects.
+    The walk meets the same (symbol, state) chains, stacks and (stack,
+    state) time steps over and over; each is computed once per walk by a
+    `functools.cache` function that dies with it, a stack's leaf, live
+    levels and skeleton by `generate.stack_rule` itself.  Rows share
+    their TimeStep and StatePoint objects.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    count = 0
-
-    @functools.cache
-    def transition_options(q_prev: tuple[int, ...], terminal: str) -> list:
-        """(q, log tp, StatePoint(q)) per next state, in enumeration order."""
-        return [(q, math.log(tp), StatePoint(q))
-                for q, tp in _transition_options(psdg, q_prev, terminal)]
 
     @functools.cache
     def time_steps(stack: Stack, q_prev: tuple[int, ...]) -> list:
         """(q, log tp, TimeStep) per next state after `stack` in q_prev."""
         terminal = stack_facts(stack)[0]
-        return [(q, log_tp, TimeStep(stack, terminal, point))
-                for q, log_tp, point in transition_options(q_prev, terminal)]
+        return [(q, math.log(tp), TimeStep(stack, terminal, StatePoint(q)))
+                for q, tp in _transition_options(psdg, q_prev, terminal)]
 
     @functools.cache
     def fresh_chains(symbol: str, q: tuple[int, ...]) -> list:
@@ -112,52 +105,53 @@ def joint_runs(psdg: Psdg, horizon: int, bound: int = DEFAULT_JOINT_BOUND,
 
     stack_facts = functools.cache(functools.partial(stack_rule, psdg))
 
-    def count_one():
-        nonlocal count
-        count += 1
-        if count > bound:
-            raise ExplosionBound(
-                f"joint enumeration exceeded {bound} nodes and rows at "
-                f"horizon {horizon}")
-
-    def node(q0: StatePoint, steps: tuple[TimeStep, ...], stack: Stack,
-             q_prev: tuple[int, ...], logp: float, t: int):
-        """One node of the walk, counted once read: its rows, and the
-        arguments of its child nodes, in walk order."""
-        count_one()
+    def node(stack: Stack, q_prev: tuple[int, ...], logp: float, t: int):
+        """One node of the walk: its rows, and a (time step, child
+        arguments) pair per child node, in walk order."""
         _, live, skeleton = stack_facts(stack)
         for q, log_tp, step in time_steps(stack, q_prev):
-            steps2 = steps + (step,)
             lp = logp + log_tp
             if not live or t == horizon:
-                count_one()
-                traj = Trajectory(q0, steps2, not live)
-                yield JointEntry(traj, math.exp(lp), lp)
+                yield JointEntry(Trajectory(q0, (*run, step), not live),
+                                 math.exp(lp), lp)
             else:
                 kept, fresh_symbol = skeleton
                 if fresh_symbol is None:
-                    yield q0, steps2, kept, q, lp, t + 1
+                    yield step, (kept, q, lp, t + 1)
                 else:
                     for chain, log_cp in fresh_chains(fresh_symbol, q):
-                        yield q0, steps2, kept + chain, q, lp + log_cp, t + 1
+                        yield step, (kept + chain, q, lp + log_cp, t + 1)
 
-    # The walk keeps its own stack, one node per time step of the run, so
-    # a run may be as long as the bound allows.
+    # The walk keeps its own stack, one node per time step of the run, and
+    # `run` holds the step into each open node but the root.  Each root,
+    # and each row or child the walk reads, counts against the bound.
+    run: list[TimeStep] = []
+    count = 0
     for q0_idx in enumerate_states(psdg):
         p0 = prior_probability(psdg, q0_idx)
         if p0 <= 0.0 or (initial is not None and q0_idx not in initial):
             continue
+        q0 = StatePoint(q0_idx)
         for chain, cp in enumerate_chains(psdg, psdg.start, q0_idx):
-            todo = [node(StatePoint(q0_idx), (), chain, q0_idx,
-                         math.log(p0) + math.log(cp), 1)]
-            while todo:
+            count += 1
+            todo = [node(chain, q0_idx, math.log(p0) + math.log(cp), 1)]
+            while todo and count <= bound:
                 for item in todo[-1]:
+                    if (count := count + 1) > bound:
+                        break
                     if type(item) is not JointEntry:
-                        todo.append(node(*item))
+                        run.append(item[0])
+                        todo.append(node(*item[1]))
                         break
                     yield item
                 else:
                     todo.pop()
+                    if todo:
+                        run.pop()
+            if count > bound:
+                raise ExplosionBound(
+                    f"joint enumeration exceeded {bound} nodes and rows at "
+                    f"horizon {horizon}")
 
 
 def enumerate_joint(psdg: Psdg, horizon: int,

@@ -399,6 +399,24 @@ class TestInfer:
                        "restricted to the observation\n"
                        "zero evidence at t=0\n")
 
+    @pytest.mark.parametrize("command, message", [
+        ("infer", "zero evidence at t=0"),
+        ("oracle-check", "no enumerated run matches the observation at t=0")])
+    def test_a_lone_t0_line_is_checked(self, capsys, monkeypatch, tmp_path,
+                                       command, message):
+        """A stream of one t=0 line the prior cannot meet exits 3, as it
+        does once a later line follows; a possible one reports nothing."""
+        path = tmp_path / "zero-prior.psdg"
+        path.write_text(ZERO_PRIOR_TEXT)
+        code, out, err = run(capsys, [command, str(path)],
+                             obs_line(0, {"f": ["b"]}) + "\n", monkeypatch)
+        assert (code, out) == (3, "")
+        assert err == message + "\n"
+        code, out, err = run(capsys, [command, str(path)],
+                             obs_line(0, {"f": ["a"]}) + "\n", monkeypatch)
+        assert (code, err) == (0, "")
+        assert [r for r in json_lines(out) if "t" in r] == []
+
     def test_malformed_stream_rejected(self, capsys, monkeypatch):
         for stdin in ("not json\n",
                       obs_line(2, {}) + "\n" + obs_line(1, {}) + "\n",

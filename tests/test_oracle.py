@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 from array import array
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -19,6 +20,7 @@ from helpers import (ab_grammar, build, feature, forcing_grammar, production,
                      unit_feature)
 from make_golden import GRAMMARS
 import reference_pcfg
+import reference_walk
 import psdg
 import psdg.oracle as oracle
 from psdg.errors import (ExplosionBound, InvalidTrajectory, PsdgError,
@@ -30,7 +32,7 @@ from psdg.oracle import (DEFAULT_JOINT_BOUND, Query, compare_reports,
                          enumerate_joint, exact_posterior, parse_tree,
                          pcfg_text, pcfg_tree_probability, reference_reports,
                          streamed_reports, to_pcfg)
-from psdg.parse import load_file
+from psdg.parse import load_file, load_text
 
 
 class TestEnumerateJoint:
@@ -88,6 +90,93 @@ class TestEnumerateJoint:
             enumerate_joint(g, horizon=3, bound=6072 + 19350 - 1)
         joint = enumerate_joint(g, horizon=3, bound=6072 + 19350)
         assert len(joint.entries) == 19350
+
+
+# One state and one production: the walk has a single run per horizon.
+ONE_STATE_TEXT = ("feature f { values: a; prior: 1; }\nstart S\n"
+                  "prod 0: S -> x S { default: 1; }\n")
+
+
+def drained(walk, g, horizon, **kwargs) -> tuple[list, Optional[str]]:
+    """The rows a walk yields, each as (initial state, (stack, terminal,
+    state) per step, complete, prob, log prob), and the ExplosionBound
+    message it ends with, if any."""
+    rows = []
+    try:
+        for e in walk(g, horizon, **kwargs):
+            traj = e.trajectory
+            rows.append((traj.initial_state.idx,
+                         tuple((s.stack, s.terminal, s.state.idx)
+                               for s in traj.steps),
+                         traj.complete, e.prob, e.log_prob))
+    except ExplosionBound as err:
+        return rows, str(err)
+    return rows, None
+
+
+class TestReferenceWalk:
+    """The walk that keeps one open run is held to a frozen copy of the
+    walk that copied the run into every node: the same rows in the same
+    order, and the same bound message after the same rows."""
+
+    @staticmethod
+    def assert_same_walk(g, horizon, bounds=(), **kwargs) -> int:
+        """Both walks agree at the default bound, which they stay within,
+        and at each of `bounds`; returns how many of those they exceed."""
+        want = drained(reference_walk.joint_runs, g, horizon, **kwargs)
+        assert want[1] is None and want[0]
+        assert drained(oracle.joint_runs, g, horizon, **kwargs) == want
+        exceeded = 0
+        for bound in bounds:
+            want = drained(reference_walk.joint_runs, g, horizon,
+                           bound=bound, **kwargs)
+            exceeded += want[1] is not None
+            assert drained(oracle.joint_runs, g, horizon, bound=bound,
+                           **kwargs) == want, bound
+        return exceeded
+
+    def test_traffic(self):
+        g = traffic()
+        bounds = (1, 2, 3, 50, 6072, 6072 + 19350 - 1)
+        assert self.assert_same_walk(g, 3, bounds) == len(bounds)
+        left = Observation.from_labels(g, 0, {"lane": ["left-lane"]})
+        bounds = (1, 7, 1820 + 5802 - 1)
+        assert self.assert_same_walk(g, 3, bounds,
+                                     initial=left.constraint) == len(bounds)
+
+    def test_deep_plans_and_a_long_run(self):
+        assert self.assert_same_walk(load_file(GRAMMARS["deep-plans"]), 2,
+                                     (1, 5, 400)) == 3
+        g = load_text(ONE_STATE_TEXT)
+        rows, _ = drained(oracle.joint_runs, g, 300)
+        assert len(rows) == 1 and len(rows[0][1]) == 300
+        assert self.assert_same_walk(g, 300, (1, 299, 300, 301)) == 3
+
+    def test_random_grammars(self):
+        exceeded = 0
+        for seed in range(40):
+            exceeded += self.assert_same_walk(random_psdg(seed), 4,
+                                              range(1, 30, 3))
+        assert exceeded >= 300, exceeded
+
+    def test_the_walk_keeps_one_open_run(self):
+        """Twice the steps of `S -> x S` about double the walk's peak;
+        copying the run into every node made it grow with the square."""
+        g = load_text(ONE_STATE_TEXT)
+
+        def peak(horizon: int) -> int:
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                for _ in oracle.joint_runs(g, horizon):
+                    pass
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(1200), peak(2400)
+        assert large < 2.5 * small, (small, large)
 
 
 def lanes(g, *stream):
