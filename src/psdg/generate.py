@@ -51,7 +51,7 @@ class Trajectory:
 
 
 def enumerate_chains(psdg: Psdg, symbol: str,
-                     state: StatePoint) -> list[tuple[Stack, float]]:
+                     state: tuple[int, ...]) -> list[tuple[Stack, float]]:
     """All ways to freshly expand `symbol` down to a terminal leaf:
     (frame chain, probability) pairs in production-index order, depth
     first, each probability multiplied from the leaf up.  Chains of
@@ -64,18 +64,18 @@ def enumerate_chains(psdg: Psdg, symbol: str,
     todo = [iter(psdg.by_lhs[symbol])]
     while todo:
         for a in todo[-1]:
-            prod = psdg.production(a)
-            p = production_probability(psdg, prod, state)
+            p = production_probability(psdg, a, state)
             if p <= 0.0:
                 continue
-            if psdg.is_terminal(prod.rhs[0]):
+            first = psdg.production(a).rhs[0]
+            if psdg.is_terminal(first):
                 cp = math.prod(reversed(probs), start=p)    # leaf up
                 if cp > 0.0:
                     out.append(((*frames, (a, 1)), cp))
                 continue
             frames.append((a, 1))
             probs.append(p)
-            todo.append(iter(psdg.by_lhs[prod.rhs[0]]))
+            todo.append(iter(psdg.by_lhs[first]))
             break
         else:
             todo.pop()
@@ -85,7 +85,7 @@ def enumerate_chains(psdg: Psdg, symbol: str,
     return out
 
 
-def sample_chain(psdg: Psdg, symbol: str, state: StatePoint,
+def sample_chain(psdg: Psdg, symbol: str, state: tuple[int, ...],
                  rng: random.Random) -> Stack:
     frames: list[tuple[int, int]] = []
     sym = symbol
@@ -95,7 +95,7 @@ def sample_chain(psdg: Psdg, symbol: str, state: StatePoint,
         total = sum(weights)
         if total <= 0.0:
             raise DeadEnd(f"all productions of {sym!r} have probability 0 "
-                          f"at state {state.labels(psdg)}")
+                          f"at state {psdg.labels(state)}")
         a = candidates[_sample_indexed(weights, rng, total)]
         frames.append((a, 1))
         sym = psdg.production(a).rhs[0]
@@ -149,20 +149,6 @@ def _sample_indexed(probs: Sequence[float], rng: random.Random,
     return len(probs) - 1
 
 
-def sample_initial_state(psdg: Psdg, rng: random.Random) -> StatePoint:
-    return StatePoint(tuple(_sample_indexed(f.prior, rng)
-                            for f in psdg.features))
-
-
-def sample_next_state(psdg: Psdg, prev: StatePoint, terminal: str,
-                      rng: random.Random) -> StatePoint:
-    idx = []
-    for fi in range(len(psdg.features)):
-        row = _feature_transition(psdg, fi, prev.idx, terminal)
-        idx.append(_sample_indexed(row, rng))
-    return StatePoint(tuple(idx))
-
-
 def sample_trajectory(psdg: Psdg, horizon: int, seed: Optional[int] = None
                       ) -> Trajectory:
     """Run the generative process for up to `horizon` steps.
@@ -174,15 +160,17 @@ def sample_trajectory(psdg: Psdg, horizon: int, seed: Optional[int] = None
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     rng = random.Random(seed)
-    q0 = sample_initial_state(psdg, rng)
+    q0 = tuple(_sample_indexed(f.prior, rng) for f in psdg.features)
     steps = []
     complete = False
     stack = sample_chain(psdg, psdg.start, q0, rng)
     q_prev = q0
     for _ in range(horizon):
         terminal, _, skeleton = stack_rule(psdg, stack)
-        q = sample_next_state(psdg, q_prev, terminal, rng)
-        steps.append(TimeStep(stack, terminal, q))
+        q = tuple(_sample_indexed(_feature_transition(psdg, fi, q_prev,
+                                                      terminal), rng)
+                  for fi in range(len(psdg.features)))
+        steps.append(TimeStep(stack, terminal, StatePoint(q)))
         if skeleton is None:
             complete = True
             break
@@ -191,7 +179,7 @@ def sample_trajectory(psdg: Psdg, horizon: int, seed: Optional[int] = None
         if fresh_symbol is not None:
             stack += sample_chain(psdg, fresh_symbol, q, rng)
         q_prev = q
-    return Trajectory(q0, tuple(steps), complete, seed)
+    return Trajectory(StatePoint(q0), tuple(steps), complete, seed)
 
 
 def _match_chain(psdg: Psdg, frames: Stack, symbol: str,
@@ -245,8 +233,8 @@ def trajectory_probability(psdg: Psdg, traj: Trajectory) -> float:
         else:
             log_p += math.log(p)
 
-    times(prior_probability(psdg, traj.initial_state))
-    q_prev = traj.initial_state
+    q_prev = traj.initial_state.idx
+    times(prior_probability(psdg, q_prev))
     skeleton: Optional[tuple[Stack, Optional[str]]] = ((), psdg.start)
     for t, step in enumerate(traj.steps, start=1):
         if skeleton is None:
@@ -265,8 +253,8 @@ def trajectory_probability(psdg: Psdg, traj: Trajectory) -> float:
         if terminal != step.terminal:
             raise InvalidTrajectory(
                 f"step {t}: terminal {step.terminal!r} but leaf is {terminal!r}")
-        times(transition_probability(psdg, q_prev, terminal, step.state))
-        q_prev = step.state
+        times(transition_probability(psdg, q_prev, terminal, step.state.idx))
+        q_prev = step.state.idx
     if (skeleton is None) != traj.complete:
         raise InvalidTrajectory("completion flag disagrees with the final stack")
     return float("-inf") if dead else log_p
@@ -274,7 +262,7 @@ def trajectory_probability(psdg: Psdg, traj: Trajectory) -> float:
 
 def trajectory_json_lines(psdg: Psdg, traj: Trajectory) -> Iterator[str]:
     header = {
-        "q0": traj.initial_state.labels(psdg),
+        "q0": psdg.labels(traj.initial_state.idx),
         "seed": traj.seed,
         "complete": traj.complete,
     }
@@ -286,7 +274,7 @@ def trajectory_json_lines(psdg: Psdg, traj: Trajectory) -> Iterator[str]:
                        "production": a, "cursor": b}
                       for level, (a, b) in enumerate(step.stack, start=1)],
             "terminal": step.terminal,
-            "state": step.state.labels(psdg),
+            "state": psdg.labels(step.state.idx),
         })
 
 
@@ -294,5 +282,5 @@ def observation_json_lines(psdg: Psdg, traj: Trajectory) -> Iterator[str]:
     """The trajectory's state sequence as singleton observation lines."""
     for t, step in enumerate(traj.steps, start=1):
         observe = {name: [value]
-                   for name, value in step.state.labels(psdg).items()}
+                   for name, value in psdg.labels(step.state.idx).items()}
         yield json.dumps({"t": t, "observe": observe})

@@ -19,9 +19,10 @@ symbol may reappear only as the final right-hand symbol), which keeps the
 expansion depth of every derivation bounded; the validator rejects
 anything else.
 
-States are represented internally as plain tuples of value indices, one
-per feature in declaration order.  StatePoint and StateSet are thin
-validated wrappers used at API boundaries.
+Every function that takes or returns a state takes a plain tuple of
+value indices, one per feature in declaration order; `Psdg.labels` and
+`Psdg.state_key` name one.  StatePoint only records the states of a
+trajectory, and StateSet is a product-form set of states.
 """
 from __future__ import annotations
 
@@ -111,13 +112,10 @@ class FeatureSpec:
 
 @dataclass(frozen=True)
 class StatePoint:
-    """A full assignment of one value per feature, held as value indices
-    in feature declaration order."""
+    """A state of a trajectory: one value index per feature, in feature
+    declaration order."""
 
     idx: tuple[int, ...]
-
-    def labels(self, psdg: Psdg) -> dict[str, str]:
-        return {f.name: f.values[v] for f, v in zip(psdg.features, self.idx)}
 
 
 class StateSet:
@@ -259,16 +257,9 @@ class Psdg:
         """The least state of the guard cell holding state `idx`."""
         return tuple(least[v] for least, v in zip(self.guard_classes, idx))
 
-    def state_from_labels(self, mapping: dict[str, str]) -> StatePoint:
-        idx = []
-        for f in self.features:
-            if f.name not in mapping:
-                raise ValueError(f"missing feature {f.name!r} in state")
-            v = mapping[f.name]
-            if v not in f.values:
-                raise ValueError(f"unknown value {v!r} for feature {f.name!r}")
-            idx.append(f.values.index(v))
-        return StatePoint(tuple(idx))
+    def labels(self, idx: tuple[int, ...]) -> dict[str, str]:
+        """The state's value label per feature name."""
+        return {f.name: f.values[v] for f, v in zip(self.features, idx)}
 
     def state_key(self, idx: tuple[int, ...]) -> str:
         """The state's value labels joined by `|`, as reports print it."""
@@ -293,22 +284,16 @@ def _least_alike(n: int, tests) -> tuple[int, ...]:
                  for v in range(n))
 
 
-def _as_idx(state) -> tuple[int, ...]:
-    return state.idx if isinstance(state, StatePoint) else tuple(state)
-
-
 ### Evaluation.
 
 
-def production_probability(psdg: Psdg, production, state) -> float:
-    """p(q) for one production; production may be an index or a Production."""
-    if isinstance(production, int):
-        production = psdg.production(production)
-    return production.prob.evaluate(_as_idx(state))
+def production_probability(psdg: Psdg, index: int,
+                           idx: tuple[int, ...]) -> float:
+    """p(q) for the production with this index, at state idx."""
+    return psdg.production(index).prob.evaluate(idx)
 
 
-def prior_probability(psdg: Psdg, state) -> float:
-    idx = _as_idx(state)
+def prior_probability(psdg: Psdg, idx: tuple[int, ...]) -> float:
     p = 1.0
     for f, v in zip(psdg.features, idx):
         p *= f.prior[v]
@@ -321,15 +306,14 @@ def _feature_transition(psdg: Psdg, fi: int, prev: tuple[int, ...], terminal: st
     return feat.table[terminal][feat.parent_key(prev)]
 
 
-def transition_probability(psdg: Psdg, prev, terminal: str, nxt) -> float:
+def transition_probability(psdg: Psdg, prev: tuple[int, ...], terminal: str,
+                           nxt: tuple[int, ...]) -> float:
     """pi1(q_prev, x, q_next): product of per-feature CPT entries."""
     if terminal not in psdg.terminal_set:
         raise ValueError(f"unknown terminal {terminal!r}")
-    pi = _as_idx(prev)
-    ni = _as_idx(nxt)
     p = 1.0
     for fi in range(len(psdg.features)):
-        p *= _feature_transition(psdg, fi, pi, terminal)[ni[fi]]
+        p *= _feature_transition(psdg, fi, prev, terminal)[nxt[fi]]
         if p == 0.0:
             return 0.0
     return p
@@ -619,8 +603,7 @@ def validate_grammar(raw: RawGrammar) -> tuple[Psdg | None, list[Diagnostic]]:
                 for fi, least in enumerate(psdg.guard_classes))):
             s = sum(f.evaluate(idx) for f in funcs)
             if abs(s - 1.0) > NORMALIZATION_TOL:
-                labels = ", ".join(f"{f.name}={f.values[v]}"
-                                   for f, v in zip(features, idx))
+                labels = ", ".join(map("=".join, psdg.labels(idx).items()))
                 diags.append(Diagnostic(
                     "NormalizationViolation",
                     f"productions of {nt!r} sum to {s:.12g} at state ({labels})"))

@@ -599,7 +599,7 @@ def to_pcfg(psdg: Psdg) -> Pcfg:
             f"{len(psdg.nonterminals)} nonterminals over {n} states exceeds "
             f"bound {PCFG_BOUND}")
     pos = {q: i for i, q in enumerate(states)}
-    probs = {prod.index: [production_probability(psdg, prod, q)
+    probs = {prod.index: [production_probability(psdg, prod.index, q)
                           for q in states]
              for prod in psdg.productions if psdg.levels[prod.lhs]}
     mats = _completion_matrices(psdg, states, probs)

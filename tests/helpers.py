@@ -16,7 +16,7 @@ from pathlib import Path
 import psdg as _pkg
 from psdg.errors import ExplosionBound
 from psdg.grammar import (Psdg, RawCptRow, RawFeature, RawProduction, RawRule,
-                          compile_grammar)
+                          StateSet, compile_grammar)
 from psdg.infer import Observation, init_belief
 from psdg.oracle import JointTable, enumerate_joint
 from psdg.parse import load_file
@@ -41,6 +41,13 @@ def production(index, lhs, rhs, rules=(), default=1.0) -> RawProduction:
 
 def build(features, productions, start) -> Psdg:
     return compile_grammar(features, productions, start)
+
+
+def state_of(psdg: Psdg, mapping: dict[str, str]) -> tuple[int, ...]:
+    """The one state that `mapping` names by a value label per feature."""
+    states = list(StateSet.from_labels(psdg, mapping).iter_states())
+    assert len(states) == 1, mapping
+    return states[0]
 
 
 def unit_feature() -> RawFeature:

@@ -44,7 +44,7 @@ def _completion_matrices(psdg: Psdg, states: list[tuple[int, ...]]
         b_mat = np.zeros((n, n))
         for a in psdg.by_lhs[sym]:
             prod = psdg.production(a)
-            probs = np.array([production_probability(psdg, prod, q)
+            probs = np.array([production_probability(psdg, a, q)
                               for q in states])
             body = prod.rhs[:-1] if prod.tail_recursive else prod.rhs
             chain = np.eye(n)
@@ -117,7 +117,7 @@ def to_pcfg(psdg: Psdg) -> Pcfg:
         rules: list[PcfgProduction] = []
         for a in psdg.by_lhs[sym]:
             prod = psdg.production(a)
-            p = production_probability(psdg, prod, q_in)
+            p = production_probability(psdg, a, q_in)
             if p <= 0.0:
                 continue
 

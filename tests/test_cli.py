@@ -450,11 +450,17 @@ class TestInfer:
         assert code in (0, 2, 3), stdin
 
 
-def sampled_lines(text, horizon, seed):
-    """The observation lines of one sampled run, as bytes."""
+def sampled_lines(text, horizon, seed, opened=False):
+    """The observation lines of one sampled run, as bytes; if `opened`,
+    after a t = 0 line that names the run's initial state."""
     g = load_text(text)
-    return [line.encode() for line in observation_json_lines(
-        g, sample_trajectory(g, horizon, seed))]
+    traj = sample_trajectory(g, horizon, seed)
+    lines = list(observation_json_lines(g, traj))
+    if opened:
+        observe = {name: [value] for name, value
+                   in g.labels(traj.initial_state.idx).items()}
+        lines.insert(0, json.dumps({"t": 0, "observe": observe}))
+    return [line.encode() for line in lines]
 
 
 def json_value(max_t):
@@ -519,14 +525,17 @@ def run_bytes(argv, data):
 
 
 # (command, grammar text, horizon and seed of the sampled base stream,
-# largest time): on traffic a stream that reaches t = 3 takes oracle-check
-# about two seconds to enumerate, so it fuzzes traffic up to t = 2 and the
-# ticker grammar up to 50.
+# largest time, whether the base stream opens with its t = 0 line): on
+# traffic a stream that reaches t = 3 takes oracle-check about two seconds
+# to enumerate, so it fuzzes traffic up to t = 2, or up to 3 when a t = 0
+# line cuts the walk's initial states, and the ticker grammar up to 50.
 WHOLE_LINE_CASES = {
-    "infer-traffic": ("infer", TRAFFIC_PATH.read_text(), 12, 7, 50),
+    "infer-traffic": ("infer", TRAFFIC_PATH.read_text(), 12, 7, 50, False),
     "oracle-check-traffic": ("oracle-check", TRAFFIC_PATH.read_text(),
-                             2, 5, 2),
-    "oracle-check-ticker": ("oracle-check", TICKER_TEXT, 20, 21, 50),
+                             2, 5, 2, False),
+    "oracle-check-traffic-t0": ("oracle-check", TRAFFIC_PATH.read_text(),
+                                3, 5, 3, True),
+    "oracle-check-ticker": ("oracle-check", TICKER_TEXT, 20, 21, 50, False),
 }
 
 
@@ -535,10 +544,10 @@ class TestWholeLines:
     def test_any_line_exits_cleanly(self, case, tmp_path_factory):
         """Arbitrary JSON lines and line mutations of a sampled stream
         exit 0-3, never with a traceback, and exit 2 names the line."""
-        command, text, horizon, seed, max_t = WHOLE_LINE_CASES[case]
+        command, text, horizon, seed, max_t, opened = WHOLE_LINE_CASES[case]
         path = tmp_path_factory.mktemp("grammar") / "g.psdg"
         path.write_text(text)
-        base = sampled_lines(text, horizon, seed)
+        base = sampled_lines(text, horizon, seed, opened)
 
         @settings(max_examples=60, deadline=None)
         @given(mutated_stream(base, max_t)

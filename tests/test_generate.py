@@ -13,12 +13,13 @@ import pytest
 import psdg
 from helpers import (ab_grammar, build, feature, forcing_grammar, production,
                      random_psdg, repeated_child_grammar,
-                     single_production_grammar, traffic, unit_feature)
+                     single_production_grammar, state_of, traffic,
+                     unit_feature)
 from psdg.errors import InvalidTrajectory
 from psdg.generate import (TimeStep, Trajectory, enumerate_chains,
                            sample_chain, sample_trajectory, stack_rule,
                            trajectory_json_lines, trajectory_probability)
-from psdg.grammar import enumerate_states, production_probability
+from psdg.grammar import StatePoint, enumerate_states, production_probability
 from psdg.oracle import enumerate_joint
 
 
@@ -77,8 +78,8 @@ class TestAdvanceStack:
 
     def test_tail_reentry_samples_fresh_root_production(self):
         g = traffic()
-        q = g.state_from_labels(
-            {"lane": "center-lane", "speed": "slow", "exit": "far"})
+        q = state_of(
+            g, {"lane": "center-lane", "speed": "slow", "exit": "far"})
         kept, fresh_symbol = stack_rule(g, drive_pass_stack(2))[2]
         assert (kept, fresh_symbol) == ((), "Drive")
         rng = random.Random(7)
@@ -91,7 +92,7 @@ class TestAdvanceStack:
         for p in g.productions:
             if p.lhs != "Drive":
                 continue
-            want = production_probability(g, p, q)
+            want = production_probability(g, p.index, q)
             got = counts[p.index] / n
             sigma = math.sqrt(want * (1.0 - want) / n)
             assert abs(got - want) <= 3.0 * sigma + 1e-12, \
@@ -180,7 +181,8 @@ class TestSampleTrajectory:
 
 def pass_left_then_exit_trajectory(g):
     """Pass on the left, then exit, through hand-picked states."""
-    q = g.state_from_labels
+    def q(mapping):
+        return StatePoint(state_of(g, mapping))
     q0 = q({"lane": "center-lane", "speed": "slow", "exit": "far"})
     q1 = q({"lane": "left-lane", "speed": "slow", "exit": "far"})
     q2 = q({"lane": "center-lane", "speed": "slow", "exit": "far"})
@@ -324,6 +326,45 @@ def test_package_checks_never_use_assert():
              if isinstance(node, ast.Assert)]
     assert len(list(src.glob("*.py"))) >= 8
     assert found == []
+
+
+# The functions that wrap a state tuple in StatePoint: each records a
+# trajectory.  Every other function takes and returns index tuples.
+STATE_POINT_MAKERS = {"generate.sample_trajectory", "oracle.joint_runs"}
+
+
+def _is_state_point(node: ast.AST) -> bool:
+    """Whether `node` names StatePoint, bare or as a module attribute."""
+    return (isinstance(node, ast.Name) and node.id == "StatePoint"
+            or isinstance(node, ast.Attribute) and node.attr == "StatePoint")
+
+
+def _state_point_uses(tree: ast.AST, scope: tuple[str, ...], nested=False):
+    """(function, "call" or "isinstance") per StatePoint call or isinstance
+    test under `tree`, each named by its outermost enclosing function."""
+    for node in ast.iter_child_nodes(tree):
+        inner, inner_nested = scope, nested
+        if not nested and isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                                            ast.AsyncFunctionDef)):
+            inner = scope + (node.name,)
+            inner_nested = not isinstance(node, ast.ClassDef)
+        if isinstance(node, ast.Call) and _is_state_point(node.func):
+            yield ".".join(scope), "call"
+        if (_calls(node, "isinstance") and len(node.args) == 2
+                and any(map(_is_state_point, ast.walk(node.args[1])))):
+            yield ".".join(scope), "isinstance"
+        yield from _state_point_uses(node, inner, inner_nested)
+
+
+def test_only_trajectory_builders_make_state_points():
+    """States are value-index tuples in every function: StatePoint is
+    built only where a trajectory is recorded, and nothing branches on
+    whether a state is one."""
+    src = Path(psdg.__file__).parent
+    found = {use for path in sorted(src.glob("*.py"))
+             for use in _state_point_uses(ast.parse(
+                 path.read_text(encoding="utf-8")), (path.stem,))}
+    assert found == {(name, "call") for name in STATE_POINT_MAKERS}
 
 
 # Functions allowed to call themselves, each with why its depth is bounded

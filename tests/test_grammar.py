@@ -9,14 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (TRAFFIC_PATH, build, feature, production, random_psdg,
-                     single_production_grammar, traffic, unit_feature)
+                     single_production_grammar, state_of, traffic,
+                     unit_feature)
 import psdg.grammar as grammar_module
 from psdg.errors import GrammarError, SetTooLarge
-from psdg.grammar import (ProbabilityFunction, StatePoint, StateSet,
+from psdg.grammar import (ProbabilityFunction, StateSet,
                           _feature_transition, enumerate_states,
                           prior_probability, production_probability,
                           transition_probability, validate_grammar,
                           RawGrammar)
+from psdg.infer import Observation, recognize
+from psdg.oracle import compare_reports, streamed_reports
 from psdg.parse import load_file, parse_text, validate_text
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -247,8 +250,7 @@ class TestValidate:
 
     def test_state_key_joins_value_labels(self):
         g = traffic()
-        q = g.state_from_labels(
-            {"lane": "left-lane", "speed": "fast", "exit": "far"}).idx
+        q = state_of(g, {"lane": "left-lane", "speed": "fast", "exit": "far"})
         assert g.state_key(q) == "left-lane|fast|far"
 
 
@@ -342,14 +344,13 @@ class TestProductionProbability:
         g = traffic()
         for speed in ("slow", "fast"):
             for exit_ in ("far", "near", "at"):
-                q = g.state_from_labels(
-                    {"lane": "left-lane", "speed": speed, "exit": exit_})
+                q = state_of(
+                    g, {"lane": "left-lane", "speed": speed, "exit": exit_})
                 assert production_probability(g, 1, q) == 0.0
 
     def test_single_production_is_one(self):
         g = single_production_grammar()
-        q = StatePoint((0,))
-        assert production_probability(g, 0, q) == 1.0
+        assert production_probability(g, 0, (0,)) == 1.0
 
     def test_default_rule_fires(self):
         f = feature("Speed", ["slow", "fast"], [0.5, 0.5])
@@ -359,16 +360,16 @@ class TestProductionProbability:
                             rules=[([("Speed", ["fast"])], 0.2)], default=0.8)]
         g = build([f], prods, "S")
         assert production_probability(
-            g, 0, g.state_from_labels({"Speed": "slow"})) == 0.2
+            g, 0, state_of(g, {"Speed": "slow"})) == 0.2
         assert production_probability(
-            g, 0, g.state_from_labels({"Speed": "fast"})) == 0.8
+            g, 0, state_of(g, {"Speed": "fast"})) == 0.8
 
     def test_normalization_every_state(self):
         g = traffic()
         for q in enumerate_states(g):
             for lhs in g.nonterminals:
                 total = math.fsum(
-                    production_probability(g, p, q)
+                    production_probability(g, p.index, q)
                     for p in g.productions if p.lhs == lhs)
                 assert abs(total - 1.0) <= 1e-9
 
@@ -408,11 +409,47 @@ class TestTransitionProbability:
                 assert abs(total - 1.0) <= 1e-9
 
 
+class TestFeatureWithoutParents:
+    """A feature declared with no parents (which only the builders can
+    declare) draws its next value from a row chosen by the terminal alone."""
+
+    ROWS = {"x": (0.1, 0.6, 0.3), "y": (0.5, 0.25, 0.25)}
+
+    def grammar(self):
+        w = feature("w", ["w0", "w1", "w2"], [0.2, 0.5, 0.3], parents=[],
+                    cpt=[([], "x", self.ROWS["x"]), ([], "*", self.ROWS["y"])])
+        return build([w], [
+            production(0, "S", ["x", "S"], rules=[([("w", ["w0"])], 0.7)],
+                       default=0.4),
+            production(1, "S", ["y"], rules=[([("w", ["w0"])], 0.3)],
+                       default=0.6)], "S")
+
+    def test_table_has_one_row_per_terminal(self):
+        g = self.grammar()
+        for x, row in self.ROWS.items():
+            assert g.features[0].table[x] == {(): row}
+
+    def test_transition_ignores_the_previous_state(self):
+        g = self.grammar()
+        for prev in enumerate_states(g):
+            for x, row in self.ROWS.items():
+                assert [transition_probability(g, prev, x, nxt)
+                        for nxt in enumerate_states(g)] == list(row)
+
+    def test_recognize_matches_the_oracle(self):
+        g = self.grammar()
+        obs = [Observation.from_labels(g, t, {"w": values}) for t, values in
+               ((1, ["w0", "w1"]), (2, ["w2"]), (3, ["w0"]))]
+        got = [r.to_dict(g) for r in recognize(g, obs)]
+        for a, b in zip(got, streamed_reports(g, obs), strict=True):
+            assert compare_reports(a, b, tol=1e-9)[1] == []
+
+
 def first_match_row(g, raw, prev, terminal):
     """Reference CPT semantics: the first declared row of raw feature
     `raw` whose terminal and parent values (by label) match, walked row
     by row; a feature declared without rows keeps its value."""
-    labels = StatePoint(prev).labels(g)
+    labels = g.labels(prev)
     if raw.cpt is None:
         return tuple(1.0 if v == labels[raw.name] else 0.0
                      for v in raw.values)
@@ -610,7 +647,7 @@ class TestEnumerateStates:
         got = [q for q in enumerate_states(g) if q in c]
         assert got == list(c.iter_states())
         assert len(got) == 2          # speed remains free
-        assert all(StatePoint(q).labels(g)["lane"] == "left-lane"
+        assert all(g.labels(q)["lane"] == "left-lane"
                    for q in got)
 
     def test_bound(self, monkeypatch):
@@ -625,11 +662,11 @@ class TestStateSet:
         g = traffic()
         c = StateSet.from_labels(g, {"lane": ["left-lane", "center-lane"],
                                      "speed": ["fast"]})
-        inside = g.state_from_labels(
-            {"lane": "left-lane", "speed": "fast", "exit": "far"})
-        outside = g.state_from_labels(
-            {"lane": "left-lane", "speed": "slow", "exit": "far"})
-        assert inside.idx in c and outside.idx not in c
+        inside = state_of(
+            g, {"lane": "left-lane", "speed": "fast", "exit": "far"})
+        outside = state_of(
+            g, {"lane": "left-lane", "speed": "slow", "exit": "far"})
+        assert inside in c and outside not in c
         assert c.size() == 2 * 1 * 3
 
     def test_empty_component_rejected(self):

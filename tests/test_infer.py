@@ -19,8 +19,8 @@ from helpers import (REINIT_CYCLE, TRAFFIC_PATH, assert_evidence_restarts,
                      build, feature, forcing_grammar, production,
                      random_psdg, random_stream, repeated_child_grammar,
                      single_production_grammar, sized_random_psdg,
-                     tail_recursive_grammar, traffic, unit_feature,
-                     unpruned)
+                     state_of, tail_recursive_grammar, traffic,
+                     unit_feature, unpruned)
 import psdg
 import psdg.infer as infer_module
 from psdg.cli import main as cli_main
@@ -84,16 +84,15 @@ class TestInitBelief:
         assert set(belief.chart) == {q for q in left.iter_states()
                                      if prior_probability(g, q) > 0.0}
         assert math.fsum(belief.b_q.values()) == pytest.approx(1.0)
-        q = g.state_from_labels(
-            {"lane": "left-lane", "speed": "slow", "exit": "far"}).idx
+        q = state_of(g, {"lane": "left-lane", "speed": "slow", "exit": "far"})
         # lane renormalizes away; speed 0.5 times exit 1.0 remains
         assert belief.b_q[q] == pytest.approx(0.5)
 
     def test_chart_entry_is_prior_times_chain(self):
         g = traffic()
         belief = init_belief(g)
-        q = g.state_from_labels(
-            {"lane": "center-lane", "speed": "slow", "exit": "far"}).idx
+        q = state_of(
+            g, {"lane": "center-lane", "speed": "slow", "exit": "far"})
         # prior 0.6 * 0.5 * 1.0, production 3 at 0.10, production 5 at 0.5
         assert by_stack(belief.chart)[q][((3, 1), (5, 1))] == pytest.approx(
             0.3 * 0.10 * 0.5)

@@ -226,7 +226,7 @@ class TestStreamedReports:
         point = StateSet(tuple(frozenset({v})
                                for v in traj.initial_state.idx))
         obs = [Observation(0, point)] + lanes(g, *(
-            (t, traj.steps[min(t, len(traj.steps)) - 1].state.labels(g)[
+            (t, g.labels(traj.steps[min(t, len(traj.steps)) - 1].state.idx)[
                 "lane"]) for t in range(1, 5)))
         got = [r.to_dict(g) for r in recognize(g, obs)]
         for a, b in zip(got, streamed_reports(g, obs), strict=True):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_parse
-from helpers import TRAFFIC_PATH
+from helpers import TRAFFIC_PATH, state_of
 from make_golden import GRAMMARS, token_spans
 from psdg.errors import GrammarError
 from psdg.grammar import Psdg
@@ -35,7 +35,7 @@ def test_mini_roundtrip():
     assert [p.rhs for p in g.productions] == [("a", "S"), ("b",)]
     assert g.productions[0].tail_recursive
     assert g.terminals == ("a", "b")
-    q_lo = g.state_from_labels({"f": "lo"})
+    q_lo = state_of(g, {"f": "lo"})
     from psdg.grammar import production_probability
     assert production_probability(g, 0, q_lo) == pytest.approx(0.3)
 
