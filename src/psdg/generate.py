@@ -17,7 +17,8 @@ self-embedding plans run for unbounded time in bounded depth.
 What a stack does at a step apart from fresh draws (its emitted terminal,
 the levels that terminate and where it advances to) does not depend on
 the state.  `stack_rule` states it once; the recognizer's branch table,
-the oracle's walk and the sampler all read it.
+the oracle's walk, the sampler and `replay`, the one check of a recorded
+run, all read it.
 """
 from __future__ import annotations
 
@@ -182,13 +183,10 @@ def sample_trajectory(psdg: Psdg, horizon: int, seed: Optional[int] = None
     return Trajectory(StatePoint(q0), tuple(steps), complete, seed)
 
 
-def _match_chain(psdg: Psdg, frames: Stack, symbol: str,
-                 t: int) -> list[int]:
-    """Check that `frames` is a valid fresh chain for `symbol`; return its
-    production choices."""
+def _match_chain(psdg: Psdg, frames: Stack, symbol: str, t: int):
+    """Check that `frames` is a valid fresh chain for `symbol`."""
     if not frames:
         raise InvalidTrajectory(f"step {t}: missing expansion of {symbol!r}")
-    choices = []
     sym = symbol
     for i, (a, b) in enumerate(frames):
         if b != 1:
@@ -202,40 +200,28 @@ def _match_chain(psdg: Psdg, frames: Stack, symbol: str,
         if prod.lhs != sym:
             raise InvalidTrajectory(
                 f"step {t}: production {a} does not expand {sym!r}")
-        choices.append(a)
         sym = prod.rhs[0]
         if psdg.is_terminal(sym):
             if i != len(frames) - 1:
                 raise InvalidTrajectory(
                     f"step {t}: frames continue below terminal leaf {sym!r}")
-            return choices
+            return
     raise InvalidTrajectory(f"step {t}: chain for {symbol!r} has no terminal leaf")
 
 
-def trajectory_probability(psdg: Psdg, traj: Trajectory) -> float:
-    """Log joint probability of the trajectory's parse prefix and states.
-
-    Every factor is located at its generation-time state: the prior for
-    the initial state, each fresh production at the state current when it
-    was drawn, and one transition factor per emitted terminal.  Returns
-    -inf when any factor is zero; raises InvalidTrajectory if the stacks
-    are not a run of the deterministic advance rules.
-    """
+def replay(psdg: Psdg, traj: Trajectory
+           ) -> Iterator[tuple[int, TimeStep, Stack, bool]]:
+    """Check a run against the advance rules step by step, yielding
+    (t, step, kept, reentered) once each step passes: `kept` is the prefix
+    of its stack carried over, the frames past it were drawn fresh at the
+    state before the step, and `reentered` tells whether the first fresh
+    frame re-enters level len(kept) + 1 by trailing-lhs recursion.  Raises
+    InvalidTrajectory at the first step that breaks `stack_rule`, or at
+    the end if the completion flag disagrees with the final stack."""
     if not traj.steps:
         raise InvalidTrajectory("trajectory has no steps")
-    log_p = 0.0
-    dead = False
-
-    def times(p: float):
-        nonlocal log_p, dead
-        if p <= 0.0:
-            dead = True
-        else:
-            log_p += math.log(p)
-
-    q_prev = traj.initial_state.idx
-    times(prior_probability(psdg, q_prev))
     skeleton: Optional[tuple[Stack, Optional[str]]] = ((), psdg.start)
+    reentered = False
     for t, step in enumerate(traj.steps, start=1):
         if skeleton is None:
             raise InvalidTrajectory(f"step {t}: follows a completed root")
@@ -247,17 +233,41 @@ def trajectory_probability(psdg: Psdg, traj: Trajectory) -> float:
             if rest:
                 raise InvalidTrajectory(f"step {t}: unexpected fresh frames")
         else:
-            for a in _match_chain(psdg, rest, fresh_symbol, t):
-                times(production_probability(psdg, a, q_prev))
-        terminal, _, skeleton = stack_rule(psdg, step.stack)
+            _match_chain(psdg, rest, fresh_symbol, t)
+        terminal, live, skeleton = stack_rule(psdg, step.stack)
         if terminal != step.terminal:
             raise InvalidTrajectory(
                 f"step {t}: terminal {step.terminal!r} but leaf is {terminal!r}")
-        times(transition_probability(psdg, q_prev, terminal, step.state.idx))
-        q_prev = step.state.idx
+        yield t, step, kept, reentered
+        # a re-entry keeps only the frames above the live level
+        reentered = skeleton is not None and len(skeleton[0]) < live
     if (skeleton is None) != traj.complete:
         raise InvalidTrajectory("completion flag disagrees with the final stack")
-    return float("-inf") if dead else log_p
+
+
+def trajectory_probability(psdg: Psdg, traj: Trajectory) -> float:
+    """Log joint probability of the trajectory's parse prefix and states.
+
+    Every factor is located at its generation-time state: the prior for
+    the initial state, each fresh production at the state current when it
+    was drawn, and one transition factor per emitted terminal.  Returns
+    -inf when any factor is zero; raises InvalidTrajectory if `replay`
+    finds the stacks are not a run of the advance rules.
+    """
+    q_prev = traj.initial_state.idx
+    log_p = _log(prior_probability(psdg, q_prev))
+    for _, step, kept, _ in replay(psdg, traj):
+        for a, _ in step.stack[len(kept):]:
+            log_p += _log(production_probability(psdg, a, q_prev))
+        log_p += _log(transition_probability(psdg, q_prev, step.terminal,
+                                             step.state.idx))
+        q_prev = step.state.idx
+    return log_p
+
+
+def _log(p: float) -> float:
+    """log p, or -inf where p is 0."""
+    return -math.inf if p <= 0.0 else math.log(p)
 
 
 def trajectory_json_lines(psdg: Psdg, traj: Trajectory) -> Iterator[str]:

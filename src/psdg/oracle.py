@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 from .errors import (ExplosionBound, InvalidTrajectory, UnknownProduction,
                      ZeroEvidenceMass)
 from .generate import (Stack, TimeStep, Trajectory, enumerate_chains,
-                       stack_rule, trajectory_probability)
+                       replay, stack_rule)
 from .grammar import (Psdg, StatePoint, StateSet, _feature_transition,
                       enumerate_states, prior_probability,
                       production_probability)
@@ -435,58 +435,34 @@ def parse_tree(psdg: Psdg, traj: Trajectory) -> ParseNode:
     node they re-enter, for trailing-lhs recursion); each step's terminal
     becomes a leaf under the deepest node.  Nodes are annotated with the
     state before their first terminal and after their last one.  Raises
-    InvalidTrajectory unless the run is complete and its stacks follow the
-    advance rules, by the same check `trajectory_probability` makes.
+    InvalidTrajectory unless the run is complete and `replay` accepts it.
     """
     if not traj.complete:
         raise InvalidTrajectory("parse trees exist only for completed runs")
-    trajectory_probability(psdg, traj)
-    states = [traj.initial_state.idx] + [s.state.idx for s in traj.steps]
-    root: Optional[ParseNode] = None
+    made: list[ParseNode] = []      # every node, parents before children
     nodes: list[ParseNode] = []     # node per live stack level
-    prev: Optional[Stack] = None
-    for t, step in enumerate(traj.steps, start=1):
-        reentered: Optional[ParseNode] = None
-        if prev is not None:
-            # Comparing stacks directly is ambiguous: a trailing-lhs
-            # re-entry that resamples the same production reproduces the
-            # previous stack bit for bit.  Replaying the deterministic
-            # advance of the previous stack gives the true split between
-            # carried-over frames and fresh ones.
-            kept, fresh_symbol = stack_rule(psdg, prev)[2]
-            k = len(kept)
-            if fresh_symbol is not None and kept == prev[:k]:
-                # trailing-lhs re-entry: the first fresh frame replaces
-                # level k+1 and becomes the final child of the node there
-                reentered = nodes[k]
-            nodes = nodes[:k]
-        for a, _ in step.stack[len(nodes):]:
-            node = ParseNode(psdg.production(a).lhs, a)
-            if reentered is not None:
-                reentered.children.append(node)
-                reentered = None
-            elif nodes:
-                nodes[-1].children.append(node)
-            else:
-                root = node
+    q_prev = traj.initial_state.idx
+    for t, step, kept, reentered in replay(psdg, traj):
+        k = len(kept)
+        # a re-entry's first fresh frame is the last child of the node it
+        # replaces at level k+1
+        parent = nodes[k] if reentered else nodes[k - 1] if k else None
+        del nodes[k:]
+        for a, _ in step.stack[k:]:
+            node = ParseNode(psdg.production(a).lhs, a, start_state=q_prev)
+            if parent is not None:
+                parent.children.append(node)
+            parent = node
             nodes.append(node)
+            made.append(node)
         nodes[-1].children.append(
-            TerminalLeaf(step.terminal, t, states[t - 1], states[t]))
-        prev = step.stack
-
-    def annotate(node) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        if isinstance(node, TerminalLeaf):
-            return node.prev_state, node.next_state
-        node.start_state, _ = annotate(node.children[0])
-        for child in node.children[1:]:
-            annotate(child)
-        node.end_state = (node.children[-1].end_state
-                          if isinstance(node.children[-1], ParseNode)
-                          else node.children[-1].next_state)
-        return node.start_state, node.end_state
-
-    annotate(root)
-    return root
+            TerminalLeaf(step.terminal, t, q_prev, step.state.idx))
+        q_prev = step.state.idx
+    for node in reversed(made):     # each node's children before it
+        last = node.children[-1]
+        node.end_state = (last.end_state if isinstance(last, ParseNode)
+                          else last.next_state)
+    return made[0]
 
 
 ### The state-annotated constant-probability grammar.
@@ -671,51 +647,39 @@ def to_pcfg(psdg: Psdg) -> Pcfg:
     return Pcfg(psdg, start, productions, terminal_symbols)
 
 
+def _tuple_symbol(node) -> tuple:
+    """A tree node's ⟨state-in, symbol, state-out⟩ tuple symbol."""
+    if isinstance(node, TerminalLeaf):
+        return (TERM, node.prev_state, node.symbol, node.next_state)
+    return (NT, node.start_state, node.symbol, node.end_state)
+
+
 def pcfg_tree_probability(pcfg: Pcfg, tree: ParseNode) -> float:
     """Log probability of a state-annotated parse tree: the root's start
     weight times constant production probabilities down the tree.  Trees
     that only use pruned (zero-mass) tuples get -inf; structurally alien
     trees raise UnknownProduction."""
     psdg = pcfg.psdg
-    dead = False
-
-    def check_origin(node: ParseNode):
+    logp = 0.0
+    nodes = [tree]                  # parents before children
+    for node in nodes:
         try:
             prod = psdg.production(node.production)
-        except (KeyError, IndexError):
+        except KeyError:
             raise UnknownProduction(
                 f"production {node.production} does not exist") from None
         if prod.lhs != node.symbol or len(prod.rhs) != len(node.children):
             raise UnknownProduction(
                 f"production {node.production} does not fit node "
                 f"{node.symbol!r} with {len(node.children)} children")
-
-    def walk(node) -> tuple[tuple, float]:
-        nonlocal dead
-        if isinstance(node, TerminalLeaf):
-            sym = (TERM, node.prev_state, node.symbol, node.next_state)
-            if sym not in pcfg.terminal_symbols:
-                dead = True
-            return sym, 0.0
-        check_origin(node)
-        lhs = (NT, node.start_state, node.symbol, node.end_state)
-        logp = 0.0
-        child_syms = []
-        for child in node.children:
-            s, lp = walk(child)
-            child_syms.append(s)
-            logp += lp
-        for rule in pcfg.productions.get(lhs, ()):
-            if rule.origin == node.production and rule.rhs == tuple(child_syms):
-                return lhs, logp + math.log(rule.prob)
-        dead = True
-        return lhs, logp
-
-    root_sym, logp = walk(tree)
-    w = pcfg.start.get(root_sym, 0.0)
-    if dead or w <= 0.0:
-        return float("-inf")
-    return math.log(w) + logp
+        # no rule matches a leaf off the converted grammar's terminals
+        rhs = tuple(map(_tuple_symbol, node.children))
+        logp += next((math.log(rule.prob) for rule in pcfg.productions.get(
+            _tuple_symbol(node), ()) if rule.origin == node.production
+            and rule.rhs == rhs), -math.inf)
+        nodes += [c for c in node.children if isinstance(c, ParseNode)]
+    w = pcfg.start.get(_tuple_symbol(tree), 0.0)
+    return math.log(w) + logp if w > 0.0 else -math.inf
 
 
 def pcfg_text(pcfg: Pcfg) -> str:

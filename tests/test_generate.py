@@ -372,10 +372,6 @@ def test_only_trajectory_builders_make_state_points():
 SELF_CALLS_ALLOWED = {
     # the report shape fixes the depth: a few nested dicts
     "oracle.compare_reports.walk",
-    # referees only tests use; their depth grows with the tail re-entries
-    # of a long complete run
-    "oracle.parse_tree.annotate",
-    "oracle.pcfg_tree_probability.walk",
 }
 
 

@@ -2,6 +2,7 @@
 import ast
 import gc
 import io
+import itertools
 import json
 import math
 import os
@@ -30,8 +31,9 @@ from psdg.generate import (enumerate_chains, observation_json_lines,
 from psdg.grammar import StateSet, prior_probability, transition_probability
 from psdg.infer import (BranchEntry, Observation, branch_table, explain,
                         init_belief, predict, recognize, step, update)
-from psdg.oracle import (Query, enumerate_joint, exact_posterior, joint_runs,
-                         reference_reports, state_at)
+from psdg.oracle import (Query, compare_reports, enumerate_joint,
+                         exact_posterior, joint_runs, reference_reports,
+                         state_at, streamed_reports)
 from psdg.parse import load_file
 
 
@@ -387,6 +389,22 @@ def assert_reports_close(got: list[dict], want: list[dict], tol=1e-9):
         walk(a, b, f"report[{i}]")
 
 
+def restart_lanes(seed: int) -> list[tuple[int, str]]:
+    """(t, lane) of a sampled traffic run that ends in an outer lane, then
+    the opposite outer lane, which no lane change reaches in one step,
+    then the lanes of a sampled run opened in that lane."""
+    g = traffic()
+    run = sample_trajectory(g, 2, seed)
+    lanes = [g.labels(s.state.idx)["lane"] for s in run.steps]
+    jump = {"left-lane": "right-lane", "right-lane": "left-lane"}[lanes[-1]]
+    draws = (sample_trajectory(g, 2, 1000 * seed + i)
+             for i in itertools.count())
+    after = next(draw for draw in draws
+                 if g.labels(draw.initial_state.idx)["lane"] == jump)
+    lanes += [jump] + [g.labels(s.state.idx)["lane"] for s in after.steps]
+    return list(enumerate(lanes, start=1))
+
+
 class TestRecognize:
     def test_reports_each_observation_before_reading_the_next(self):
         g = traffic()
@@ -422,6 +440,30 @@ class TestRecognize:
                 restart.predict_terminal) == ref_marginals(
             g, ((branch, mass) for row in by_stack(fresh.chart).values()
                 for branch, mass in row.items()))
+
+    @pytest.mark.parametrize("seed", [None, 1, 4, 22])
+    def test_reports_after_a_restart_match_the_referee(self, seed):
+        """Under reinit, a contradiction at t = r restarts from the prior
+        restricted to R_r, so what follows is the run the referee reads
+        from a stream opened by `t: 0` = R_r, shifted back by r.  Seed
+        None is the hand-written stream."""
+        g = traffic()
+        lanes = restart_lanes(seed) if seed is not None else [
+            (1, "left-lane"), (2, "right-lane"), (3, "right-lane"),
+            (4, "center-lane")]
+        stream = [Observation.from_labels(g, t, {"lane": [lane]})
+                  for t, lane in lanes]
+        reports = list(recognize(g, stream, reinit=True))
+        (r,) = [report.time for report in reports
+                if report.evidence_likelihood == 0.0]
+        later = [obs for obs in stream if obs.time > r]
+        assert later
+        want = streamed_reports(g, [Observation(0, stream[r - 1].constraint)]
+                                + [Observation(obs.time - r, obs.constraint)
+                                   for obs in later])
+        for got, ref in zip(reports[r:], want, strict=True):
+            worst, problems = compare_reports(got.to_dict(g), ref)
+            assert problems == [], (got.time, worst)
 
     def test_step_is_called_only_by_recognize(self):
         """`recognize` is the package's one stream loop: no other code in

@@ -25,13 +25,14 @@ import psdg
 import psdg.oracle as oracle
 from psdg.errors import (ExplosionBound, InvalidTrajectory, PsdgError,
                          UnknownProduction, ZeroEvidenceMass)
-from psdg.generate import Trajectory, sample_trajectory, trajectory_probability
-from psdg.grammar import ProbabilityFunction, StateSet
+from psdg.generate import (TimeStep, Trajectory, sample_trajectory,
+                           trajectory_probability)
+from psdg.grammar import ProbabilityFunction, StatePoint, StateSet
 from psdg.infer import Observation, recognize
-from psdg.oracle import (DEFAULT_JOINT_BOUND, Query, compare_reports,
-                         enumerate_joint, exact_posterior, parse_tree,
-                         pcfg_text, pcfg_tree_probability, reference_reports,
-                         streamed_reports, to_pcfg)
+from psdg.oracle import (DEFAULT_JOINT_BOUND, Query, TerminalLeaf,
+                         compare_reports, enumerate_joint, exact_posterior,
+                         parse_tree, pcfg_text, pcfg_tree_probability,
+                         reference_reports, streamed_reports, to_pcfg)
 from psdg.parse import load_file, load_text
 
 
@@ -482,6 +483,34 @@ class TestParseTree:
             want = [s.terminal for s in e.trajectory.steps]
             assert got == want
 
+    @pytest.mark.parametrize("n", [1200, 5000])
+    def test_deep_complete_run(self, n):
+        """A complete run of S -> x S | y is a tree n levels deep:
+        `parse_tree` builds it and `pcfg_tree_probability` scores it, each
+        without recursing, and the score equals the run's own."""
+        g = build([unit_feature()],
+                  [production(0, "S", ["x", "S"], default=0.999),
+                   production(1, "S", ["y"], default=0.001)], "S")
+        q = StatePoint((0,))
+        steps = [TimeStep(((0, 1),), "x", q)] * (n - 1) + \
+            [TimeStep(((1, 1),), "y", q)]
+        run = Trajectory(q, tuple(steps), complete=True)
+        tree = parse_tree(g, run)
+        leaves, todo = [], [tree]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, TerminalLeaf):
+                leaves.append(node)
+            else:
+                todo += reversed(node.children)
+        assert [(leaf.symbol, leaf.time) for leaf in leaves] == \
+            [(s.terminal, t) for t, s in enumerate(steps, start=1)]
+        want = trajectory_probability(g, run)
+        assert want == pytest.approx((n - 1) * math.log(0.999)
+                                     + math.log(0.001), rel=1e-12)
+        got = pcfg_tree_probability(to_pcfg(g), tree)
+        assert abs(got - want) <= 1e-9
+
 
 def swapped_stack_runs(g, seeds, horizon=8):
     """Complete sampled runs with the stacks of two steps exchanged, for
@@ -509,13 +538,15 @@ class TestMalformedParseTree:
                 parse_tree(traffic(), run)
 
     def test_swapped_stacks_raise_under_optimize(self):
-        """The run check is explicit, so `python -O` keeps it."""
+        """The run check is explicit, so `python -O` keeps it, for both
+        referees that read it."""
         script = """if True:
             import dataclasses, sys
             from pathlib import Path
             import psdg
             from psdg.errors import InvalidTrajectory
-            from psdg.generate import Trajectory, sample_trajectory
+            from psdg.generate import (Trajectory, sample_trajectory,
+                                       trajectory_probability)
             from psdg.oracle import parse_tree
             from psdg.parse import load_file
             if __debug__:
@@ -527,13 +558,15 @@ class TestMalformedParseTree:
                 steps[i], steps[j] = (
                     dataclasses.replace(steps[i], stack=steps[j].stack),
                     dataclasses.replace(steps[j], stack=steps[i].stack))
-                try:
-                    parse_tree(g, Trajectory(traj.initial_state,
-                                             tuple(steps), True, seed))
-                except InvalidTrajectory as e:
-                    print(e)
-                else:
-                    sys.exit(f"seed {seed}: swapped steps {i}, {j} parsed")
+                run = Trajectory(traj.initial_state, tuple(steps), True, seed)
+                for referee in (parse_tree, trajectory_probability):
+                    try:
+                        referee(g, run)
+                    except InvalidTrajectory as e:
+                        print(e)
+                    else:
+                        sys.exit(f"seed {seed}: swapped steps {i}, {j} "
+                                 f"passed {referee.__name__}")
         """
         src = Path(psdg.__file__).resolve().parents[1]
         proc = subprocess.run([sys.executable, "-O", "-c", script],
@@ -541,7 +574,8 @@ class TestMalformedParseTree:
                               env={**os.environ,
                                    "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr
-        assert len(proc.stdout.splitlines()) == 4
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 8 and lines[::2] == lines[1::2]
 
 
 def zero_prior_grammar():
@@ -610,8 +644,6 @@ class TestPcfg:
     def test_zero_probability_tree_is_minus_inf(self):
         g = zero_prior_grammar()
         pcfg = to_pcfg(g)
-        from psdg.generate import TimeStep
-        from psdg.grammar import StatePoint
         dead = Trajectory(
             StatePoint((1,)),
             (TimeStep(((1, 1),), "b", StatePoint((1,))),),
