@@ -78,7 +78,3 @@ class ExplosionBound(PsdgError):
 
 class ZeroEvidenceMass(PsdgError):
     """Evidence given to the oracle has zero probability in the joint."""
-
-
-class UnknownProduction(PsdgError):
-    """A tree node uses a production absent from the constructed grammar."""

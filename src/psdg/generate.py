@@ -17,8 +17,8 @@ self-embedding plans run for unbounded time in bounded depth.
 What a stack does at a step apart from fresh draws (its emitted terminal,
 the levels that terminate and where it advances to) does not depend on
 the state.  `stack_rule` states it once; the recognizer's branch table,
-the oracle's walk, the sampler and `replay`, the one check of a recorded
-run, all read it.
+the oracle's walk and the sampler read it, and so does `replay` in
+`tests/referee.py`, the one check of a recorded run.
 """
 from __future__ import annotations
 
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .errors import DeadEnd, InvalidTrajectory
-from .grammar import (Psdg, StatePoint, _feature_transition, prior_probability,
-                      production_probability, transition_probability)
+from .grammar import (Psdg, StatePoint, _feature_transition,
+                      production_probability)
 
 
 Stack = tuple[tuple[int, int], ...]  # (production, 1-based cursor), root first
@@ -181,93 +181,6 @@ def sample_trajectory(psdg: Psdg, horizon: int, seed: Optional[int] = None
             stack += sample_chain(psdg, fresh_symbol, q, rng)
         q_prev = q
     return Trajectory(StatePoint(q0), tuple(steps), complete, seed)
-
-
-def _match_chain(psdg: Psdg, frames: Stack, symbol: str, t: int):
-    """Check that `frames` is a valid fresh chain for `symbol`."""
-    if not frames:
-        raise InvalidTrajectory(f"step {t}: missing expansion of {symbol!r}")
-    sym = symbol
-    for i, (a, b) in enumerate(frames):
-        if b != 1:
-            raise InvalidTrajectory(
-                f"step {t}: frame {(a, b)} does not open {sym!r}")
-        try:
-            prod = psdg.production(a)
-        except KeyError:
-            raise InvalidTrajectory(
-                f"step {t}: unknown production {a}") from None
-        if prod.lhs != sym:
-            raise InvalidTrajectory(
-                f"step {t}: production {a} does not expand {sym!r}")
-        sym = prod.rhs[0]
-        if psdg.is_terminal(sym):
-            if i != len(frames) - 1:
-                raise InvalidTrajectory(
-                    f"step {t}: frames continue below terminal leaf {sym!r}")
-            return
-    raise InvalidTrajectory(f"step {t}: chain for {symbol!r} has no terminal leaf")
-
-
-def replay(psdg: Psdg, traj: Trajectory
-           ) -> Iterator[tuple[int, TimeStep, Stack, bool]]:
-    """Check a run against the advance rules step by step, yielding
-    (t, step, kept, reentered) once each step passes: `kept` is the prefix
-    of its stack carried over, the frames past it were drawn fresh at the
-    state before the step, and `reentered` tells whether the first fresh
-    frame re-enters level len(kept) + 1 by trailing-lhs recursion.  Raises
-    InvalidTrajectory at the first step that breaks `stack_rule`, or at
-    the end if the completion flag disagrees with the final stack."""
-    if not traj.steps:
-        raise InvalidTrajectory("trajectory has no steps")
-    skeleton: Optional[tuple[Stack, Optional[str]]] = ((), psdg.start)
-    reentered = False
-    for t, step in enumerate(traj.steps, start=1):
-        if skeleton is None:
-            raise InvalidTrajectory(f"step {t}: follows a completed root")
-        kept, fresh_symbol = skeleton
-        if step.stack[:len(kept)] != kept:
-            raise InvalidTrajectory(f"step {t}: carried-over frames differ")
-        rest = step.stack[len(kept):]
-        if fresh_symbol is None:
-            if rest:
-                raise InvalidTrajectory(f"step {t}: unexpected fresh frames")
-        else:
-            _match_chain(psdg, rest, fresh_symbol, t)
-        terminal, live, skeleton = stack_rule(psdg, step.stack)
-        if terminal != step.terminal:
-            raise InvalidTrajectory(
-                f"step {t}: terminal {step.terminal!r} but leaf is {terminal!r}")
-        yield t, step, kept, reentered
-        # a re-entry keeps only the frames above the live level
-        reentered = skeleton is not None and len(skeleton[0]) < live
-    if (skeleton is None) != traj.complete:
-        raise InvalidTrajectory("completion flag disagrees with the final stack")
-
-
-def trajectory_probability(psdg: Psdg, traj: Trajectory) -> float:
-    """Log joint probability of the trajectory's parse prefix and states.
-
-    Every factor is located at its generation-time state: the prior for
-    the initial state, each fresh production at the state current when it
-    was drawn, and one transition factor per emitted terminal.  Returns
-    -inf when any factor is zero; raises InvalidTrajectory if `replay`
-    finds the stacks are not a run of the advance rules.
-    """
-    q_prev = traj.initial_state.idx
-    log_p = _log(prior_probability(psdg, q_prev))
-    for _, step, kept, _ in replay(psdg, traj):
-        for a, _ in step.stack[len(kept):]:
-            log_p += _log(production_probability(psdg, a, q_prev))
-        log_p += _log(transition_probability(psdg, q_prev, step.terminal,
-                                             step.state.idx))
-        q_prev = step.state.idx
-    return log_p
-
-
-def _log(p: float) -> float:
-    """log p, or -inf where p is 0."""
-    return -math.inf if p <= 0.0 else math.log(p)
 
 
 def trajectory_json_lines(psdg: Psdg, traj: Trajectory) -> Iterator[str]:

@@ -4,8 +4,10 @@ Everything here trades efficiency for obvious correctness: the joint
 distribution over parse prefixes and state sequences is walked by
 exhaustive enumeration, one run at a time, and posteriors are sums over
 the runs that pass the evidence.  Reference reports read the walk once
-and keep no table; `enumerate_joint` collects it for callers that need
-one.  The recognition engine is validated against these numbers.
+and keep no table; `enumerate_joint` collects it, and `reference_reports`
+reads that table, for the benchmark's traced replay.  The recognition
+engine is validated against these numbers.  The referees only tests use
+(the run check, single posteriors, parse trees) are in `tests/referee.py`.
 
 The module also builds the state-annotated context-free grammar that is
 distribution-equivalent to a given state-dependent grammar over complete
@@ -18,13 +20,12 @@ import functools
 import itertools
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
-from .errors import (ExplosionBound, InvalidTrajectory, UnknownProduction,
-                     ZeroEvidenceMass)
+from .errors import ExplosionBound, ZeroEvidenceMass
 from .generate import (Stack, TimeStep, Trajectory, enumerate_chains,
-                       replay, stack_rule)
+                       stack_rule)
 from .grammar import (Psdg, StatePoint, StateSet, _feature_transition,
                       enumerate_states, prior_probability,
                       production_probability)
@@ -160,86 +161,6 @@ def enumerate_joint(psdg: Psdg, horizon: int,
     entries = list(joint_runs(psdg, horizon, bound))
     return JointTable(psdg, horizon, entries,
                       math.fsum(e.prob for e in entries))
-
-
-### Queries against the table.
-
-
-@dataclass(frozen=True)
-class Query:
-    """An event over one time slice of the joint.
-
-    kinds: "state" (value: StateSet or index tuple; time may be 0),
-    "symbol" (level + nonterminal name), "production" (level + (a, b)),
-    "terminal" (terminal name), "terminated" (level), and "completed"
-    (the root finished strictly before `time`).
-    """
-    kind: str
-    time: int
-    level: Optional[int] = None
-    value: object = None
-
-
-def state_at(traj: Trajectory, t: int) -> tuple[int, ...]:
-    """Q^t of the run; the final state is frozen after completion."""
-    if t <= 0:
-        return traj.initial_state.idx
-    if t <= len(traj.steps):
-        return traj.steps[t - 1].state.idx
-    if traj.complete:
-        return traj.steps[-1].state.idx
-    raise ValueError(f"time {t} is beyond the enumerated horizon")
-
-
-def _state_matches(q: tuple[int, ...], value) -> bool:
-    if isinstance(value, StateSet):
-        return q in value
-    return q == tuple(value)
-
-
-def query_holds(psdg: Psdg, traj: Trajectory, query: Query) -> bool:
-    k = query.kind
-    if k == "state":
-        return _state_matches(state_at(traj, query.time), query.value)
-    if k == "completed":
-        return traj.complete and len(traj.steps) < query.time
-    if query.time > len(traj.steps):
-        return False        # the run has no such slice (finished or cut off)
-    stack = traj.steps[query.time - 1].stack
-    if k == "terminal":
-        return traj.steps[query.time - 1].terminal == query.value
-    if k == "symbol":
-        if query.level > len(stack):
-            return False
-        a, _ = stack[query.level - 1]
-        return psdg.production(a).lhs == query.value
-    if k == "production":
-        return (query.level <= len(stack)
-                and stack[query.level - 1] == tuple(query.value))
-    if k == "terminated":
-        return stack_rule(psdg, stack)[1] < query.level <= len(stack)
-    raise ValueError(f"unknown query kind {k!r}")
-
-
-def exact_posterior(joint: JointTable, evidence, query: Query) -> float:
-    """Pr(query | evidence) by filtering the table.
-
-    Evidence items need `time` and `constraint` (a StateSet) attributes;
-    order is irrelevant.  Raises ZeroEvidenceMass when nothing survives
-    the filter.
-    """
-    ev_mass = 0.0
-    q_mass = 0.0
-    for entry in joint.entries:
-        if not all(_state_matches(state_at(entry.trajectory, obs.time),
-                                  obs.constraint) for obs in evidence):
-            continue
-        ev_mass += entry.prob
-        if query_holds(joint.psdg, entry.trajectory, query):
-            q_mass += entry.prob
-    if ev_mass <= 0.0:
-        raise ZeroEvidenceMass("no enumerated run satisfies the evidence")
-    return q_mass / ev_mass
 
 
 ### Reference step reports.
@@ -406,63 +327,6 @@ def compare_reports(got: dict, want: dict, tol: float = 1e-9
                        "explain", "predict"):
         walk(got.get(field_name), want.get(field_name), field_name)
     return worst, problems
-
-
-### Parse trees of complete runs.
-
-
-@dataclass
-class TerminalLeaf:
-    symbol: str
-    time: int
-    prev_state: tuple[int, ...] = ()
-    next_state: tuple[int, ...] = ()
-
-
-@dataclass
-class ParseNode:
-    symbol: str
-    production: int
-    children: list = field(default_factory=list)
-    start_state: tuple[int, ...] = ()
-    end_state: tuple[int, ...] = ()
-
-
-def parse_tree(psdg: Psdg, traj: Trajectory) -> ParseNode:
-    """Rebuild the full parse tree of a completed run.
-
-    Fresh frames become nodes hanging off the frame above them (or off the
-    node they re-enter, for trailing-lhs recursion); each step's terminal
-    becomes a leaf under the deepest node.  Nodes are annotated with the
-    state before their first terminal and after their last one.  Raises
-    InvalidTrajectory unless the run is complete and `replay` accepts it.
-    """
-    if not traj.complete:
-        raise InvalidTrajectory("parse trees exist only for completed runs")
-    made: list[ParseNode] = []      # every node, parents before children
-    nodes: list[ParseNode] = []     # node per live stack level
-    q_prev = traj.initial_state.idx
-    for t, step, kept, reentered in replay(psdg, traj):
-        k = len(kept)
-        # a re-entry's first fresh frame is the last child of the node it
-        # replaces at level k+1
-        parent = nodes[k] if reentered else nodes[k - 1] if k else None
-        del nodes[k:]
-        for a, _ in step.stack[k:]:
-            node = ParseNode(psdg.production(a).lhs, a, start_state=q_prev)
-            if parent is not None:
-                parent.children.append(node)
-            parent = node
-            nodes.append(node)
-            made.append(node)
-        nodes[-1].children.append(
-            TerminalLeaf(step.terminal, t, q_prev, step.state.idx))
-        q_prev = step.state.idx
-    for node in reversed(made):     # each node's children before it
-        last = node.children[-1]
-        node.end_state = (last.end_state if isinstance(last, ParseNode)
-                          else last.next_state)
-    return made[0]
 
 
 ### The state-annotated constant-probability grammar.
@@ -645,41 +509,6 @@ def to_pcfg(psdg: Psdg) -> Pcfg:
             raise ExplosionBound(
                 f"converted grammar exceeds bound {PCFG_BOUND}")
     return Pcfg(psdg, start, productions, terminal_symbols)
-
-
-def _tuple_symbol(node) -> tuple:
-    """A tree node's ⟨state-in, symbol, state-out⟩ tuple symbol."""
-    if isinstance(node, TerminalLeaf):
-        return (TERM, node.prev_state, node.symbol, node.next_state)
-    return (NT, node.start_state, node.symbol, node.end_state)
-
-
-def pcfg_tree_probability(pcfg: Pcfg, tree: ParseNode) -> float:
-    """Log probability of a state-annotated parse tree: the root's start
-    weight times constant production probabilities down the tree.  Trees
-    that only use pruned (zero-mass) tuples get -inf; structurally alien
-    trees raise UnknownProduction."""
-    psdg = pcfg.psdg
-    logp = 0.0
-    nodes = [tree]                  # parents before children
-    for node in nodes:
-        try:
-            prod = psdg.production(node.production)
-        except KeyError:
-            raise UnknownProduction(
-                f"production {node.production} does not exist") from None
-        if prod.lhs != node.symbol or len(prod.rhs) != len(node.children):
-            raise UnknownProduction(
-                f"production {node.production} does not fit node "
-                f"{node.symbol!r} with {len(node.children)} children")
-        # no rule matches a leaf off the converted grammar's terminals
-        rhs = tuple(map(_tuple_symbol, node.children))
-        logp += next((math.log(rule.prob) for rule in pcfg.productions.get(
-            _tuple_symbol(node), ()) if rule.origin == node.production
-            and rule.rhs == rhs), -math.inf)
-        nodes += [c for c in node.children if isinstance(c, ParseNode)]
-    w = pcfg.start.get(_tuple_symbol(tree), 0.0)
-    return math.log(w) + logp if w > 0.0 else -math.inf
 
 
 def pcfg_text(pcfg: Pcfg) -> str:

@@ -11,12 +11,13 @@ import time
 from helpers import (build, feature, forcing_grammar, production,
                      random_stream, repeated_child_grammar, sized_random_psdg,
                      tail_recursive_grammar, traffic, unit_feature)
-from psdg.generate import sample_trajectory, trajectory_probability
+from psdg.generate import sample_trajectory
 from psdg.grammar import StateSet
 from psdg.infer import (Observation, explain, init_belief, predict,
                         recognize, step)
-from psdg.oracle import (compare_reports, enumerate_joint, parse_tree,
-                         pcfg_tree_probability, reference_reports, to_pcfg)
+from psdg.oracle import (compare_reports, enumerate_joint, reference_reports,
+                         to_pcfg)
+from referee import parse_tree, pcfg_tree_probability, trajectory_probability
 
 
 def _verdict(n: int, detail: str):

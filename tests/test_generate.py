@@ -18,9 +18,10 @@ from helpers import (ab_grammar, build, feature, forcing_grammar, production,
 from psdg.errors import InvalidTrajectory
 from psdg.generate import (TimeStep, Trajectory, enumerate_chains,
                            sample_chain, sample_trajectory, stack_rule,
-                           trajectory_json_lines, trajectory_probability)
+                           trajectory_json_lines)
 from psdg.grammar import StatePoint, enumerate_states, production_probability
 from psdg.oracle import enumerate_joint
+from referee import trajectory_probability
 
 
 def drive_pass_stack(pass_cursor: int):
@@ -316,12 +317,19 @@ class TestStackWellFormedness:
             stack_rule(traffic(), ((3, 1),))
 
 
+def _scanned_modules() -> list[Path]:
+    """The package's modules, and the test-side referees, which the scans
+    below hold to the same rules."""
+    src = Path(psdg.__file__).parent
+    return [*sorted(src.glob("*.py")), Path(__file__).with_name("referee.py")]
+
+
 def test_package_checks_never_use_assert():
-    """Every check in the package is an explicit raise: an `assert`
-    vanishes under `python -O`."""
+    """Every check in the package and its referees is an explicit raise:
+    an `assert` vanishes under `python -O`."""
     src = Path(psdg.__file__).parent
     found = [f"{path.name}:{node.lineno}"
-             for path in sorted(src.glob("*.py"))
+             for path in _scanned_modules()
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert len(list(src.glob("*.py"))) >= 8
@@ -360,8 +368,7 @@ def test_only_trajectory_builders_make_state_points():
     """States are value-index tuples in every function: StatePoint is
     built only where a trajectory is recorded, and nothing branches on
     whether a state is one."""
-    src = Path(psdg.__file__).parent
-    found = {use for path in sorted(src.glob("*.py"))
+    found = {use for path in _scanned_modules()
              for use in _state_point_uses(ast.parse(
                  path.read_text(encoding="utf-8")), (path.stem,))}
     assert found == {(name, "call") for name in STATE_POINT_MAKERS}
@@ -403,8 +410,7 @@ def test_package_functions_do_not_recurse():
     """Walks over input keep their own stacks, so input of any depth that
     validation accepts runs instead of hitting the interpreter's recursion
     limit.  The named exceptions are listed with their reasons."""
-    src = Path(psdg.__file__).parent
-    found = {name for path in sorted(src.glob("*.py"))
+    found = {name for path in _scanned_modules()
              for name in _self_calls(ast.parse(
                  path.read_text(encoding="utf-8")), (path.stem,))}
     assert found == SELF_CALLS_ALLOWED

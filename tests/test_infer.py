@@ -31,10 +31,10 @@ from psdg.generate import (enumerate_chains, observation_json_lines,
 from psdg.grammar import StateSet, prior_probability, transition_probability
 from psdg.infer import (BranchEntry, Observation, branch_table, explain,
                         init_belief, predict, recognize, step, update)
-from psdg.oracle import (Query, compare_reports, enumerate_joint,
-                         exact_posterior, joint_runs, reference_reports,
-                         state_at, streamed_reports)
+from psdg.oracle import (compare_reports, enumerate_joint, joint_runs,
+                         reference_reports, streamed_reports)
 from psdg.parse import load_file
+from referee import Query, exact_posterior, state_at
 
 
 GOLDEN_DEEP_PLANS = Path(__file__).parent / "golden" / "deep-plans.psdg"

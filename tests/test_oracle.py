@@ -24,16 +24,16 @@ import reference_walk
 import psdg
 import psdg.oracle as oracle
 from psdg.errors import (ExplosionBound, InvalidTrajectory, PsdgError,
-                         UnknownProduction, ZeroEvidenceMass)
-from psdg.generate import (TimeStep, Trajectory, sample_trajectory,
-                           trajectory_probability)
+                         ZeroEvidenceMass)
+from psdg.generate import TimeStep, Trajectory, sample_trajectory
 from psdg.grammar import ProbabilityFunction, StatePoint, StateSet
 from psdg.infer import Observation, recognize
-from psdg.oracle import (DEFAULT_JOINT_BOUND, Query, TerminalLeaf,
-                         compare_reports, enumerate_joint, exact_posterior,
-                         parse_tree, pcfg_text, pcfg_tree_probability,
-                         reference_reports, streamed_reports, to_pcfg)
+from psdg.oracle import (DEFAULT_JOINT_BOUND, compare_reports, enumerate_joint,
+                         pcfg_text, reference_reports, streamed_reports,
+                         to_pcfg)
 from psdg.parse import load_file, load_text
+from referee import (Query, TerminalLeaf, UnknownProduction, exact_posterior,
+                     parse_tree, pcfg_tree_probability, trajectory_probability)
 
 
 class TestEnumerateJoint:
@@ -333,18 +333,19 @@ class TestStreamedReports:
 
 
 def test_oracle_imports_nothing_from_infer():
-    """The referee shares no code with the engine it judges: no module
-    that oracle.py imports, directly or through another psdg module, is
-    infer.  A name taken from the package itself counts as importing
-    __init__, which imports infer."""
+    """The referees share no code with the engine they judge: no module
+    that oracle.py or tests/referee.py imports, directly or through
+    another psdg or test module, is infer.  A name taken from the package
+    itself counts as importing __init__, which imports infer."""
     src = Path(psdg.__file__).parent
-    seen, todo = set(), ["oracle"]
+    tests = Path(__file__).parent
+    seen, todo = set(), [src / "oracle.py", tests / "referee.py"]
     while todo:
-        name = todo.pop()
-        if name in seen:
+        path = todo.pop()
+        if path in seen:
             continue
-        seen.add(name)
-        for node in ast.walk(ast.parse((src / f"{name}.py").read_text())):
+        seen.add(path)
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 mods = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom):
@@ -357,11 +358,13 @@ def test_oracle_imports_nothing_from_infer():
             for mod in mods:
                 top, _, rest = mod.partition(".")
                 if top == "psdg":
-                    part = rest.split(".")[0]
-                    todo.append(part if (src / f"{part}.py").is_file()
-                                else "__init__")
-    assert "infer" not in seen
-    assert {"generate", "grammar", "errors"} <= seen
+                    part = src / f"{rest.split('.')[0]}.py"
+                    todo.append(part if part.is_file() else src / "__init__.py")
+                elif (tests / f"{top}.py").is_file():
+                    todo.append(tests / f"{top}.py")
+    assert src / "infer.py" not in seen
+    assert {src / f"{name}.py"
+            for name in ("generate", "grammar", "errors")} <= seen
 
 
 def vacuous(g, t):
@@ -487,7 +490,9 @@ class TestParseTree:
     def test_deep_complete_run(self, n):
         """A complete run of S -> x S | y is a tree n levels deep:
         `parse_tree` builds it and `pcfg_tree_probability` scores it, each
-        without recursing, and the score equals the run's own."""
+        without recursing, and the score equals the run's own.  Printing
+        the tree and comparing it do not recurse either: trees compare by
+        identity."""
         g = build([unit_feature()],
                   [production(0, "S", ["x", "S"], default=0.999),
                    production(1, "S", ["y"], default=0.001)], "S")
@@ -510,6 +515,8 @@ class TestParseTree:
                                      + math.log(0.001), rel=1e-12)
         got = pcfg_tree_probability(to_pcfg(g), tree)
         assert abs(got - want) <= 1e-9
+        assert repr(tree)
+        assert tree == tree and tree != parse_tree(g, run)
 
 
 def swapped_stack_runs(g, seeds, horizon=8):
@@ -545,10 +552,9 @@ class TestMalformedParseTree:
             from pathlib import Path
             import psdg
             from psdg.errors import InvalidTrajectory
-            from psdg.generate import (Trajectory, sample_trajectory,
-                                       trajectory_probability)
-            from psdg.oracle import parse_tree
+            from psdg.generate import Trajectory, sample_trajectory
             from psdg.parse import load_file
+            from referee import parse_tree, trajectory_probability
             if __debug__:
                 sys.exit("not running under -O")
             g = load_file(Path(psdg.__file__).parent / "data" / "traffic.psdg")
@@ -569,10 +575,11 @@ class TestMalformedParseTree:
                                  f"passed {referee.__name__}")
         """
         src = Path(psdg.__file__).resolve().parents[1]
+        tests = Path(__file__).resolve().parent
         proc = subprocess.run([sys.executable, "-O", "-c", script],
                               capture_output=True, text=True,
-                              env={**os.environ,
-                                   "PYTHONPATH": str(src)})
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                                  (str(src), str(tests)))})
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert len(lines) == 8 and lines[::2] == lines[1::2]
