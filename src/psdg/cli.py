@@ -227,7 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="State-dependent grammar tools: validation, sampling, "
                     "online plan recognition, and exact cross-checks.")
     sub = parser.add_subparsers(dest="command", required=True)
-    support_bound = dict(type=_positive_int, default=DEFAULT_SUPPORT_BOUND)
+    support_bound = dict(type=_positive_int, default=DEFAULT_SUPPORT_BOUND,
+                         help="most states a belief may hold, live or "
+                              "completed (default %(default)s)")
 
     p = sub.add_parser("validate", help="check a grammar file and print "
                                         "its summary")

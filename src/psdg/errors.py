@@ -53,7 +53,7 @@ class SetTooLarge(PsdgError):
 
 
 class SupportTooLarge(PsdgError):
-    """The initial belief support would exceed the configured bound."""
+    """A belief's support would exceed the configured bound."""
 
 
 class DeadEnd(PsdgError):

@@ -51,14 +51,18 @@ class Trajectory:
     seed: Optional[int] = None
 
 
-def enumerate_chains(psdg: Psdg, symbol: str,
+def enumerate_chains(psdg: Psdg, symbol: Optional[str],
                      state: tuple[int, ...]) -> list[tuple[Stack, float]]:
     """All ways to freshly expand `symbol` down to a terminal leaf:
     (frame chain, probability) pairs in production-index order, depth
     first, each probability multiplied from the leaf up.  Chains of
     probability zero, including products that underflow, are skipped.
+    With no symbol (None: the kept frames end on the new leaf) the one
+    chain is empty, with probability 1.
     The walk keeps its own stack, so chains may be as deep as validation
     allows."""
+    if symbol is None:
+        return [((), 1.0)]
     out: list[tuple[Stack, float]] = []
     frames: list[tuple[int, int]] = []      # the open frames, root first
     probs: list[float] = []                 # and their probabilities
@@ -86,11 +90,13 @@ def enumerate_chains(psdg: Psdg, symbol: str,
     return out
 
 
-def sample_chain(psdg: Psdg, symbol: str, state: tuple[int, ...],
+def sample_chain(psdg: Psdg, symbol: Optional[str], state: tuple[int, ...],
                  rng: random.Random) -> Stack:
+    """One fresh expansion of `symbol` drawn top-down; with no symbol it
+    draws nothing and gives the empty chain."""
     frames: list[tuple[int, int]] = []
     sym = symbol
-    while True:
+    while sym is not None and not psdg.is_terminal(sym):
         candidates = psdg.by_lhs[sym]
         weights = [production_probability(psdg, a, state) for a in candidates]
         total = sum(weights)
@@ -100,8 +106,7 @@ def sample_chain(psdg: Psdg, symbol: str, state: tuple[int, ...],
         a = candidates[_sample_indexed(weights, rng, total)]
         frames.append((a, 1))
         sym = psdg.production(a).rhs[0]
-        if psdg.is_terminal(sym):
-            return tuple(frames)
+    return tuple(frames)
 
 
 def stack_rule(psdg: Psdg, stack: Stack
@@ -140,14 +145,15 @@ def stack_rule(psdg: Psdg, stack: Stack
 
 def _sample_indexed(probs: Sequence[float], rng: random.Random,
                     total: float = 1.0) -> int:
-    """Index i drawn with probability probs[i] / total."""
+    """Index i drawn with probability probs[i] / total.  A draw at or past
+    the float sum of `probs` falls to the last index that can be drawn."""
     r = rng.random() * total
     acc = 0.0
     for i, p in enumerate(probs):
         acc += p
         if r < acc:
             return i
-    return len(probs) - 1
+    return max(i for i, p in enumerate(probs) if p > 0.0)
 
 
 def sample_trajectory(psdg: Psdg, horizon: int, seed: Optional[int] = None
@@ -176,9 +182,8 @@ def sample_trajectory(psdg: Psdg, horizon: int, seed: Optional[int] = None
             complete = True
             break
         # Fresh productions are drawn at the state after the emission.
-        stack, fresh_symbol = skeleton
-        if fresh_symbol is not None:
-            stack += sample_chain(psdg, fresh_symbol, q, rng)
+        kept, fresh_symbol = skeleton
+        stack = kept + sample_chain(psdg, fresh_symbol, q, rng)
         q_prev = q
     return Trajectory(StatePoint(q0), tuple(steps), complete, seed)
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable
 
-from .errors import Diagnostic, GrammarError, SetTooLarge
+from .errors import Diagnostic, SetTooLarge
 
 NORMALIZATION_TOL = 1e-9
 DISTRIBUTION_TOL = 1e-12
@@ -40,7 +40,7 @@ DEFAULT_SET_BOUND = 10**6
 
 
 ### Raw (pre-validation) declarations.  The text parser and the test
-### builders both produce these; compile_grammar turns them into a Psdg.
+### builders both produce these; validate_grammar turns them into a Psdg.
 
 
 @dataclass
@@ -304,19 +304,6 @@ def _feature_transition(psdg: Psdg, fi: int, prev: tuple[int, ...], terminal: st
     """Feature fi's distribution after `prev` emits `terminal`."""
     feat = psdg.features[fi]
     return feat.table[terminal][feat.parent_key(prev)]
-
-
-def transition_probability(psdg: Psdg, prev: tuple[int, ...], terminal: str,
-                           nxt: tuple[int, ...]) -> float:
-    """pi1(q_prev, x, q_next): product of per-feature CPT entries."""
-    if terminal not in psdg.terminal_set:
-        raise ValueError(f"unknown terminal {terminal!r}")
-    p = 1.0
-    for fi in range(len(psdg.features)):
-        p *= _feature_transition(psdg, fi, prev, terminal)[nxt[fi]]
-        if p == 0.0:
-            return 0.0
-    return p
 
 
 def _key_getter(indices):
@@ -624,13 +611,3 @@ def _check_distribution(diags, probs, what, line, column):
         diags.append(Diagnostic("BadDistribution",
                                 f"{what} sums to {sum(probs):.15g}",
                                 line, column))
-
-
-def compile_grammar(features: list[RawFeature],
-                    productions: list[RawProduction],
-                    start: str) -> Psdg:
-    """Builder used by tests and embedded grammars; raises GrammarError."""
-    psdg, diags = validate_grammar(RawGrammar(features, productions, start))
-    if psdg is None:
-        raise GrammarError(diags)
-    return psdg

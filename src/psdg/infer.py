@@ -67,7 +67,6 @@ class Observation:
 class BranchEntry:
     """What a branch does at every step, whatever the state.  The table
     holds one per branch, so entries hash and compare by identity."""
-    branch: Stack
     leaf: str                       # the terminal it emits
     keys: tuple[int, ...]           # production key ids, one per level
     live: int                       # levels above the terminating suffix
@@ -88,15 +87,16 @@ class BranchTable:
     `skeletons[i]` is skeleton i, and `moves[i]` maps a new state to the
     branches skeleton i leads to there.  An entry holds only that id; the
     table holds the skeleton.  `chains` holds the fresh expansions of each
-    (symbol, guard cell), which every state of the cell shares, as a
-    (tails, probabilities) pair whose probability tuple every move into
-    them shares.  An entry keeps its production key ids: key k stands for
-    `slots[k]`, a (level, (a, b)) pair, and implies `implied[k]`, its lhs
-    and the terminal under its cursor or None (only the deepest frame's
-    cursor sits on one), so symbol and terminal tables derive from the
-    keys.  Entries hold ids, never the move dicts, so the table has no
-    reference cycle; it holds no reference to its grammar either, so the
-    two die together by reference counting.
+    (symbol, guard cell), which every state of the cell shares (symbol
+    None has the one empty chain), as a (tails, probabilities) pair whose
+    probability tuple every move into them shares.  An entry keeps its
+    production key ids: key k stands for `slots[k]`, a (level, (a, b))
+    pair, and implies `implied[k]`, its lhs and the terminal under its
+    cursor or None (only the deepest frame's cursor sits on one), so
+    symbol and terminal tables derive from the keys.  Entries hold ids,
+    never the move dicts, so the table has no reference cycle; it holds no
+    reference to its grammar either, so the two die together by reference
+    counting.
     """
 
     def __init__(self, psdg: Psdg):
@@ -108,7 +108,7 @@ class BranchTable:
             (p.lhs, p.rhs[b - 1] if psdg.is_terminal(p.rhs[b - 1]) else None)
             for _, p, b in frames]
         self.entries: dict[Stack, BranchEntry] = {}
-        self.chains: dict[tuple[str, State],
+        self.chains: dict[tuple[Optional[str], State],
                           tuple[tuple[Stack, ...], tuple[float, ...]]] = {}
         self.skeletons: list[tuple[Stack, Optional[str]]] = [((), psdg.start)]
         self.skeleton_ids: dict[tuple, int] = {self.skeletons[_ROOT]: _ROOT}
@@ -126,7 +126,7 @@ class BranchTable:
             self.skeletons.append(skeleton)
             self.moves.append({})
         keys = tuple(map(self.key_id.__getitem__, enumerate(branch, 1)))
-        hit = self.entries[branch] = BranchEntry(branch, leaf, keys, live, sid)
+        hit = self.entries[branch] = BranchEntry(leaf, keys, live, sid)
         return hit
 
     def successors(self, psdg: Psdg, skeleton_id: int, state: State
@@ -137,8 +137,8 @@ class BranchTable:
         hit = by_state.get(state)
         if hit is None:
             kept, fresh_symbol = self.skeletons[skeleton_id]
-            chains = _NO_CHAIN if fresh_symbol is None else self.chains.get(
-                key := (fresh_symbol, psdg.guard_cell(state)))
+            key = (fresh_symbol, psdg.guard_cell(state))
+            chains = self.chains.get(key)
             if chains is None:
                 found = enumerate_chains(psdg, fresh_symbol, state)
                 chains = self.chains[key] = (
@@ -151,8 +151,6 @@ class BranchTable:
 
 
 _ROOT = 0   # the id of skeleton ((), start), which every run opens through
-# The one "chain" of a skeleton with no fresh symbol: keep the prefix.
-_NO_CHAIN = (((),), (1.0,))
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -463,17 +461,13 @@ def explain(psdg: Psdg, belief: BeliefState, observation: Observation
         raise ValueError(f"observation for t={observation.time} fed to a "
                          f"belief expecting t={belief.time}")
     constraint = observation.constraint
-    if constraint.size() > belief.support_bound:
-        raise SupportTooLarge(
-            f"observation set of {constraint.size()} states exceeds "
-            f"{belief.support_bound}")
 
     # Transition rows, one per live (state, emitted terminal) group.  The
     # dynamics are factored, so a row is the product of each feature's
     # nonzero allowed entries, picked once per call for each (feature,
     # terminal, parent key); multiplying from 1.0 in feature order and
     # iterating lexicographically gives the same keys, order and floats
-    # as transition_probability over constraint.iter_states().
+    # as a per-state product of CPT entries over constraint.iter_states().
     groups = belief.groups
     allowed = [sorted(s) for s in constraint.allowed]
     kept: dict[tuple, tuple[list, list]] = {}
@@ -573,10 +567,16 @@ def predict(psdg: Psdg, belief: BeliefState, explanation: Explanation
 def update(psdg: Psdg, belief: BeliefState, explanation: Explanation,
            prediction: Prediction, observation: Observation) -> BeliefState:
     """Install the predicted chart as the belief for the next step, after
-    checking it."""
+    checking it.  Raises SupportTooLarge when its states, live or
+    completed, outnumber the support bound."""
     new = BeliefState(psdg, observation.time + 1, belief.support_bound,
                       prediction.chart, prediction.completed,
                       belief.log_evidence + math.log(explanation.evidence))
+    support = len(new.chart.keys() | new.completed.keys())
+    if support > new.support_bound:
+        raise SupportTooLarge(f"belief after t={observation.time} holds "
+                              f"{support} states, exceeding "
+                              f"{new.support_bound}")
     new.check_chart()
     new.groups = prediction.groups
     return new

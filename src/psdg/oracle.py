@@ -99,7 +99,7 @@ def joint_runs(psdg: Psdg, horizon: int, bound: int = DEFAULT_JOINT_BOUND,
                 for q, tp in _transition_options(psdg, q_prev, terminal)]
 
     @functools.cache
-    def fresh_chains(symbol: str, q: tuple[int, ...]) -> list:
+    def fresh_chains(symbol: Optional[str], q: tuple[int, ...]) -> list:
         """(chain, log cp) per fresh expansion of `symbol` in state q."""
         return [(chain, math.log(cp))
                 for chain, cp in enumerate_chains(psdg, symbol, q)]
@@ -117,11 +117,8 @@ def joint_runs(psdg: Psdg, horizon: int, bound: int = DEFAULT_JOINT_BOUND,
                                  math.exp(lp), lp)
             else:
                 kept, fresh_symbol = skeleton
-                if fresh_symbol is None:
-                    yield step, (kept, q, lp, t + 1)
-                else:
-                    for chain, log_cp in fresh_chains(fresh_symbol, q):
-                        yield step, (kept + chain, q, lp + log_cp, t + 1)
+                for chain, log_cp in fresh_chains(fresh_symbol, q):
+                    yield step, (kept + chain, q, lp + log_cp, t + 1)
 
     # The walk keeps its own stack, one node per time step of the run, and
     # `run` holds the step into each open node but the root.  Each root,
@@ -304,28 +301,27 @@ def streamed_reports(psdg: Psdg, observations,
 def compare_reports(got: dict, want: dict, tol: float = 1e-9
                     ) -> tuple[float, list[str]]:
     """Max absolute deviation between two report dicts, with a note per
-    deviation above tol in sorted `str` key order; missing keys count 0."""
+    deviation above tol in sorted `str` key order, depth first; missing
+    keys count 0.  The walk keeps its own stack, next pair on top."""
     problems: list[str] = []
     worst = 0.0
-
-    def walk(a, b, path):
-        nonlocal worst
+    fields = ("evidence_likelihood", "log_evidence", "state", "explain",
+              "predict")
+    todo = [(got.get(f), want.get(f), f) for f in reversed(fields)]
+    while todo:
+        a, b, path = todo.pop()
         if isinstance(a, dict) or isinstance(b, dict):
             a, b = ({str(k): v for k, v in d.items()} if isinstance(d, dict)
                     else {} for d in (a, b))
-            for key in sorted(a.keys() | b.keys()):
-                walk(a.get(key, 0.0), b.get(key, 0.0), f"{path}.{key}")
-            return
+            todo += [(a.get(key, 0.0), b.get(key, 0.0), f"{path}.{key}")
+                     for key in sorted(a.keys() | b.keys(), reverse=True)]
+            continue
         av = float(a) if isinstance(a, (int, float)) else math.nan
         bv = float(b) if isinstance(b, (int, float)) else math.nan
         dev = abs(av - bv)
         if not (dev <= tol):
             problems.append(f"{path}: {av!r} vs {bv!r}")
         worst = max(worst, dev if not math.isnan(dev) else math.inf)
-
-    for field_name in ("evidence_likelihood", "log_evidence", "state",
-                       "explain", "predict"):
-        walk(got.get(field_name), want.get(field_name), field_name)
     return worst, problems
 
 

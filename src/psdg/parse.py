@@ -172,7 +172,8 @@ class _Parser:
 
     def number_list(self) -> list[float]:
         """Reads a well-formed list in one step, and hands any other to
-        `number`, the one source of number diagnostics."""
+        `number`, the one source of number diagnostics: such a list holds
+        an item that `number` refuses, so one of the calls raises."""
         start = self.pos
         out = self.items()
         joined = "".join(out)
@@ -182,11 +183,10 @@ class _Parser:
             except ValueError:
                 pass
         self.pos = start
-        out = [self.number()]
+        self.number()
         while self.tokens[self.pos] == ",":
             self.pos += 1
-            out.append(self.number())
-        return out
+            self.number()
 
     def clauses(self, what: str):
         """(index, word) heading each clause of a `{...}` body."""

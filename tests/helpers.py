@@ -14,9 +14,9 @@ import random
 from pathlib import Path
 
 import psdg as _pkg
-from psdg.errors import ExplosionBound
-from psdg.grammar import (Psdg, RawCptRow, RawFeature, RawProduction, RawRule,
-                          StateSet, compile_grammar)
+from psdg.errors import ExplosionBound, GrammarError
+from psdg.grammar import (Psdg, RawCptRow, RawFeature, RawGrammar,
+                          RawProduction, RawRule, StateSet, validate_grammar)
 from psdg.infer import Observation, init_belief
 from psdg.oracle import JointTable, enumerate_joint
 from psdg.parse import load_file
@@ -40,7 +40,11 @@ def production(index, lhs, rhs, rules=(), default=1.0) -> RawProduction:
 
 
 def build(features, productions, start) -> Psdg:
-    return compile_grammar(features, productions, start)
+    """A validated grammar from raw declarations; raises GrammarError."""
+    psdg, diags = validate_grammar(RawGrammar(features, productions, start))
+    if psdg is None:
+        raise GrammarError(diags)
+    return psdg
 
 
 def state_of(psdg: Psdg, mapping: dict[str, str]) -> tuple[int, ...]:

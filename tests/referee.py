@@ -1,10 +1,11 @@
 """Test-side referees: slow, obvious checks that nothing shipped calls.
 
 `replay` is the one check of a recorded run against the advance rules;
-`trajectory_probability` scores a run by it, and `parse_tree` rebuilds a
-complete run's tree from it.  `Query`, `state_at`, `query_holds` and
-`exact_posterior` filter an `oracle.enumerate_joint` table for one
-posterior, and `pcfg_tree_probability` scores a tree under
+`trajectory_probability` scores a run by it and by
+`transition_probability`, one transition's probability, and `parse_tree`
+rebuilds a complete run's tree from it.  `Query`, `state_at`,
+`query_holds` and `exact_posterior` filter an `oracle.enumerate_joint`
+table for one posterior, and `pcfg_tree_probability` scores a tree under
 `oracle.to_pcfg`'s grammar (acceptance criterion 2).  Like `psdg.oracle`,
 this module imports nothing from `psdg.infer`.
 """
@@ -16,8 +17,8 @@ from typing import Iterator, Optional
 
 from psdg.errors import InvalidTrajectory, PsdgError, ZeroEvidenceMass
 from psdg.generate import Stack, TimeStep, Trajectory, stack_rule
-from psdg.grammar import (Psdg, StateSet, prior_probability,
-                          production_probability, transition_probability)
+from psdg.grammar import (Psdg, StateSet, _feature_transition,
+                          prior_probability, production_probability)
 from psdg.oracle import NT, TERM, JointTable, Pcfg
 
 
@@ -105,6 +106,19 @@ def trajectory_probability(psdg: Psdg, traj: Trajectory) -> float:
                                              step.state.idx))
         q_prev = step.state.idx
     return log_p
+
+
+def transition_probability(psdg: Psdg, prev: tuple[int, ...], terminal: str,
+                           nxt: tuple[int, ...]) -> float:
+    """pi1(q_prev, x, q_next): product of per-feature CPT entries."""
+    if terminal not in psdg.terminal_set:
+        raise ValueError(f"unknown terminal {terminal!r}")
+    p = 1.0
+    for fi in range(len(psdg.features)):
+        p *= _feature_transition(psdg, fi, prev, terminal)[nxt[fi]]
+        if p == 0.0:
+            return 0.0
+    return p
 
 
 def _log(p: float) -> float:

@@ -417,6 +417,43 @@ class TestInfer:
         assert (code, err) == (0, "")
         assert [r for r in json_lines(out) if "t" in r] == []
 
+    def test_an_empty_value_list_is_a_located_format_error(self, capsys,
+                                                          monkeypatch):
+        stdin = obs_line(1, {"speed": ["slow"]}) + "\n" + \
+            obs_line(2, {"lane": []}) + "\n"
+        for command in ("infer", "oracle-check"):
+            code, _, err = run(capsys, [command, str(TRAFFIC_PATH)], stdin,
+                               monkeypatch)
+            assert (code, err) == (
+                2, "line 2: empty constraint for feature 'lane'\n"), command
+
+    def test_gaps_on_a_grammar_past_the_support_bound(self, capsys,
+                                                      monkeypatch, tmp_path):
+        """Three 50-value features that never move make 125,000 states,
+        past the default bound, but a t=0 line pins one: every belief
+        holds that one state, so the gap at t=2 runs."""
+        def values(f):
+            return ", ".join(f"{f}{i}" for i in range(50))
+
+        prior = ", ".join(["0.02"] * 50)
+        path = tmp_path / "wide.psdg"
+        path.write_text("".join(
+            f"feature {f} {{ values: {values(f)}; prior: {prior}; }}\n"
+            for f in "abc") + "start S\n"
+            "prod 0: S -> x S { default: 0.5; }\n"
+            "prod 1: S -> x { default: 0.5; }\n")
+        stdin = obs_line(0, {"a": ["a3"], "b": ["b7"], "c": ["c9"]}) + \
+            "\n" + obs_line(1, {"a": ["a3"]}) + "\n" + \
+            obs_line(3, {"b": ["b7"]}) + "\n"
+        code, out, err = run(capsys, ["infer", str(path)], stdin,
+                             monkeypatch)
+        assert (code, err) == (0, "")
+        reports = json_lines(out)
+        assert [r["t"] for r in reports] == [1, 3]
+        for r in reports:
+            assert r["evidence_likelihood"] == 1.0
+            assert r["state"] == {"a3|b7|c9": 1.0}
+
     def test_malformed_stream_rejected(self, capsys, monkeypatch):
         for stdin in ("not json\n",
                       obs_line(2, {}) + "\n" + obs_line(1, {}) + "\n",

@@ -16,11 +16,11 @@ from psdg.errors import GrammarError, SetTooLarge
 from psdg.grammar import (ProbabilityFunction, StateSet,
                           _feature_transition, enumerate_states,
                           prior_probability, production_probability,
-                          transition_probability, validate_grammar,
-                          RawGrammar)
+                          validate_grammar, RawGrammar)
 from psdg.infer import Observation, recognize
 from psdg.oracle import compare_reports, streamed_reports
 from psdg.parse import load_file, parse_text, validate_text
+from referee import transition_probability
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_FACTORED_STATE = GOLDEN / "factored-state.psdg"

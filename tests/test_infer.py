@@ -28,13 +28,13 @@ from psdg.cli import main as cli_main
 from psdg.errors import SupportTooLarge, ZeroEvidence
 from psdg.generate import (enumerate_chains, observation_json_lines,
                            sample_trajectory, stack_rule)
-from psdg.grammar import StateSet, prior_probability, transition_probability
+from psdg.grammar import StateSet, prior_probability
 from psdg.infer import (BranchEntry, Observation, branch_table, explain,
                         init_belief, predict, recognize, step, update)
 from psdg.oracle import (compare_reports, enumerate_joint, joint_runs,
                          reference_reports, streamed_reports)
 from psdg.parse import load_file
-from referee import Query, exact_posterior, state_at
+from referee import Query, exact_posterior, state_at, transition_probability
 
 
 GOLDEN_DEEP_PLANS = Path(__file__).parent / "golden" / "deep-plans.psdg"
@@ -45,9 +45,15 @@ def point(idx) -> StateSet:
     return StateSet(tuple(frozenset({v}) for v in idx))
 
 
-def by_stack(chart):
+def branches(g):
+    """Each compiled entry's branch: the branch table's `entries` inverted."""
+    return {e: branch for branch, e in branch_table(g).entries.items()}
+
+
+def by_stack(g, chart):
     """A chart with each row keyed by its entries' stacks."""
-    return {q: {e.branch: m for e, m in row.items()}
+    branch = branches(g)
+    return {q: {branch[e]: m for e, m in row.items()}
             for q, row in chart.items()}
 
 
@@ -96,8 +102,8 @@ class TestInitBelief:
         q = state_of(
             g, {"lane": "center-lane", "speed": "slow", "exit": "far"})
         # prior 0.6 * 0.5 * 1.0, production 3 at 0.10, production 5 at 0.5
-        assert by_stack(belief.chart)[q][((3, 1), (5, 1))] == pytest.approx(
-            0.3 * 0.10 * 0.5)
+        assert by_stack(g, belief.chart)[q][((3, 1), (5, 1))] == \
+            pytest.approx(0.3 * 0.10 * 0.5)
 
     def test_support_bound_enforced(self):
         with pytest.raises(SupportTooLarge):
@@ -193,13 +199,6 @@ class TestExplain:
         with pytest.raises(ZeroEvidence) as exc:
             explain(g, belief, Observation(1, left))
         assert exc.value.time == 1
-
-    def test_observation_wider_than_bound(self):
-        g = traffic()
-        left = StateSet.from_labels(g, {"lane": "left-lane"})
-        belief = init_belief(g, support_bound=6, restrict=left)
-        with pytest.raises(SupportTooLarge):
-            explain(g, belief, Observation.vacuous(g, 1))
 
     def test_evidence_matches_oracle(self):
         g = repeated_child_grammar()
@@ -318,6 +317,26 @@ class TestUpdate:
             want = exact_posterior(joint, [],
                                    Query("terminated", 1, level=level))
             assert got == pytest.approx(want, abs=1e-12)
+
+    def test_belief_wider_than_bound(self):
+        """The bound holds each belief's states, live or completed, not an
+        observation's.  Restricted to left-lane, traffic starts on 2
+        states; its first step reaches 12 (left or center lane, any speed
+        and exit) and its second all 18."""
+        g = traffic()
+        left = StateSet.from_labels(g, {"lane": "left-lane"})
+        for bound, t, states in ((6, 1, 12), (12, 2, 18)):
+            belief = init_belief(g, support_bound=bound, restrict=left)
+            with pytest.raises(SupportTooLarge) as e:
+                for time in range(1, 4):
+                    _, belief = step(g, belief, Observation.vacuous(g, time))
+            assert str(e.value) == (f"belief after t={t} holds {states} "
+                                    f"states, exceeding {bound}")
+            assert belief.time == t
+        belief = init_belief(g, support_bound=18, restrict=left)
+        for time in range(1, 4):
+            _, belief = step(g, belief, Observation.vacuous(g, time))
+        assert len(belief.chart.keys() | belief.completed.keys()) == 18
 
     def test_bookkeeping_after_step(self):
         g = traffic()
@@ -438,7 +457,7 @@ class TestRecognize:
                 restart.explain_completed) == ({}, {}, 0.0)
         assert (restart.predict_symbols, restart.predict_productions,
                 restart.predict_terminal) == ref_marginals(
-            g, ((branch, mass) for row in by_stack(fresh.chart).values()
+            g, ((branch, mass) for row in by_stack(g, fresh.chart).values()
                 for branch, mass in row.items()))
 
     @pytest.mark.parametrize("seed", [None, 1, 4, 22])
@@ -977,7 +996,7 @@ def ref_marginals(g, weighted):
 
 def ref_explain(g, belief, exp):
     weighted = []
-    for q, row in by_stack(belief.chart).items():
+    for q, row in by_stack(g, belief.chart).items():
         for branch, mass in row.items():
             if mass <= 0.0:
                 continue
@@ -991,7 +1010,7 @@ def ref_explain(g, belief, exp):
 
 def ref_predict(g, belief, exp):
     chart, completed = {}, {}
-    for q, row in by_stack(belief.chart).items():
+    for q, row in by_stack(g, belief.chart).items():
         for branch, mass in row.items():
             if mass <= 0.0:
                 continue
@@ -1021,7 +1040,7 @@ def assert_predict_matches_reference(g, belief, exp, pred):
     by each chain probability, so chart masses agree to relative 1e-12
     rather than bit for bit."""
     chart, completed = ref_predict(g, belief, exp)
-    got = by_stack(pred.chart)
+    got = by_stack(g, pred.chart)
     assert pred.completed == completed
     assert {q: list(row) for q, row in got.items()} == \
         {q: list(row) for q, row in chart.items()}
@@ -1110,11 +1129,10 @@ def ref_tables(g, chart, completed):
     return b_q, b_n, b_p, b_sigma, b_t, b_tn, given_q
 
 
-def assert_keys_follow_the_stack(g, table, entry):
-    """An entry's keys are its (level, frame) production keys.  Each
-    implies its frame's symbol and, the deepest one alone, the emitted
-    terminal under its cursor."""
-    branch = entry.branch
+def assert_keys_follow_the_stack(g, table, branch, entry):
+    """An entry's keys are its branch's (level, frame) production keys.
+    Each implies its frame's symbol and, the deepest one alone, the
+    emitted terminal under its cursor."""
     assert [table.slots[k] for k in entry.keys] == list(
         enumerate(branch, start=1))
     assert [table.implied[k] for k in entry.keys] == [
@@ -1138,12 +1156,13 @@ class TestBranchTable:
             _, belief = step(g, belief, obs)
         table = branch_table(g)
         assert len(table.entries) > 3
+        # one entry per branch, so inverting `entries` gives the branch back
+        assert len(branches(g)) == len(table.entries)
         for branch, entry in table.entries.items():
-            assert entry.branch == branch
             assert table.entry(g, branch) is entry
             assert entry.leaf == ref_leaf(g, branch)
             assert entry.live == ref_terminating(g, branch).count(False)
-            assert_keys_follow_the_stack(g, table, entry)
+            assert_keys_follow_the_stack(g, table, branch, entry)
             skeleton = ref_skeleton(g, branch)
             if skeleton is None:
                 assert entry.skeleton_id == -1
@@ -1182,18 +1201,16 @@ class TestBranchTable:
         assert any(table.moves)
         # runs open through the root skeleton, id 0
         assert table.skeletons[0] == ((), g.start) and table.moves[0]
+        branch = branches(g)    # a KeyError for an entry not in the table
         for sid, (skeleton, by_state) in enumerate(zip(table.skeletons,
                                                        table.moves)):
             assert table.skeleton_ids[skeleton] == sid
             kept, fresh_symbol = skeleton
             for q2, (entries, probs) in by_state.items():
-                if fresh_symbol is None:
-                    want = [(kept, 1.0)]
-                else:
-                    want = [(kept + chain, cp) for chain, cp in
-                            enumerate_chains(g, fresh_symbol, q2)]
-                assert [(e.branch, p) for e, p in zip(entries, probs)] == want
-                assert all(table.entries[e.branch] is e for e in entries)
+                # no fresh symbol has the one empty chain: kept alone
+                want = [(kept + chain, cp) for chain, cp in
+                        enumerate_chains(g, fresh_symbol, q2)]
+                assert [(branch[e], p) for e, p in zip(entries, probs)] == want
 
     @pytest.mark.parametrize("seed", [2, 3, 8])
     def test_stream_equals_per_branch_reference(self, seed):
@@ -1203,7 +1220,8 @@ class TestBranchTable:
         rounding of groups and pools."""
         g = branchy_grammar()
         belief = init_belief(g)
-        assert published(belief) == ref_tables(g, by_stack(belief.chart), {})
+        assert published(belief) == ref_tables(
+            g, by_stack(g, belief.chart), {})
         most = 0
         stream = sampled_stream(g, seed, 14)
         assert len(stream) >= 10
@@ -1216,14 +1234,14 @@ class TestBranchTable:
             assert_marginals_close(
                 (pred.symbols, pred.productions, pred.terminal),
                 ref_marginals(g, ((branch, mass)
-                                  for row in by_stack(pred.chart).values()
+                                  for row in by_stack(g, pred.chart).values()
                                   for branch, mass in row.items())))
             report, _ = step(g, belief, obs)
             belief = update(g, belief, exp, pred, obs)
-            assert published(belief) == ref_tables(g, by_stack(belief.chart),
-                                                   belief.completed)
+            chart = by_stack(g, belief.chart)
+            assert published(belief) == ref_tables(g, chart, belief.completed)
             symbols, productions, terminal = ref_marginals(
-                g, ((branch, mass) for row in by_stack(belief.chart).values()
+                g, ((branch, mass) for row in chart.values()
                     for branch, mass in row.items() if mass > 0.0))
             assert_marginals_close(report.to_dict(g)["predict"], {
                 "symbols": symbols,
@@ -1247,7 +1265,7 @@ class TestBranchTable:
         belief = init_belief(g)
         for obs in sampled_stream(g, seed, 9):
             _, belief = step(g, belief, obs)
-            want = ref_tables(g, by_stack(belief.chart), belief.completed)
+            want = ref_tables(g, by_stack(g, belief.chart), belief.completed)
             assert [list(t) for t in published(belief)] == [
                 list(t) for t in want]
 
@@ -1319,17 +1337,15 @@ class TestBranchTable:
         table = branch_table(g)
         assert len(table.entries) > len(table.skeletons)
         assert len(set(table.skeletons)) == len(table.skeletons)
-        for entry in table.entries.values():
-            assert len(entry.keys) == len(entry.branch)
-            assert_keys_follow_the_stack(g, table, entry)
-        fresh = 0
+        for branch, entry in table.entries.items():
+            assert len(entry.keys) == len(branch)
+            assert_keys_follow_the_stack(g, table, branch, entry)
+        moves = 0
         for (_, fresh_symbol), by_state in zip(table.skeletons, table.moves):
             for q2, (_, probs) in by_state.items():
-                if fresh_symbol is not None:
-                    assert probs is \
-                        table.chains[fresh_symbol, g.guard_cell(q2)][1]
-                    fresh += 1
-        assert fresh > len(table.chains)
+                assert probs is table.chains[fresh_symbol, g.guard_cell(q2)][1]
+                moves += 1
+        assert moves > len(table.chains)
 
     def test_chains_enumerated_once_per_symbol_and_guard_cell(
             self, monkeypatch):

@@ -199,6 +199,76 @@ def failure(call) -> tuple[type, str]:
     return type(e.value), str(e.value)
 
 
+class TestCompareReports:
+    GOT = {"evidence_likelihood": 0.5, "log_evidence": -1.0,
+           "state": {"b": 0.2, "a": 0.8},
+           "explain": {"symbols": {1: {"S": 1.0}, 2: {"A": 0.5}},
+                       "completed": 0.0},
+           "predict": {"terminal": {"x": 0.25}}}
+    WANT = {"evidence_likelihood": 0.5, "log_evidence": -1.5,
+            "state": {"a": 0.8, "c": 0.1},
+            "explain": {"symbols": {1: {"S": 0.75}, "10": {"B": 0.3}},
+                        "completed": "nope"},
+            "predict": 3}
+
+    def test_notes_follow_sorted_str_keys_depth_first(self):
+        """Fields in report order, then `str` keys sorted at each level
+        ("1" < "10" < "2"); a missing key counts 0, a dict met by a
+        number counts as empty, and a value that is no number reads NaN,
+        which makes the worst deviation infinite."""
+        worst, notes = compare_reports(self.GOT, self.WANT)
+        assert worst == math.inf
+        assert notes == [
+            "log_evidence: -1.0 vs -1.5", "state.b: 0.2 vs 0.0",
+            "state.c: 0.0 vs 0.1", "explain.completed: 0.0 vs nan",
+            "explain.symbols.1.S: 1.0 vs 0.75",
+            "explain.symbols.10.B: 0.0 vs 0.3",
+            "explain.symbols.2.A: 0.5 vs 0.0",
+            "predict.terminal.x: 0.25 vs 0.0"]
+        want = dict(self.WANT, explain={"symbols": {1: {"S": 0.75}}})
+        assert compare_reports(want, self.GOT, tol=0.3) == (
+            0.5, ["log_evidence: -1.5 vs -1.0",
+                  "explain.symbols.2.A: 0.0 vs 0.5"])
+
+    def test_nesting_deeper_than_the_recursion_limit(self):
+        depth = 2 * sys.getrecursionlimit()
+        got, want = 1.0, 0.5
+        for _ in range(depth):
+            got, want = {"k": got}, {"k": want}
+        worst, notes = compare_reports(
+            *({"evidence_likelihood": 1.0, "log_evidence": 0.0,
+               "state": state, "explain": {}, "predict": {}}
+              for state in (got, want)))
+        assert worst == 0.5
+        assert notes == ["state" + ".k" * depth + ": 1.0 vs 0.5"]
+
+
+class TestArgumentErrors:
+    def test_the_walk_needs_a_step(self):
+        with pytest.raises(ValueError) as e:
+            next(oracle.joint_runs(ab_grammar(), 0))
+        assert str(e.value) == "horizon must be at least 1"
+
+    def test_observation_times_must_increase(self):
+        g = ab_grammar()
+        for times in ((1, 1), (2, 1)):
+            with pytest.raises(ValueError) as e:
+                streamed_reports(g, [Observation.vacuous(g, t)
+                                     for t in times])
+            assert str(e.value) == \
+                "observation times must be strictly increasing"
+
+    def test_the_table_must_reach_the_prediction_slice(self):
+        """An observation at t needs the table to reach t + 1."""
+        g = ab_grammar()
+        joint = enumerate_joint(g, 2)
+        assert reference_reports(g, joint, [Observation.vacuous(g, 1)])
+        with pytest.raises(ValueError) as e:
+            reference_reports(g, joint, [Observation.vacuous(g, 2)])
+        assert str(e.value) == \
+            "joint horizon too small for prediction slices"
+
+
 class TestStreamedReports:
     """`psdg oracle-check` feeds the walk straight to the report reducer;
     the table path feeds it `enumerate_joint`'s rows.  Both must give the
@@ -609,6 +679,18 @@ def singular_completion_grammar():
                  "S")
 
 
+def slow_completion_grammar():
+    """As singular_completion_grammar, but in state y each rule has 0.5, so
+    y's completion mass is the series 0.5 + 0.25 + ..., many terms long."""
+    f = feature("f", ["x", "y"], [0.5, 0.5])
+    return build([f],
+                 [production(0, "S", ["a", "S"],
+                             rules=[([("f", ["x"])], 1.0)], default=0.5),
+                  production(1, "S", ["b"],
+                             rules=[([("f", ["x"])], 0.0)], default=0.5)],
+                 "S")
+
+
 class TestPcfg:
     def test_single_state_is_isomorphic(self):
         g = ab_grammar(pa=0.3)
@@ -688,6 +770,20 @@ class TestPcfg:
         rooted = {sym[1] for sym in itertools.chain(
             pcfg.start, pcfg.productions, pcfg.terminal_symbols)}
         assert rooted == {(1,)}
+
+    def test_the_series_runs_until_it_settles(self):
+        """I - B is singular here too; the series reaches 1 only after
+        dozens of iterations (after one it reads 0.75).  Only y starts a
+        completed tree, with weight 0.5, and each of its rules gets 0.5."""
+        pcfg = to_pcfg(slow_completion_grammar())
+        lhs = (oracle.NT, (1,), "S", (1,))
+        assert list(pcfg.start) == [lhs]
+        assert pcfg.start[lhs] == pytest.approx(0.5, abs=1e-15)
+        assert [(rule.origin, rule.rhs) for rule in pcfg.productions[lhs]] \
+            == [(0, ((oracle.TERM, (1,), "a", (1,)), lhs)),
+                (1, ((oracle.TERM, (1,), "b", (1,)),))]
+        assert [rule.prob for rule in pcfg.productions[lhs]] == [
+            pytest.approx(0.5, abs=1e-15)] * 2
 
     def test_unreachable_nonterminals_change_nothing(self):
         """Validation admits symbols the start never reaches; they have

@@ -95,10 +95,32 @@ def test_unknown_value_in_guard():
     assert g is None
 
 
+@pytest.mark.parametrize("clause, line", [
+    ("values", "  values: lo, hi;\n"), ("prior", "  prior: 0.25, 0.75;\n")])
+def test_a_feature_needs_values_and_a_prior(clause, line):
+    """Each missing clause is one diagnostic, at the feature's name."""
+    g, diags = parse_text(MINI.replace(line, "", 1))
+    assert g is None
+    assert [(d.kind, d.message, d.line, d.column) for d in diags] == [
+        ("ParseError", f"feature 'f' has no {clause} clause", 3, 9)]
+
+
 def test_load_text_raises_grammar_error():
     with pytest.raises(GrammarError) as e:
         load_text("start S\n")
     assert e.value.diagnostics
+
+
+def test_grammar_error_shows_three_diagnostics_and_counts_the_rest():
+    text = "".join(f"feature f{i} {{ values: a, b; prior: 0.5, 0.6; }}\n"
+                   for i in range(5)) + \
+        "start S\nprod 0: S -> x { default: 1; }\n"
+    with pytest.raises(GrammarError) as e:
+        load_text(text)
+    assert len(e.value.diagnostics) == 5
+    assert str(e.value) == "; ".join(
+        f"BadDistribution at {i + 1}:9: prior of feature 'f{i}' sums to 1.1"
+        for i in range(3)) + " (+2 more)"
 
 
 def test_stray_character():
@@ -167,7 +189,7 @@ prod 0: S -> a S { default: 0.5; }
 prod 1: S -> b { default: 0.5; }
 """
     g = load_text(text)
-    from psdg.grammar import transition_probability
+    from referee import transition_probability
     assert transition_probability(g, (0,), "a", (1,)) == 1.0
     assert transition_probability(g, (1,), "b", (0,)) == 1.0
 
@@ -297,6 +319,7 @@ def test_number_lists_are_read_whole(number_reads):
 @pytest.mark.parametrize("old, new, what", [
     ("prior: 0.25, 0.75;", "prior: 0.5,, 0.5;", "a number"),
     ("prior: 0.25, 0.75;", "prior: 0_5, 0.5;", "a number"),
+    ("prior: 0.25, 0.75;", "prior: 0.25, \u0660.75;", "a number"),
     ("prod 0:", "prod +1:", "a production index"),
 ])
 def test_malformed_numbers_reach_the_per_number_reader(number_reads, old, new,
