@@ -163,6 +163,7 @@ def _skewed_belief(*args) -> BeliefState:
         for entry in row:
             scale += 0.01
             row[entry] *= scale
+    del belief.groups       # summed from the chart before the skew
     return belief
 
 

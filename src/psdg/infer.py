@@ -19,11 +19,11 @@ enumeration: per-level tables alone lose the correlation between a frame and
 the depth below it, and repeated children (say S -> A A) then mix mass across
 branches.  The projections stay within the documented size bound; the chart is
 linear in the number of live branches.  An observation touches a branch only
-through its state and emitted terminal, so predict sums each chart it builds
-once into (state, terminal) groups, and explain works from those groups rather
-than the chart.  Rows are built one way, by spreading pooled mass over a
-skeleton's moves (runs open through the root's), and shares that underflow
-stay out: masses are positive.
+through its state and emitted terminal, so each row is summed into (state,
+terminal) groups as it is built, and explain reads those groups, not the
+chart.  Rows are built one way, by spreading pooled mass over a skeleton's
+moves (runs open through the root's; a skeleton with no fresh symbol has one
+fixed successor), and shares that underflow stay out: masses are positive.
 
 Completion is absorbing: once the root terminates, the final state is
 frozen and later observations simply constrain that frozen value.
@@ -84,14 +84,14 @@ class BranchTable:
     terminates, else (kept prefix, symbol needing a fresh chain or None).
     Skeleton 0 (`_ROOT`) is ((), start), which opens every run; each other
     skeleton gets the next id when its first entry is compiled:
-    `skeletons[i]` is skeleton i, and `moves[i]` maps a new state to the
-    branches skeleton i leads to there.  An entry holds only that id; the
-    table holds the skeleton.  `chains` holds the fresh expansions of each
-    (symbol, guard cell), which every state of the cell shares (symbol
-    None has the one empty chain), as a (tails, probabilities) pair whose
-    probability tuple every move into them shares.  An entry keeps its
-    production key ids: key k stands for `slots[k]`, a (level, (a, b))
-    pair, and implies `implied[k]`, its lhs and the terminal under its
+    `skeletons[i]` is skeleton i.  With no fresh symbol, its one successor
+    is the kept prefix at 1.0 in every state, `fixed[i]` once first used;
+    else `moves[i]` maps a new state to the branches it leads to there.
+    `chains` holds the fresh expansions of each (symbol, guard cell),
+    which every state of the cell shares, as a (tails, probabilities) pair
+    whose probability tuple every move into them shares.  An entry keeps
+    its production key ids: key k stands for `slots[k]`, a (level, (a,
+    b)) pair, and implies `implied[k]`, its lhs and the terminal under its
     cursor or None (only the deepest frame's cursor sits on one), so
     symbol and terminal tables derive from the keys.  Entries hold ids,
     never the move dicts, so the table has no reference cycle; it holds no
@@ -114,6 +114,7 @@ class BranchTable:
         self.skeleton_ids: dict[tuple, int] = {self.skeletons[_ROOT]: _ROOT}
         self.moves: list[dict[State, tuple[tuple[BranchEntry, ...],
                                            tuple[float, ...]]]] = [{}]
+        self.fixed: dict[int, BranchEntry] = {}
 
     def entry(self, psdg: Psdg, branch: Stack) -> BranchEntry:
         hit = self.entries.get(branch)
@@ -131,12 +132,15 @@ class BranchTable:
 
     def successors(self, psdg: Psdg, skeleton_id: int, state: State
                    ) -> tuple[tuple[BranchEntry, ...], tuple[float, ...]]:
-        """The entries skeleton `skeleton_id` advances to when the new
-        state is `state`, and their chain probabilities."""
+        """Skeleton `skeleton_id`'s successor entries and their chain
+        probabilities in new state `state`, cached in `fixed` or `moves`."""
+        kept, fresh_symbol = self.skeletons[skeleton_id]
+        if fresh_symbol is None:
+            hit = self.fixed[skeleton_id] = self.entry(psdg, kept)
+            return (hit,), (1.0,)
         by_state = self.moves[skeleton_id]
         hit = by_state.get(state)
         if hit is None:
-            kept, fresh_symbol = self.skeletons[skeleton_id]
             key = (fresh_symbol, psdg.guard_cell(state))
             chains = self.chains.get(key)
             if chains is None:
@@ -165,38 +169,45 @@ def branch_table(psdg: Psdg) -> BranchTable:
 
 class _Groups:
     """The one accumulator behind the report marginals: a chart summed
-    once, in chart order, into (state, terminal) groups.  Group g has
-    state `states[g]`, terminal `leaves[g]`, mass `masses[g]` and, in
-    `acc`, its production key sums under ids g·|slots| + k.  Chart masses
-    are positive, so every group's mass is too."""
+    once, row by row in chart order, into (state, terminal) groups.  Group
+    g has state `states[g]`, terminal `leaves[g]`, positive mass `masses[g]`
+    and key k's sum at g·|slots| + k of the dense list `acc` (|groups|·
+    |slots| floats), whose ids `touched` lists in first-touch order."""
 
     def __init__(self, table: BranchTable, chart):
-        self.slots, self.implied, self.acc = table.slots, table.implied, {}
-        n, by_leaf, acc = len(self.slots), {}, self.acc
-        states, leaves, masses = self.states, self.leaves, self.masses = (
-            [], [], [])
+        self.slots, self.implied, self.acc = table.slots, table.implied, []
+        self.states, self.leaves, self.masses, self.touched = [], [], [], []
+        self.zeros = [0.0] * len(self.slots)   # each new group's sums
         for q, row in chart.items():
-            by_leaf.clear()
-            for entry, mass in row.items():
-                leaf = entry.leaf
-                g = by_leaf.get(leaf)
-                if g is None:
-                    g = by_leaf[leaf] = len(masses)
-                    states.append(q)
-                    leaves.append(leaf)
-                    masses.append(0.0)
-                masses[g] += mass
-                base = g * n
-                for k in entry.keys:
-                    acc[k + base] = acc.get(k + base, 0.0) + mass
+            self.add(q, row)
+
+    def add(self, q: State, row: dict[BranchEntry, float]):
+        """Sum the chart row of state q into its groups."""
+        n, acc, masses, by_leaf = len(self.slots), self.acc, self.masses, {}
+        for entry, mass in row.items():
+            g = by_leaf.get(entry.leaf)
+            if g is None:
+                g = by_leaf[entry.leaf] = len(masses)
+                self.states.append(q)
+                self.leaves.append(entry.leaf)
+                masses.append(0.0)
+                acc.extend(self.zeros)
+            masses[g] += mass
+            base = g * n
+            for k in entry.keys:
+                k += base
+                if not acc[k]:
+                    self.touched.append(k)
+                acc[k] += mass
 
     def marginals(self, scales: Optional[list] = None
                   ) -> tuple[dict, dict, dict]:
         """Symbols, productions and terminal of the groups' production
         sums times their scales (default 1.0), less sums scaled to zero; a
         symbol or terminal sums what implies it."""
-        n, totals = len(self.slots), {}
-        for i, s in self.acc.items():
+        n, acc, totals = len(self.slots), self.acc, {}
+        for i in self.touched:
+            s = acc[i]
             if scales is not None:
                 s *= scales[i // n]
                 if not s > 0.0:
@@ -238,7 +249,7 @@ class BeliefState:
     the chart onto all seven: b_q sums to one less `dropped`;
     b_n (ℓ, X, q), b_p (ℓ, (a,b), q), b_sigma (x, q), b_t (ℓ, q), b_tn
     (ℓ, X, q) and completed_given_q are conditioned on their state.
-    `groups` is the chart summed by `predict`, or on first read.
+    `groups` is the chart summed as it was built, or on first read.
     """
     psdg: Psdg
     time: int
@@ -362,22 +373,31 @@ def _project(belief: BeliefState):
 
 
 def _spread(psdg: Psdg, pools: dict[State, dict[int, float]]
-            ) -> dict[State, dict[BranchEntry, float]]:
-    """Chart rows from pools of mass by new state and skeleton id: each pool
-    spreads over its skeleton's moves, adding into the row (two skeletons
-    may reach one branch).  Shares that underflow and empty rows stay out."""
+            ) -> tuple[dict[State, dict[BranchEntry, float]], _Groups]:
+    """Chart rows from pools of mass by new state and skeleton id, and their
+    groups: each pool spreads over its skeleton's moves (a fixed successor
+    takes it whole), adding into the row, since two skeletons may reach one
+    branch, and each finished row goes into the groups.  Shares that
+    underflow and empty rows stay out."""
     table = branch_table(psdg)
-    chart = {}
+    chart, groups = {}, _Groups(table, {})
     for q2, pool in pools.items():
         row = {}
         for sid, pooled in pool.items():
-            for nxt, cp in zip(*table.successors(psdg, sid, q2)):
-                share = pooled * cp
-                if share > 0.0:
-                    row[nxt] = row.get(nxt, 0.0) + share
+            nxt = table.fixed.get(sid)
+            if nxt is None:
+                hit = table.moves[sid].get(q2) or table.successors(
+                    psdg, sid, q2)
+                for nxt, cp in zip(*hit):
+                    share = pooled * cp
+                    if share > 0.0:
+                        row[nxt] = row.get(nxt, 0.0) + share
+            elif pooled > 0.0:
+                row[nxt] = pooled       # no other pool reaches its branch
         if row:
             chart[q2] = row
-    return chart
+            groups.add(q2, row)
+    return chart, groups
 
 
 def _reaches(psdg: Psdg, target: StateSet, q: State, memo: dict) -> bool:
@@ -424,10 +444,11 @@ def init_belief(psdg: Psdg, support_bound: int = DEFAULT_SUPPORT_BOUND,
     out = [q for q in weights
            if reach is not None and not _reaches(psdg, reach, q, memo)]
     dropped = math.fsum(map(weights.pop, out)) / total
-    chart = _spread(psdg, {q: {_ROOT: p0 / total}
-                           for q, p0 in weights.items()})
+    chart, groups = _spread(psdg, {q: {_ROOT: p0 / total}
+                                   for q, p0 in weights.items()})
     belief = BeliefState(psdg, time, support_bound, chart, {},
                          dropped=dropped)
+    belief.groups = groups
     belief.check_chart()
     return belief
 
@@ -537,8 +558,8 @@ def predict(psdg: Psdg, belief: BeliefState, explanation: Explanation
     state, so the shares are first pooled per (new state, skeleton id),
     and each pool is then spread once over that skeleton's moves.  Like a
     chart share, a completed share that underflows to 0.0 is left out.
-    The new chart is then summed once into its (state, terminal) groups,
-    which give the report's marginals here and feed the next explain.
+    The spread sums each new row into its (state, terminal) groups, which
+    give the report's marginals here and feed the next explain.
     """
     evidence = explanation.evidence
     transitions = explanation.transitions
@@ -556,10 +577,9 @@ def predict(psdg: Psdg, belief: BeliefState, explanation: Explanation
                     pool[sid] = pool.get(sid, 0.0) + share
                 elif share > 0.0:
                     completed[q2] = completed.get(q2, 0.0) + share
-    chart = _spread(psdg, pools)
+    chart, groups = _spread(psdg, pools)
     for q, c in explanation.completed_post.items():
         completed[q] = completed.get(q, 0.0) + c
-    groups = _Groups(branch_table(psdg), chart)
     return Prediction(chart, completed, *groups.marginals(),
                       math.fsum(completed.values()), groups)
 

@@ -1068,8 +1068,11 @@ def assert_marginals_close(got, want):
 def pooled_steps(g, stream):
     """Run `stream` (a leading t=0 restriction, gaps as vacuous steps),
     checking `predict` against the reference on every step.  Returns, per
-    step, (live sources, pools, branches that two pools reach), where a
-    pool is a (new state, skeleton id) pair."""
+    step, (live sources, pools, branches that two pools reach, pools that
+    took a fixed successor), where a pool is a (new state, skeleton id)
+    pair.  A fixed successor is the kept prefix's entry, and no other pool
+    reaches its branch: its deepest cursor sits past 1, where every fresh
+    chain's sits at 1, and skeletons with one kept prefix are one."""
     table = branch_table(g)
     restrict = None
     if stream and stream[0].time == 0:
@@ -1087,11 +1090,21 @@ def pooled_steps(g, stream):
                      for e, m in row.items() if m > 0.0
                      for q2 in exp.transitions[(q, e.leaf)]
                      if e.skeleton_id >= 0}
-            reached = [(q2, nxt) for q2, sid in pools
-                       for nxt in table.moves[sid][q2][0]]
+            reached, fixed = [], []
+            for q2, sid in pools:
+                kept, fresh_symbol = table.skeletons[sid]
+                if fresh_symbol is None:
+                    assert table.fixed[sid] is table.entries[kept]
+                    assert not table.moves[sid]
+                    fixed.append((q2, table.fixed[sid]))
+                else:
+                    reached += [(q2, nxt) for nxt in table.moves[sid][q2][0]]
+            assert len(set(fixed)) == len(fixed)
+            assert not set(fixed) & set(reached)
             out.append((sum(m > 0.0 for row in belief.chart.values()
                             for m in row.values()),
-                        len(pools), len(reached) - len(set(reached))))
+                        len(pools), len(reached) - len(set(reached)),
+                        len(fixed)))
             belief = update(g, belief, exp, pred, now)
     return out
 
@@ -1198,7 +1211,7 @@ class TestBranchTable:
         table = branch_table(g)
         assert len(table.skeletons) == len(table.moves) == len(
             table.skeleton_ids)
-        assert any(table.moves)
+        assert any(table.moves) and table.fixed
         # runs open through the root skeleton, id 0
         assert table.skeletons[0] == ((), g.start) and table.moves[0]
         branch = branches(g)    # a KeyError for an entry not in the table
@@ -1206,8 +1219,14 @@ class TestBranchTable:
                                                        table.moves)):
             assert table.skeleton_ids[skeleton] == sid
             kept, fresh_symbol = skeleton
+            if fresh_symbol is None:
+                # the one empty chain: kept alone, in every state
+                assert not by_state
+                if sid in table.fixed:
+                    assert table.fixed[sid] is table.entries[kept]
+                continue
+            assert sid not in table.fixed
             for q2, (entries, probs) in by_state.items():
-                # no fresh symbol has the one empty chain: kept alone
                 want = [(kept + chain, cp) for chain, cp in
                         enumerate_chains(g, fresh_symbol, q2)]
                 assert [(branch[e], p) for e, p in zip(entries, probs)] == want
@@ -1277,15 +1296,25 @@ class TestBranchTable:
         g, joint = sized_random_psdg(seed, horizon=6)
         stats = pooled_steps(g, random_stream(g, joint, seed - 500,
                                               max_len=5))
-        assert any(collided for _, _, collided in stats)
+        assert any(collided for _, _, collided, _ in stats)
 
     def test_pooled_predict_on_deep_plans(self):
         """Up to thousands of live branches per step, pooled at least
-        three to one."""
+        three to one, and most pools take a fixed successor."""
         g = load_file(GOLDEN_DEEP_PLANS)
         stats = pooled_steps(g, sampled_stream(g, 5, 9))
         assert len(stats) == 9
-        assert any(sources >= 3 * pools for sources, pools, _ in stats)
+        assert any(sources >= 3 * pools for sources, pools, _, _ in stats)
+        assert 2 * sum(fixed for *_, fixed in stats) > sum(
+            pools for _, pools, _, _ in stats)
+
+    def test_pooled_predict_on_factored_state(self):
+        """Every skeleton of the factored-state grammar has a fresh
+        symbol, so no pool takes a fixed successor."""
+        g = load_file(GOLDEN_FACTORED_STATE)
+        stats = pooled_steps(g, sampled_stream(g, 7, 4))
+        assert len(stats) == 4 and all(pools for _, pools, _, _ in stats)
+        assert [fixed for *_, fixed in stats] == [0] * 4
 
     def test_grammar_dies_with_its_beliefs(self):
         """No reference cycle keeps a grammar alive: the table holds no
@@ -1341,11 +1370,38 @@ class TestBranchTable:
             assert len(entry.keys) == len(branch)
             assert_keys_follow_the_stack(g, table, branch, entry)
         moves = 0
-        for (_, fresh_symbol), by_state in zip(table.skeletons, table.moves):
+        for sid, ((kept, fresh_symbol), by_state) in enumerate(
+                zip(table.skeletons, table.moves)):
+            if sid in table.fixed:
+                assert fresh_symbol is None and not by_state
+                assert table.fixed[sid] is table.entries[kept]
             for q2, (_, probs) in by_state.items():
                 assert probs is table.chains[fresh_symbol, g.guard_cell(q2)][1]
                 moves += 1
-        assert moves > len(table.chains)
+        assert moves > len(table.chains) and table.fixed
+
+    def test_guard_cells_only_for_fresh_chains(self, monkeypatch):
+        """A skeleton with no fresh symbol reaches its kept prefix in every
+        state, so its moves need no guard cell: over a deep-plans run,
+        `guard_cell` is called once per cached move, and only skeletons
+        with a fresh symbol cache moves."""
+        g = load_file(GOLDEN_DEEP_PLANS)
+        calls = []
+        cell = type(g).guard_cell
+
+        def counted(psdg, state):
+            calls.append(state)
+            return cell(psdg, state)
+
+        monkeypatch.setattr(type(g), "guard_cell", counted)
+        belief = init_belief(g)
+        for obs in sampled_stream(g, 5, 9):
+            _, belief = step(g, belief, obs)
+        table = branch_table(g)
+        fresh = [by_state for (_, fresh_symbol), by_state in
+                 zip(table.skeletons, table.moves) if fresh_symbol is not None]
+        assert len(calls) == sum(map(len, fresh)) == sum(
+            map(len, table.moves)) > 0
 
     def test_chains_enumerated_once_per_symbol_and_guard_cell(
             self, monkeypatch):
@@ -1412,7 +1468,8 @@ class TestBranchTable:
 
 def group_bits(groups):
     """Everything a chart's groups hold, as exact text."""
-    return repr((groups.states, groups.leaves, groups.masses, groups.acc))
+    return repr((groups.states, groups.leaves, groups.masses, groups.acc,
+                 groups.touched))
 
 
 class TestChartGroups:
