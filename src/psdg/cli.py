@@ -7,10 +7,10 @@ model error (or running out of memory or recursion depth), 2 I/O or
 input-format error, 3 zero-evidence under the `error` policy.
 
 Observation streams are JSON lines `{"t": k, "observe": {feature:
-[values, ...]}}` with strictly increasing times.  A `t: 0` line may come
-first to restrict the initial state.  Times missing from the stream are
-treated as unconstrained steps; they advance the belief but produce no
-report line.  Both commands run the stream through `infer.recognize`.
+[values, ...]}}` with no other key and strictly increasing times.  A
+`t: 0` line may come first to restrict the initial state.  Times missing
+from the stream pass as unconstrained steps; they advance the belief but
+produce no report line.  Both commands run it through `infer.recognize`.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from .generate import observation_json_lines, sample_trajectory, \
     trajectory_json_lines
 from .grammar import Psdg
 from .infer import (DEFAULT_SUPPORT_BOUND, BeliefState, Observation,
-                    init_belief, recognize)
+                    _Groups, branch_table, init_belief, recognize)
 from .parse import load_text, validate_text
 
 ORACLE_TOL = 1e-9
@@ -73,6 +73,9 @@ def _parse_observation(psdg: Psdg, line: str, lineno: int) -> Observation:
     if not isinstance(t, int) or isinstance(t, bool):
         raise _CliError(2, f"line {lineno}: expected an object with an "
                            f"integer \"t\"")
+    for key in payload:
+        if key not in ("t", "observe"):
+            raise _CliError(2, f"line {lineno}: unknown key {key!r}")
     if t < 0:
         raise _CliError(2, f"line {lineno}: negative time {t}")
     observe = payload.get("observe", {})
@@ -156,14 +159,15 @@ def cmd_infer(args) -> int:
 
 def _skewed_belief(*args) -> BeliefState:
     """init_belief with every chart entry skewed by a different factor, so
-    the damage cannot hide behind renormalization."""
+    the damage cannot hide behind renormalization.  It edits the chart
+    after the belief was built and checked, so it sums the groups again."""
     belief = init_belief(*args)
     scale = 1.0
     for row in belief.chart.values():
         for entry in row:
             scale += 0.01
             row[entry] *= scale
-    del belief.groups       # summed from the chart before the skew
+    belief.groups = _Groups(branch_table(belief.psdg), belief.chart)
     return belief
 
 

@@ -56,10 +56,6 @@ class SupportTooLarge(PsdgError):
     """A belief's support would exceed the configured bound."""
 
 
-class DeadEnd(PsdgError):
-    """No production has positive probability for a symbol that must expand."""
-
-
 class InvalidTrajectory(PsdgError):
     """A trajectory violates the deterministic stack-advance rules."""
 

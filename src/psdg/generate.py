@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .errors import DeadEnd, InvalidTrajectory
+from .errors import InvalidTrajectory
 from .grammar import (Psdg, StatePoint, _feature_transition,
                       production_probability)
 
@@ -99,11 +99,7 @@ def sample_chain(psdg: Psdg, symbol: Optional[str], state: tuple[int, ...],
     while sym is not None and not psdg.is_terminal(sym):
         candidates = psdg.by_lhs[sym]
         weights = [production_probability(psdg, a, state) for a in candidates]
-        total = sum(weights)
-        if total <= 0.0:
-            raise DeadEnd(f"all productions of {sym!r} have probability 0 "
-                          f"at state {psdg.labels(state)}")
-        a = candidates[_sample_indexed(weights, rng, total)]
+        a = candidates[_sample_indexed(weights, rng, sum(weights))]
         frames.append((a, 1))
         sym = psdg.production(a).rhs[0]
     return tuple(frames)

@@ -245,24 +245,32 @@ class BeliefState:
     The chart maps (state q, branch entry) to Pr(Q^{time-1}=q, branch
     active at slice `time`); `completed` holds the mass of runs whose root
     already terminated, keyed by their frozen state; `dropped`, by those
-    init_belief left out.  The first read of a published table projects
-    the chart onto all seven: b_q sums to one less `dropped`;
-    b_n (ℓ, X, q), b_p (ℓ, (a,b), q), b_sigma (x, q), b_t (ℓ, q), b_tn
-    (ℓ, X, q) and completed_given_q are conditioned on their state.
-    `groups` is the chart summed as it was built, or on first read.
+    init_belief left out; `groups` is the chart summed as it was built.
+    The first read of a published table projects the chart onto all
+    seven: b_q sums to one less `dropped`; b_n (ℓ, X, q), b_p (ℓ, (a,b),
+    q), b_sigma (x, q), b_t (ℓ, q), b_tn (ℓ, X, q) and completed_given_q
+    are conditioned on their state.  Building a belief checks it: its
+    states, live or completed, must fit `support_bound` (else
+    SupportTooLarge), and its chart must pass `check_chart`.
     """
     psdg: Psdg
     time: int
     support_bound: int
     chart: dict[State, dict[BranchEntry, float]]
     completed: dict[State, float]
+    groups: _Groups
     log_evidence: float = 0.0
     dropped: float = 0.0
 
-    def __getattr__(self, name):    # only for attributes not set yet
-        if name == "groups":
-            self.groups = _Groups(branch_table(self.psdg), self.chart)
-            return self.groups
+    def __post_init__(self):
+        support = len(self.chart.keys() | self.completed.keys())
+        if support > self.support_bound:
+            raise SupportTooLarge(f"belief after t={self.time - 1} holds "
+                                  f"{support} states, exceeding "
+                                  f"{self.support_bound}")
+        self.check_chart()
+
+    def __getattr__(self, name):    # only for published tables not made yet
         if name not in _PUBLISHED:
             raise AttributeError(name)
         _project(self)
@@ -417,7 +425,7 @@ def init_belief(psdg: Psdg, support_bound: int = DEFAULT_SUPPORT_BOUND,
                 restrict: Optional[StateSet] = None, time: int = 1,
                 reach: Optional[StateSet] = None) -> BeliefState:
     """Belief before any observation: the prior over initial states and a
-    freshly expanded root at every one of them.
+    freshly expanded root at every one of them, checked as it is built.
 
     `restrict` conditions the initial state on a set (the prior is
     renormalized over it); without it the support is the full state space,
@@ -446,11 +454,8 @@ def init_belief(psdg: Psdg, support_bound: int = DEFAULT_SUPPORT_BOUND,
     dropped = math.fsum(map(weights.pop, out)) / total
     chart, groups = _spread(psdg, {q: {_ROOT: p0 / total}
                                    for q, p0 in weights.items()})
-    belief = BeliefState(psdg, time, support_bound, chart, {},
-                         dropped=dropped)
-    belief.groups = groups
-    belief.check_chart()
-    return belief
+    return BeliefState(psdg, time, support_bound, chart, {}, groups,
+                       dropped=dropped)
 
 
 @dataclass
@@ -586,20 +591,12 @@ def predict(psdg: Psdg, belief: BeliefState, explanation: Explanation
 
 def update(psdg: Psdg, belief: BeliefState, explanation: Explanation,
            prediction: Prediction, observation: Observation) -> BeliefState:
-    """Install the predicted chart as the belief for the next step, after
-    checking it.  Raises SupportTooLarge when its states, live or
-    completed, outnumber the support bound."""
-    new = BeliefState(psdg, observation.time + 1, belief.support_bound,
-                      prediction.chart, prediction.completed,
-                      belief.log_evidence + math.log(explanation.evidence))
-    support = len(new.chart.keys() | new.completed.keys())
-    if support > new.support_bound:
-        raise SupportTooLarge(f"belief after t={observation.time} holds "
-                              f"{support} states, exceeding "
-                              f"{new.support_bound}")
-    new.check_chart()
-    new.groups = prediction.groups
-    return new
+    """The predicted chart and its groups as the belief for the next step,
+    which checks itself as it is built."""
+    return BeliefState(psdg, observation.time + 1, belief.support_bound,
+                       prediction.chart, prediction.completed,
+                       prediction.groups,
+                       belief.log_evidence + math.log(explanation.evidence))
 
 
 @dataclass

@@ -150,6 +150,22 @@ class TestValidate:
         assert diags and all(
             isinstance(d["line"], int) and d["kind"] for d in diags)
 
+    @pytest.mark.parametrize("command", ["infer", "sample", "oracle-check",
+                                         "to-pcfg"])
+    def test_every_command_reports_an_invalid_grammar(self, capsys,
+                                                      monkeypatch, tmp_path,
+                                                      command):
+        """A command that loads a grammar prints its diagnostics as JSON
+        lines and their count, exits 1, and writes nothing to stdout."""
+        path = tmp_path / "broken.psdg"
+        path.write_text(AB_TEXT.replace("default: 0.7;", "default: 0.8;"))
+        code, out, err = run(capsys, [command, str(path)], "", monkeypatch)
+        assert (code, out) == (1, "")
+        *diags, last = err.splitlines()
+        diags = json_lines("\n".join(diags))
+        assert diags and all(d["kind"] for d in diags)
+        assert last == f"{path}: {len(diags)} problem(s)"
+
     def test_empty_file(self, capsys, tmp_path):
         path = tmp_path / "empty.psdg"
         path.write_text("")
@@ -461,12 +477,30 @@ class TestInfer:
                       obs_line(1, {"lane": ["sidewalk"]}) + "\n",
                       obs_line(1, {"lane": 5}) + "\n",
                       obs_line(1, {"lane": None}) + "\n",
+                      obs_line(1, {"sidewalk": ["left-lane"]}) + "\n",
+                      obs_line(1, ["lane"]) + "\n",
                       '{"t": true}\n'):
             for command in ("infer", "oracle-check"):
                 code, _, err = run(capsys, [command, str(TRAFFIC_PATH)],
                                    stdin, monkeypatch)
                 assert code == 2, (command, stdin)
                 assert err.startswith("line "), (command, stdin, err)
+
+    @pytest.mark.parametrize("line, key", [
+        ({"t": 3, "obs": {"lane": "left-lane"}}, "obs"),
+        ({"t": 3, "observe": {"lane": "left-lane"}, "Observe": {}}, "Observe"),
+        ({"time": 2, "t": 3}, "time")])
+    def test_an_unknown_key_is_a_located_format_error(self, capsys,
+                                                      monkeypatch, line, key):
+        """A misspelled key would run the step unconstrained and lose its
+        evidence, so the line exits 2 with its number instead."""
+        stdin = obs_line(1, {}) + "\n" + json.dumps(line) + "\n"
+        for command in ("infer", "oracle-check"):
+            code, out, err = run(capsys, [command, str(TRAFFIC_PATH)],
+                                 stdin, monkeypatch)
+            assert code == 2, command
+            assert err == f"line 2: unknown key {key!r}\n"
+            assert len(json_lines(out)) == (command == "infer")
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.fixed_dictionaries(
@@ -717,6 +751,16 @@ class TestToPcfg:
         assert out == ""
         assert target.read_text() == piped
 
+    def test_out_into_a_missing_directory_is_an_io_error(self, capsys,
+                                                         tmp_path, ab_path):
+        target = tmp_path / "missing" / "ab-pcfg.txt"
+        code, out, err = run(capsys, ["to-pcfg", ab_path,
+                                      "--out", str(target)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"cannot write {target}: ")
+        assert err.count("\n") == 1
+        assert not target.parent.exists()
+
     def test_traffic_stays_under_tuple_bound(self, capsys):
         code, _, err = run(capsys, ["to-pcfg", str(TRAFFIC_PATH), "--out",
                                     "/dev/null"])
@@ -862,6 +906,21 @@ class TestConsoleScript:
             env={**os.environ, "PYTHONPATH": "src"})
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["states"] == 18
+
+    def test_a_reader_that_stops_early_is_not_an_error(self):
+        """A closed stdout ends `sample` with exit 0 and a quiet stderr,
+        not a traceback or a complaint from the shutdown flush."""
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "psdg", "sample", str(TRAFFIC_PATH),
+             "--count", "3000"], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, cwd=root,
+            env={**os.environ, "PYTHONPATH": "src"})
+        assert json.loads(proc.stdout.readline())["seed"] == 0
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (0, b"")
 
     def test_infer_does_not_import_numpy(self):
         """Only to-pcfg needs numpy, so an infer run leaves it out of the

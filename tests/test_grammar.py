@@ -669,6 +669,20 @@ class TestStateSet:
         assert inside in c and outside not in c
         assert c.size() == 2 * 1 * 3
 
+    def test_a_name_and_a_one_item_list_give_equal_sets(self):
+        """Sets compare and hash by their allowed values, so observations
+        built from either spelling are equal and hash alike."""
+        g = traffic()
+        by_name = StateSet.from_labels(g, {"lane": "left-lane"})
+        by_list = StateSet.from_labels(g, {"lane": ["left-lane"]})
+        assert by_name is not by_list
+        assert by_name == by_list and hash(by_name) == hash(by_list)
+        assert by_name != StateSet.from_labels(g, {"lane": ["center-lane"]})
+        assert by_name != by_name.allowed
+        seen = {Observation.from_labels(g, 2, {"lane": "left-lane"})}
+        assert Observation.from_labels(g, 2, {"lane": ["left-lane"]}) in seen
+        assert Observation(2, by_list) == next(iter(seen))
+
     def test_empty_component_rejected(self):
         with pytest.raises(ValueError):
             StateSet((frozenset({0}), frozenset()))

@@ -1,5 +1,6 @@
 """Belief initialization, explain/predict/update, and full recognition runs."""
 import ast
+import dataclasses
 import gc
 import io
 import itertools
@@ -879,6 +880,52 @@ class TestCheckInvariants:
         assert negative == "chart holds mass -0.01"
         assert nan.split()[-1] == "nan"
 
+    def test_a_belief_checks_itself_when_built_under_optimize(self):
+        """Every belief is checked as it is built, not only by `update`:
+        `dataclasses.replace` with one mass halved, with one mass NaN, or
+        with a support bound below its state count raises, also under
+        `python -O`, while a plain copy builds."""
+        script = """if True:
+            import dataclasses
+            import sys
+            from pathlib import Path
+            import psdg
+            from psdg.errors import SupportTooLarge
+            from psdg.infer import Observation, init_belief, step
+            from psdg.parse import load_file
+            if __debug__:
+                sys.exit("not running under -O")
+            g = load_file(Path(psdg.__file__).parent / "data" / "traffic.psdg")
+            _, b = step(g, init_belief(g), Observation.vacuous(g, 1))
+            q, row = next(iter(b.chart.items()))
+            first = next(iter(row))
+            states = len(b.chart.keys() | b.completed.keys())
+            print(dataclasses.replace(b).chart == b.chart, b.time, states)
+            for changes in (
+                    {"chart": {**b.chart, q: {**row, first: row[first] / 2}}},
+                    {"chart": {**b.chart, q: {**row, first: float("nan")}}},
+                    {"support_bound": states - 1}):
+                try:
+                    dataclasses.replace(b, **changes)
+                except (AssertionError, SupportTooLarge) as e:
+                    print(type(e).__name__, e)
+                else:
+                    sys.exit(f"{sorted(changes)} built without a word")
+        """
+        src = Path(psdg.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True,
+                              env={**os.environ,
+                                   "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        copied, halved, nan, bound = proc.stdout.splitlines()
+        assert copied == "True 2 18"
+        assert halved.startswith("AssertionError chart mass ")
+        assert float(halved.split()[-1]) < 1.0 - 1e-6
+        assert nan == "AssertionError chart holds mass nan"
+        assert bound == ("SupportTooLarge belief after t=1 holds 18 states, "
+                         "exceeding 17")
+
 
 class TestInvariantsOverRandomRuns:
     def test_random_streams_keep_invariants(self):
@@ -1480,8 +1527,8 @@ class TestChartGroups:
     def test_groups_are_a_function_of_the_chart(self, make, seed):
         """Over a stream with gaps, each predict's groups are, bit for
         bit, the groups of its chart, the next belief reads them as they
-        are, and explain on that belief with its groups dropped gives the
-        same explanation."""
+        are, and explain on that belief with its groups summed again from
+        its chart gives the same explanation."""
         g = make()
         table = branch_table(g)
         stream = [o for o in sampled_stream(g, seed, 12) if o.time % 4]
@@ -1499,10 +1546,10 @@ class TestChartGroups:
                 belief = update(g, belief, exp, pred, now)
                 assert belief.groups is pred.groups
                 following = Observation(now.time + 1, now.constraint)
-                kept = explain(g, belief, following)
-                del belief.groups
-                assert repr(explain(g, belief, following)) == repr(kept)
-                assert group_bits(belief.groups) == group_bits(pred.groups)
+                resummed = dataclasses.replace(belief, groups=infer_module
+                                               ._Groups(table, belief.chart))
+                assert repr(explain(g, resummed, following)) == repr(
+                    explain(g, belief, following))
                 steps += 1
         assert steps == 11 and gaps == 2
 

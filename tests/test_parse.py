@@ -105,6 +105,16 @@ def test_a_feature_needs_values_and_a_prior(clause, line):
         ("ParseError", f"feature 'f' has no {clause} clause", 3, 9)]
 
 
+def test_a_cpt_row_without_a_bar_names_one_terminal():
+    """With no '|', a row is a lone terminal's; two names are neither."""
+    text = MINI.replace("cpt: lo | * -> 1, 0;", "cpt: a, b -> 0.5, 0.5;")
+    g, diags = parse_text(text)
+    assert g is None
+    assert [(d.kind, d.message, d.line, d.column) for d in diags] == [
+        ("ParseError", "cpt row without '|' must name exactly one terminal",
+         8, 3)]
+
+
 def test_load_text_raises_grammar_error():
     with pytest.raises(GrammarError) as e:
         load_text("start S\n")
