@@ -4,7 +4,8 @@ Subcommands: validate, sample, infer, oracle-check, to-pcfg.  Data goes
 to standard output as JSON lines (or grammar text for to-pcfg), every
 diagnostic to standard error.  Exit codes: 0 success, 1 validation or
 model error (or running out of memory or recursion depth), 2 I/O or
-input-format error, 3 zero-evidence under the `error` policy.
+input-format error, 3 zero evidence: `infer` under the `error` policy, or
+`oracle-check`, whose referee finds the same contradiction.
 
 Observation streams are JSON lines `{"t": k, "observe": {feature:
 [values, ...]}}` with no other key and strictly increasing times.  A
@@ -21,8 +22,7 @@ import os
 import sys
 from typing import Iterator
 
-from .errors import (Diagnostic, GrammarError, PsdgError, ZeroEvidence,
-                     ZeroEvidenceMass)
+from .errors import Diagnostic, GrammarError, PsdgError, ZeroEvidence
 from .generate import observation_json_lines, sample_trajectory, \
     trajectory_json_lines
 from .grammar import Psdg
@@ -149,10 +149,6 @@ def cmd_infer(args) -> int:
     except ZeroEvidence as e:
         if isinstance(e.__context__, ZeroEvidence):     # the restart failed
             _restarting(e.__context__.time)
-        elif e.time > 0:    # a t=0 contradiction is the prior's, for main
-            print(f"zero evidence at t={e.time}: the stream contradicts "
-                  f"the model", file=sys.stderr)
-            return 3
         raise
     return 0
 
@@ -284,10 +280,9 @@ def main(argv=None) -> int:
         print(str(e), file=sys.stderr)
         return e.code
     except ZeroEvidence as e:
-        print(f"zero evidence at t={e.time}", file=sys.stderr)
-        return 3
-    except ZeroEvidenceMass as e:
-        print(str(e), file=sys.stderr)
+        # at t=0 the prior puts no mass on the states an observation allows
+        cause = ": the stream contradicts the model" if e.time else ""
+        print(f"zero evidence at t={e.time}{cause}", file=sys.stderr)
         return 3
     except PsdgError as e:
         print(str(e), file=sys.stderr)

@@ -61,7 +61,7 @@ class InvalidTrajectory(PsdgError):
 
 
 class ZeroEvidence(PsdgError):
-    """An observation has probability zero under the current belief."""
+    """An observation has probability zero given the observations before it."""
 
     def __init__(self, time: int, message: str = ""):
         self.time = time
@@ -70,7 +70,3 @@ class ZeroEvidence(PsdgError):
 
 class ExplosionBound(PsdgError):
     """Exhaustive enumeration exceeded the configured entry bound."""
-
-
-class ZeroEvidenceMass(PsdgError):
-    """Evidence given to the oracle has zero probability in the joint."""

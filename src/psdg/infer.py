@@ -133,24 +133,22 @@ class BranchTable:
     def successors(self, psdg: Psdg, skeleton_id: int, state: State
                    ) -> tuple[tuple[BranchEntry, ...], tuple[float, ...]]:
         """Skeleton `skeleton_id`'s successor entries and their chain
-        probabilities in new state `state`, cached in `fixed` or `moves`."""
+        probabilities in new state `state`, compiled on a miss: the caller
+        looks in `fixed` and `moves` first, and this stores them there."""
         kept, fresh_symbol = self.skeletons[skeleton_id]
         if fresh_symbol is None:
             hit = self.fixed[skeleton_id] = self.entry(psdg, kept)
             return (hit,), (1.0,)
-        by_state = self.moves[skeleton_id]
-        hit = by_state.get(state)
-        if hit is None:
-            key = (fresh_symbol, psdg.guard_cell(state))
-            chains = self.chains.get(key)
-            if chains is None:
-                found = enumerate_chains(psdg, fresh_symbol, state)
-                chains = self.chains[key] = (
-                    tuple(chain for chain, _ in found),
-                    tuple(p for _, p in found))
-            tails, probs = chains
-            hit = by_state[state] = (
-                tuple(self.entry(psdg, kept + tail) for tail in tails), probs)
+        key = (fresh_symbol, psdg.guard_cell(state))
+        chains = self.chains.get(key)
+        if chains is None:
+            found = enumerate_chains(psdg, fresh_symbol, state)
+            chains = self.chains[key] = (
+                tuple(chain for chain, _ in found),
+                tuple(p for _, p in found))
+        tails, probs = chains
+        hit = self.moves[skeleton_id][state] = (
+            tuple(self.entry(psdg, kept + tail) for tail in tails), probs)
         return hit
 
 
@@ -524,9 +522,7 @@ def explain(psdg: Psdg, belief: BeliefState, observation: Observation
             state_posterior[q] = state_posterior.get(q, 0.0) + c
     evidence = math.fsum(state_posterior.values())
     if evidence <= 0.0:
-        raise ZeroEvidence(
-            observation.time,
-            f"observation at t={observation.time} has probability 0")
+        raise ZeroEvidence(observation.time)
 
     scales = [math.fsum(transitions[q, x].values()) / evidence
               for q, x in zip(groups.states, groups.leaves)]

@@ -23,7 +23,7 @@ from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
-from .errors import ExplosionBound, ZeroEvidenceMass
+from .errors import ExplosionBound, ZeroEvidence
 from .generate import (Stack, TimeStep, Trajectory, enumerate_chains,
                        stack_rule)
 from .grammar import (Psdg, StatePoint, StateSet, _feature_transition,
@@ -218,7 +218,8 @@ def _reports(psdg: Psdg, runs: Iterable[JointEntry], observations
     observation k's sums, in row order, only if it passes observations
     1..k; masses are summed by `fsum` at the end, and folded into their
     exact partials every `_MASS_CHUNK` rows.  Each observation tests and
-    renders a state once: a dict maps it to its key, or to None."""
+    renders a state once: a dict maps it to its key, or to None.  Raises
+    ZeroEvidence at the first observation that no run passes."""
     times = [obs.time for obs in observations]
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("observation times must be strictly increasing")
@@ -255,8 +256,7 @@ def _reports(psdg: Psdg, runs: Iterable[JointEntry], observations
     for t, *_, kept, state, explain, predict in sums:
         new_mass = math.fsum(kept)
         if new_mass <= 0.0:
-            raise ZeroEvidenceMass(
-                f"no enumerated run matches the observation at t={t}")
+            raise ZeroEvidence(t)
         if t == 0:
             # a restriction of the initial state: rebases the evidence
             # chain instead of producing a report
@@ -290,7 +290,8 @@ def streamed_reports(psdg: Psdg, observations,
                      bound: int = DEFAULT_JOINT_BOUND) -> list[dict]:
     """reference_reports with no table: `joint_runs` feeds the reducer up
     to the horizon the last prediction slice needs, and a leading t=0
-    observation skips the initial states it excludes."""
+    observation skips the initial states it excludes.  A contradiction
+    raises ZeroEvidence at the same time as the engine does."""
     horizon = observations[-1].time + 1 if observations else 1
     initial = observations[0].constraint if observations and \
         observations[0].time == 0 else None

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from psdg.errors import InvalidTrajectory, PsdgError, ZeroEvidenceMass
+from psdg.errors import InvalidTrajectory, PsdgError, ZeroEvidence
 from psdg.generate import Stack, TimeStep, Trajectory, stack_rule
 from psdg.grammar import (Psdg, StateSet, _feature_transition,
                           prior_probability, production_probability)
@@ -189,8 +189,8 @@ def exact_posterior(joint: JointTable, evidence, query: Query) -> float:
     """Pr(query | evidence) by filtering the table.
 
     Evidence items need `time` and `constraint` (a StateSet) attributes;
-    order is irrelevant.  Raises ZeroEvidenceMass when nothing survives
-    the filter.
+    order is irrelevant.  Raises ZeroEvidence at the latest evidence time
+    when nothing survives the filter.
     """
     ev_mass = 0.0
     q_mass = 0.0
@@ -202,7 +202,7 @@ def exact_posterior(joint: JointTable, evidence, query: Query) -> float:
         if query_holds(joint.psdg, entry.trajectory, query):
             q_mass += entry.prob
     if ev_mass <= 0.0:
-        raise ZeroEvidenceMass("no enumerated run satisfies the evidence")
+        raise ZeroEvidence(max((obs.time for obs in evidence), default=0))
     return q_mass / ev_mass
 
 

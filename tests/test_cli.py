@@ -329,7 +329,8 @@ class TestInfer:
     def test_reports_match_library_path(self, capsys, monkeypatch):
         g = traffic()
         traj = sample_trajectory(g, horizon=3, seed=21)
-        stdin = "\n".join(observation_json_lines(g, traj)) + "\n"
+        # blank lines between the observations are skipped
+        stdin = "\n \n".join(observation_json_lines(g, traj)) + "\n\n"
         code, out, _ = run(capsys, ["infer", str(TRAFFIC_PATH)],
                            stdin, monkeypatch)
         assert code == 0
@@ -415,11 +416,23 @@ class TestInfer:
                        "restricted to the observation\n"
                        "zero evidence at t=0\n")
 
-    @pytest.mark.parametrize("command, message", [
-        ("infer", "zero evidence at t=0"),
-        ("oracle-check", "no enumerated run matches the observation at t=0")])
+    @pytest.mark.parametrize("command", ["infer", "oracle-check"])
+    def test_a_contradiction_reads_the_same_from_both_commands(
+            self, capsys, monkeypatch, command):
+        """The engine and the enumeration find the same contradiction, and
+        `main` reports it one way; only infer has a report to print first."""
+        stdin = obs_line(1, {"lane": ["left-lane"]}) + "\n" + \
+            obs_line(2, {"lane": ["right-lane"]}) + "\n"
+        code, out, err = run(capsys, [command, str(TRAFFIC_PATH)], stdin,
+                             monkeypatch)
+        assert code == 3
+        assert err == "zero evidence at t=2: the stream contradicts the " \
+                      "model\n"
+        assert len(json_lines(out)) == (command == "infer")
+
+    @pytest.mark.parametrize("command", ["infer", "oracle-check"])
     def test_a_lone_t0_line_is_checked(self, capsys, monkeypatch, tmp_path,
-                                       command, message):
+                                       command):
         """A stream of one t=0 line the prior cannot meet exits 3, as it
         does once a later line follows; a possible one reports nothing."""
         path = tmp_path / "zero-prior.psdg"
@@ -427,7 +440,7 @@ class TestInfer:
         code, out, err = run(capsys, [command, str(path)],
                              obs_line(0, {"f": ["b"]}) + "\n", monkeypatch)
         assert (code, out) == (3, "")
-        assert err == message + "\n"
+        assert err == "zero evidence at t=0\n"
         code, out, err = run(capsys, [command, str(path)],
                              obs_line(0, {"f": ["a"]}) + "\n", monkeypatch)
         assert (code, err) == (0, "")
@@ -534,15 +547,30 @@ def sampled_lines(text, horizon, seed, opened=False):
     return [line.encode() for line in lines]
 
 
+def mostly(common, rare):
+    """`common` in four draws of five, else `rare`."""
+    return st.integers(0, 4).flatmap(lambda i: common if i else rare)
+
+
 def json_value(max_t):
-    """Any JSON value, leaning toward observation-shaped objects whose
-    times stay at or below `max_t`."""
+    """Any JSON value, mostly an observation-shaped object: a "t", mostly
+    an integer at or below `max_t`, and an optional "observe", so that
+    most lines pass the key check and reach the time, `observe` and value
+    checks; a few objects hold one more key."""
     leaf = (st.none() | st.booleans() | st.integers(-3, max_t) | st.floats()
             | st.text(max_size=3) | _NAMES)
-    return st.recursive(leaf, lambda inner: st.lists(inner, max_size=3)
-                        | st.dictionaries(_NAMES | st.sampled_from(
-                            ("t", "observe")), inner, max_size=3),
-                        max_leaves=8)
+    anything = st.recursive(leaf, lambda inner: st.lists(inner, max_size=3)
+                            | st.dictionaries(_NAMES | st.sampled_from(
+                                ("t", "observe")), inner, max_size=3),
+                            max_leaves=8)
+    line = st.fixed_dictionaries(
+        {"t": mostly(st.integers(-3, max_t), leaf)},
+        optional={"observe": st.dictionaries(
+            _NAMES, st.lists(_NAMES, max_size=3) | anything, max_size=3)
+            | anything})
+    extra = st.builds(lambda obj, key, value: {**obj, key: value}, line,
+                      _NAMES, anything)
+    return mostly(line, anything | extra)
 
 
 @st.composite

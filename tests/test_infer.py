@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from make_golden import GOLDEN, GRAMMARS
 from helpers import (REINIT_CYCLE, TRAFFIC_PATH, assert_evidence_restarts,
                      build, feature, forcing_grammar, production,
                      random_psdg, random_stream, repeated_child_grammar,
@@ -1568,6 +1569,50 @@ class TestChartGroups:
                 break
             _, belief = step(g, belief, Observation.vacuous(g, belief.time))
         assert belief.time == 1029
+
+    def test_predict_blocks_equal_the_projected_next_belief(self):
+        """The two accumulators of a chart check each other: on every step
+        of the golden engine runs, gaps included, each `predict` block that
+        `_Groups.marginals` gives equals the tables `_project` makes of the
+        belief `step` returns, weighted by its state masses."""
+        def flat(block, prefix=()):
+            out = {}
+            for k, v in block.items():
+                out.update(flat(v, prefix + (k,)) if isinstance(v, dict)
+                           else {prefix + (k,): v})
+            return out
+
+        def close(block, b_q, table):
+            """block against Σ_q b_q · table[..., q]"""
+            want = {}
+            for key, v in table.items():
+                want[key[:-1]] = want.get(key[:-1], 0.0) + b_q[key[-1]] * v
+            got = flat(block)
+            assert got.keys() == want.keys()
+            for k, v in want.items():
+                assert abs(got[k] - v) <= 1e-12, (k, got[k], v)
+
+        engine = json.loads((GOLDEN / "engine.json").read_text("utf-8"))
+        steps = 0
+        for run, want in sorted(engine["runs"].items()):
+            g = load_file(GRAMMARS[run.split("/")[0]])
+            belief = init_belief(g)
+            for line in want["stream"].splitlines():
+                obs = json.loads(line)
+                obs = Observation.from_labels(g, obs["t"], obs["observe"])
+                while belief.time <= obs.time:
+                    now = obs if belief.time == obs.time else \
+                        Observation.vacuous(g, belief.time)
+                    report, belief = step(g, belief, now)
+                    b_q = belief.b_q
+                    close(report.predict_symbols, b_q, belief.b_n)
+                    close(report.predict_productions, b_q, belief.b_p)
+                    close(report.predict_terminal, b_q, belief.b_sigma)
+                    completed = math.fsum(b_q[q] * c for q, c in
+                                          belief.completed_given_q.items())
+                    assert abs(report.predict_completed - completed) <= 1e-12
+                    steps += 1
+        assert steps == 57      # 42 observed, 15 in gaps
 
 
 class TestLazyTables:

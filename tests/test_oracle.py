@@ -24,7 +24,7 @@ import reference_walk
 import psdg
 import psdg.oracle as oracle
 from psdg.errors import (ExplosionBound, InvalidTrajectory, PsdgError,
-                         ZeroEvidenceMass)
+                         ZeroEvidence)
 from psdg.generate import TimeStep, Trajectory, sample_trajectory
 from psdg.grammar import ProbabilityFunction, StatePoint, StateSet
 from psdg.infer import Observation, recognize
@@ -356,13 +356,13 @@ class TestStreamedReports:
     def test_errors_match(self):
         g = traffic()
         contradictions = [
-            lanes(g, (1, "left-lane"), (2, "right-lane")),
-            [Observation.from_labels(g, 0, {"exit": ["at"]})]
-            + lanes(g, (1, "left-lane")),
+            (2, lanes(g, (1, "left-lane"), (2, "right-lane"))),
+            (0, [Observation.from_labels(g, 0, {"exit": ["at"]})]
+             + lanes(g, (1, "left-lane"))),
         ]
-        for obs in contradictions:
+        for t, obs in contradictions:
             want = failure(lambda: table_reports(g, obs))
-            assert want[0] is ZeroEvidenceMass
+            assert want == (ZeroEvidence, str(ZeroEvidence(t)))
             assert failure(lambda: streamed_reports(g, obs)) == want
         obs = lanes(g, (1, "right-lane"), (2, "right-lane"))
         want = failure(lambda: table_reports(g, obs, bound=100))
@@ -477,9 +477,10 @@ class TestExactPosterior:
             Observation.from_labels(g, 1, {"lane": ["left-lane"]}),
             Observation.from_labels(g, 2, {"lane": ["right-lane"]}),
         ]
-        with pytest.raises(ZeroEvidenceMass):
+        with pytest.raises(ZeroEvidence) as raised:
             exact_posterior(joint, impossible,
                             Query("terminal", 1, value="Stay"))
+        assert raised.value.time == 2
 
     def test_evidence_order_invariance(self):
         g = tail_recursive_grammar()
