@@ -2,10 +2,12 @@
 
 Subcommands: validate, sample, infer, oracle-check, to-pcfg.  Data goes
 to standard output as JSON lines (or grammar text for to-pcfg), every
-diagnostic to standard error.  Exit codes: 0 success, 1 validation or
-model error (or running out of memory or recursion depth), 2 I/O or
-input-format error, 3 zero evidence: `infer` under the `error` policy, or
-`oracle-check`, whose referee finds the same contradiction.
+diagnostic to standard error.  Exit codes: 0 success, 1 a failed check or
+a `PsdgError` such as `ExplosionBound` (or running out of memory or
+recursion depth), 2 an I/O or input-format error, `_CliError`, 3
+`ZeroEvidence`: `infer` under the `error` policy or after a failed
+restart, or `oracle-check`, whose referee finds the same contradiction.
+Each error is raised where it is found and reported by `main` alone.
 
 Observation streams are JSON lines `{"t": k, "observe": {feature:
 [values, ...]}}` with no other key and strictly increasing times.  A
@@ -34,9 +36,7 @@ ORACLE_TOL = 1e-9
 
 
 class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        self.code = code
-        super().__init__(message)
+    """An I/O, option or input-format error: `main` exits 2."""
 
 
 def _print_diagnostics(diags: list[Diagnostic]):
@@ -50,7 +50,7 @@ def _read_text(path: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeError) as e:
-        raise _CliError(2, f"cannot read {path}: {e}") from None
+        raise _CliError(f"cannot read {path}: {e}") from None
 
 
 def _read_grammar(path: str) -> Psdg:
@@ -58,33 +58,33 @@ def _read_grammar(path: str) -> Psdg:
         return load_text(_read_text(path))
     except GrammarError as e:
         _print_diagnostics(e.diagnostics)
-        raise _CliError(1, f"{path}: {len(e.diagnostics)} problem(s)") from None
+        raise PsdgError(f"{path}: {len(e.diagnostics)} problem(s)") from None
 
 
 def _parse_observation(psdg: Psdg, line: str, lineno: int) -> Observation:
     try:
         payload = json.loads(line)
     except json.JSONDecodeError as e:
-        raise _CliError(2, f"line {lineno}: invalid JSON: {e.msg}") from None
+        raise _CliError(f"line {lineno}: invalid JSON: {e.msg}") from None
     except RecursionError:
-        raise _CliError(2, f"line {lineno}: invalid JSON: nested too "
-                           "deeply") from None
+        raise _CliError(f"line {lineno}: invalid JSON: nested too "
+                        "deeply") from None
     t = payload.get("t") if isinstance(payload, dict) else None
     if not isinstance(t, int) or isinstance(t, bool):
-        raise _CliError(2, f"line {lineno}: expected an object with an "
-                           f"integer \"t\"")
+        raise _CliError(f"line {lineno}: expected an object with an "
+                        f"integer \"t\"")
     for key in payload:
         if key not in ("t", "observe"):
-            raise _CliError(2, f"line {lineno}: unknown key {key!r}")
+            raise _CliError(f"line {lineno}: unknown key {key!r}")
     if t < 0:
-        raise _CliError(2, f"line {lineno}: negative time {t}")
+        raise _CliError(f"line {lineno}: negative time {t}")
     observe = payload.get("observe", {})
     if not isinstance(observe, dict):
-        raise _CliError(2, f"line {lineno}: \"observe\" must be an object")
+        raise _CliError(f"line {lineno}: \"observe\" must be an object")
     try:
         return Observation.from_labels(psdg, t, observe)
     except ValueError as e:
-        raise _CliError(2, f"line {lineno}: {e}") from None
+        raise _CliError(f"line {lineno}: {e}") from None
 
 
 def _read_observations(psdg: Psdg, stream) -> Iterator[Observation]:
@@ -99,8 +99,8 @@ def _read_observations(psdg: Psdg, stream) -> Iterator[Observation]:
             continue
         obs = _parse_observation(psdg, line, lineno)
         if last is not None and obs.time <= last:
-            raise _CliError(2, f"line {lineno}: time {obs.time} does not "
-                               f"increase past {last}")
+            raise _CliError(f"line {lineno}: time {obs.time} does not "
+                            f"increase past {last}")
         last = obs.time
         yield obs
 
@@ -121,7 +121,7 @@ def cmd_validate(args) -> int:
 def cmd_sample(args) -> int:
     psdg = _read_grammar(args.grammar)
     if args.observations_only and args.count != 1:
-        raise _CliError(2, "--observations-only requires --count 1")
+        raise _CliError("--observations-only requires --count 1")
     for i in range(args.count):
         seed = args.seed + i
         traj = sample_trajectory(psdg, args.horizon, seed)
@@ -132,24 +132,15 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _restarting(time: int):
-    print(f"zero evidence at t={time}: restarting from the prior "
-          f"restricted to the observation", file=sys.stderr)
-
-
 def cmd_infer(args) -> int:
     psdg = _read_grammar(args.grammar)
-    stream = recognize(psdg, _read_observations(psdg, sys.stdin),
-                       args.support_bound, args.on_zero_evidence == "reinit")
-    try:
-        for report in stream:
-            if report.evidence_likelihood == 0.0:
-                _restarting(report.time)
-            _emit(report.to_dict(psdg))
-    except ZeroEvidence as e:
-        if isinstance(e.__context__, ZeroEvidence):     # the restart failed
-            _restarting(e.__context__.time)
-        raise
+    for report in recognize(psdg, _read_observations(psdg, sys.stdin),
+                            args.support_bound,
+                            args.on_zero_evidence == "reinit"):
+        if report.evidence_likelihood == 0.0:
+            print(f"zero evidence at t={report.time}: restarting from the "
+                  f"prior restricted to the observation", file=sys.stderr)
+        _emit(report.to_dict(psdg))
     return 0
 
 
@@ -200,7 +191,7 @@ def cmd_to_pcfg(args) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as e:
-            raise _CliError(2, f"cannot write {args.out}: {e}") from None
+            raise _CliError(f"cannot write {args.out}: {e}") from None
     else:
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -278,7 +269,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except _CliError as e:
         print(str(e), file=sys.stderr)
-        return e.code
+        return 2
     except ZeroEvidence as e:
         # at t=0 the prior puts no mass on the states an observation allows
         cause = ": the stream contradicts the model" if e.time else ""

@@ -48,14 +48,6 @@ class GrammarError(PsdgError):
         super().__init__(shown)
 
 
-class SetTooLarge(PsdgError):
-    """A state-set enumeration would exceed the configured bound."""
-
-
-class SupportTooLarge(PsdgError):
-    """A belief's support would exceed the configured bound."""
-
-
 class InvalidTrajectory(PsdgError):
     """A trajectory violates the deterministic stack-advance rules."""
 
@@ -69,4 +61,6 @@ class ZeroEvidence(PsdgError):
 
 
 class ExplosionBound(PsdgError):
-    """Exhaustive enumeration exceeded the configured entry bound."""
+    """Work would outgrow a size bound: the states `enumerate_states`
+    lists, a belief's support, the joint walk's nodes and rows, or the
+    PCFG export's symbols or productions.  The message names the bound."""

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable
 
-from .errors import Diagnostic, SetTooLarge
+from .errors import Diagnostic, ExplosionBound
 
 NORMALIZATION_TOL = 1e-9
 DISTRIBUTION_TOL = 1e-12
@@ -316,11 +316,11 @@ def _key_getter(indices):
 def enumerate_states(psdg: Psdg):
     """All states, as index tuples.
 
-    Raises SetTooLarge instead of materializing something enormous.
+    Raises ExplosionBound instead of materializing something enormous.
     """
     if psdg.state_count > DEFAULT_SET_BOUND:
-        raise SetTooLarge(f"{psdg.state_count} states exceeds bound "
-                          f"{DEFAULT_SET_BOUND}")
+        raise ExplosionBound(f"{psdg.state_count} states exceeds bound "
+                             f"{DEFAULT_SET_BOUND}")
     return list(StateSet.full(psdg).iter_states())
 
 

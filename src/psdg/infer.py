@@ -36,7 +36,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .errors import SupportTooLarge, ZeroEvidence
+from .errors import ExplosionBound, ZeroEvidence
 from .generate import Stack, enumerate_chains, stack_rule
 from .grammar import Psdg, StateSet, prior_probability
 
@@ -249,7 +249,7 @@ class BeliefState:
     q), b_sigma (x, q), b_t (ℓ, q), b_tn (ℓ, X, q) and completed_given_q
     are conditioned on their state.  Building a belief checks it: its
     states, live or completed, must fit `support_bound` (else
-    SupportTooLarge), and its chart must pass `check_chart`.
+    ExplosionBound), and its chart must pass `check_chart`.
     """
     psdg: Psdg
     time: int
@@ -263,9 +263,9 @@ class BeliefState:
     def __post_init__(self):
         support = len(self.chart.keys() | self.completed.keys())
         if support > self.support_bound:
-            raise SupportTooLarge(f"belief after t={self.time - 1} holds "
-                                  f"{support} states, exceeding "
-                                  f"{self.support_bound}")
+            raise ExplosionBound(f"belief after t={self.time - 1} holds "
+                                 f"{support} states, exceeding "
+                                 f"{self.support_bound}")
         self.check_chart()
 
     def __getattr__(self, name):    # only for published tables not made yet
@@ -426,16 +426,17 @@ def init_belief(psdg: Psdg, support_bound: int = DEFAULT_SUPPORT_BOUND,
     freshly expanded root at every one of them, checked as it is built.
 
     `restrict` conditions the initial state on a set (the prior is
-    renormalized over it); without it the support is the full state space,
-    which must fit the support bound.  `reach`, the constraint observed
-    at `time`, leaves out the states `_reaches` shows cannot move into it,
-    their prior share going to `dropped`.  That is exact: explain would
-    scale their groups by 0.0, so they add nothing, and kept states keep
-    the whole support's p0 / total, so reports match bit for bit.
+    renormalized over it, else ZeroEvidence at `time - 1` if it holds no
+    prior mass); without it the support is the full state space, which must
+    fit the support bound.  `reach`, the constraint observed at `time`,
+    leaves out the states `_reaches` shows cannot move into it, their prior
+    share going to `dropped`.  That is exact: explain would scale their
+    groups by 0.0, so they add nothing, and kept states keep the whole
+    support's p0 / total, so reports match bit for bit.
     """
     support = restrict if restrict is not None else StateSet.full(psdg)
     if support.size() > support_bound:
-        raise SupportTooLarge(
+        raise ExplosionBound(
             f"initial support of {support.size()} states exceeds "
             f"{support_bound}; restrict the initial state or raise the bound")
     weights: dict[State, float] = {}
@@ -445,7 +446,7 @@ def init_belief(psdg: Psdg, support_bound: int = DEFAULT_SUPPORT_BOUND,
             weights[q] = p0
     total = math.fsum(weights.values())
     if total <= 0.0:
-        raise ZeroEvidence(0, "the prior puts no mass on the initial support")
+        raise ZeroEvidence(time - 1, "the prior puts no mass on the support")
     memo: dict[tuple, bool] = {}
     out = [q for q in weights
            if reach is not None and not _reaches(psdg, reach, q, memo)]
@@ -658,15 +659,15 @@ def recognize(psdg: Psdg, observations: Iterable[Observation],
     observation at t ≥ 1 before reading the next.
 
     A leading t=0 observation restricts the initial state; `start`, with
-    init_belief's signature, builds the belief at the first later one,
-    and is passed it as `reach` if it falls at t=1; a stream with no later
-    one still calls it, so a t=0 line alone is checked too.  Missing times
-    pass as unconstrained steps.  Once the chart is empty, a vacuous step
-    that leaves the completed mass and log evidence as they were is a
-    fixed point, so the rest of the gap is skipped.  Zero evidence raises, or
-    under `reinit` restarts from the prior restricted to the observation,
-    reported with evidence likelihood 0 and the new belief's marginals; a
-    failed restart raises with the contradiction as its `__context__`.
+    init_belief's signature, builds the belief at the first later one, and is
+    passed it as `reach` if it falls at t=1; a stream with no later one still
+    calls it, so a t=0 line alone is checked too.  Missing times pass as
+    unconstrained steps.  Once the chart is empty, a vacuous step that leaves
+    the completed mass and log evidence as they were is a fixed point, so the
+    rest of the gap is skipped.  Zero evidence raises, or under `reinit`
+    restarts from the prior restricted to the observation, reported with
+    evidence likelihood 0 and the new belief's marginals; a failed restart
+    raises at that time, with the contradiction as its `__context__`.
     """
     belief = restrict = None
     for obs in observations:

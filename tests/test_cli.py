@@ -405,16 +405,22 @@ class TestInfer:
 
     def test_reinit_onto_a_zero_prior_exits_3(self, capsys, monkeypatch,
                                               tmp_path):
+        """f never moves and its prior excludes b, so a restart onto f=b
+        fails: the run prints the reports before it and names the time of
+        the contradiction, not t=0."""
         path = tmp_path / "zero-prior.psdg"
         path.write_text(ZERO_PRIOR_TEXT)
-        code, out, err = run(capsys, ["infer", str(path),
-                                      "--on-zero-evidence", "reinit"],
-                             obs_line(1, {"f": ["b"]}) + "\n", monkeypatch)
-        assert code == 3
-        assert out == ""
-        assert err == ("zero evidence at t=1: restarting from the prior "
-                       "restricted to the observation\n"
-                       "zero evidence at t=0\n")
+        for lines in ([(1, {"f": ["b"]})],
+                      [(1, {"f": ["a"]}), (3, {"f": ["b"]})]):
+            stdin = "".join(obs_line(*line) + "\n" for line in lines)
+            code, out, err = run(capsys, ["infer", str(path),
+                                          "--on-zero-evidence", "reinit"],
+                                 stdin, monkeypatch)
+            assert code == 3
+            assert [r["t"] for r in json_lines(out)] == \
+                [t for t, _ in lines[:-1]]
+            assert err == (f"zero evidence at t={lines[-1][0]}: the stream "
+                           f"contradicts the model\n")
 
     @pytest.mark.parametrize("command", ["infer", "oracle-check"])
     def test_a_contradiction_reads_the_same_from_both_commands(

@@ -12,7 +12,7 @@ from helpers import (TRAFFIC_PATH, build, feature, production, random_psdg,
                      single_production_grammar, state_of, traffic,
                      unit_feature)
 import psdg.grammar as grammar_module
-from psdg.errors import GrammarError, SetTooLarge
+from psdg.errors import ExplosionBound, GrammarError
 from psdg.grammar import (ProbabilityFunction, StateSet,
                           _feature_transition, enumerate_states,
                           prior_probability, production_probability,
@@ -653,7 +653,7 @@ class TestEnumerateStates:
     def test_bound(self, monkeypatch):
         g = traffic()
         monkeypatch.setattr(grammar_module, "DEFAULT_SET_BOUND", 17)
-        with pytest.raises(SetTooLarge, match="18 states exceeds bound 17"):
+        with pytest.raises(ExplosionBound, match="18 states exceeds bound 17"):
             enumerate_states(g)
 
 

@@ -27,7 +27,7 @@ from helpers import (REINIT_CYCLE, TRAFFIC_PATH, assert_evidence_restarts,
 import psdg
 import psdg.infer as infer_module
 from psdg.cli import main as cli_main
-from psdg.errors import SupportTooLarge, ZeroEvidence
+from psdg.errors import ExplosionBound, ZeroEvidence
 from psdg.generate import (enumerate_chains, observation_json_lines,
                            sample_trajectory, stack_rule)
 from psdg.grammar import StateSet, prior_probability
@@ -108,7 +108,8 @@ class TestInitBelief:
             pytest.approx(0.3 * 0.10 * 0.5)
 
     def test_support_bound_enforced(self):
-        with pytest.raises(SupportTooLarge):
+        with pytest.raises(ExplosionBound, match="^initial support of 18 "
+                           "states exceeds 17; restrict"):
             init_belief(traffic(), support_bound=17)
 
     def test_zero_prior_mass_rejected(self):
@@ -329,7 +330,7 @@ class TestUpdate:
         left = StateSet.from_labels(g, {"lane": "left-lane"})
         for bound, t, states in ((6, 1, 12), (12, 2, 18)):
             belief = init_belief(g, support_bound=bound, restrict=left)
-            with pytest.raises(SupportTooLarge) as e:
+            with pytest.raises(ExplosionBound) as e:
                 for time in range(1, 4):
                     _, belief = step(g, belief, Observation.vacuous(g, time))
             assert str(e.value) == (f"belief after t={t} holds {states} "
@@ -506,14 +507,22 @@ class TestRecognize:
         assert sites == [("infer.py", "recognize")]
 
     def test_a_failed_restart_carries_the_contradiction(self):
+        """f keeps its value and the prior excludes f=b, so a restart onto
+        f=b fails at the contradiction's time (t=1, or t=3 after f=a at
+        t=1), with the contradiction as its context."""
         g = build([feature("f", ["a", "b"], [1.0, 0.0])],
                   [production(0, "S", ["x"])], "S")
-        seen_b = Observation(1, StateSet.from_labels(g, {"f": ["b"]}))
-        with pytest.raises(ZeroEvidence) as raised:
-            list(recognize(g, [seen_b], reinit=True))
-        assert raised.value.time == 0
-        assert isinstance(raised.value.__context__, ZeroEvidence)
-        assert raised.value.__context__.time == 1
+        for seen in (["b"], ["a", None, "b"]):
+            stream = [Observation.from_labels(g, t, {"f": [value]})
+                      for t, value in enumerate(seen, start=1) if value]
+            times = []
+            with pytest.raises(ZeroEvidence) as raised:
+                for report in recognize(g, stream, reinit=True):
+                    times.append(report.time)
+            assert times == [obs.time for obs in stream[:-1]]
+            assert raised.value.time == len(seen)
+            assert isinstance(raised.value.__context__, ZeroEvidence)
+            assert raised.value.__context__.time == len(seen)
 
     def test_a_gap_past_an_empty_chart_ends_in_one_move(self, monkeypatch,
                                                         capsys):
@@ -891,7 +900,7 @@ class TestCheckInvariants:
             import sys
             from pathlib import Path
             import psdg
-            from psdg.errors import SupportTooLarge
+            from psdg.errors import ExplosionBound
             from psdg.infer import Observation, init_belief, step
             from psdg.parse import load_file
             if __debug__:
@@ -908,7 +917,7 @@ class TestCheckInvariants:
                     {"support_bound": states - 1}):
                 try:
                     dataclasses.replace(b, **changes)
-                except (AssertionError, SupportTooLarge) as e:
+                except (AssertionError, ExplosionBound) as e:
                     print(type(e).__name__, e)
                 else:
                     sys.exit(f"{sorted(changes)} built without a word")
@@ -924,7 +933,7 @@ class TestCheckInvariants:
         assert halved.startswith("AssertionError chart mass ")
         assert float(halved.split()[-1]) < 1.0 - 1e-6
         assert nan == "AssertionError chart holds mass nan"
-        assert bound == ("SupportTooLarge belief after t=1 holds 18 states, "
+        assert bound == ("ExplosionBound belief after t=1 holds 18 states, "
                          "exceeding 17")
 
 
