@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .errors import InvalidTrajectory
-from .grammar import (Psdg, StatePoint, _feature_transition,
-                      production_probability)
+from .grammar import Psdg, StatePoint, _feature_transition
 
 
 Stack = tuple[tuple[int, int], ...]  # (production, 1-based cursor), root first
@@ -58,18 +57,17 @@ def enumerate_chains(psdg: Psdg, symbol: Optional[str],
     first, each probability multiplied from the leaf up.  Chains of
     probability zero, including products that underflow, are skipped.
     With no symbol (None: the kept frames end on the new leaf) the one
-    chain is empty, with probability 1.
-    The walk keeps its own stack, so chains may be as deep as validation
-    allows."""
+    chain is empty, with probability 1.  Probabilities are read from the
+    grammar's per-cell vectors (`Psdg.production_probs`).  The walk keeps
+    its own stack, so chains may be as deep as validation allows."""
     if symbol is None:
         return [((), 1.0)]
     out: list[tuple[Stack, float]] = []
     frames: list[tuple[int, int]] = []      # the open frames, root first
     probs: list[float] = []                 # and their probabilities
-    todo = [iter(psdg.by_lhs[symbol])]
+    todo = [zip(psdg.by_lhs[symbol], psdg.production_probs(symbol, state))]
     while todo:
-        for a in todo[-1]:
-            p = production_probability(psdg, a, state)
+        for a, p in todo[-1]:
             if p <= 0.0:
                 continue
             first = psdg.production(a).rhs[0]
@@ -80,7 +78,8 @@ def enumerate_chains(psdg: Psdg, symbol: Optional[str],
                 continue
             frames.append((a, 1))
             probs.append(p)
-            todo.append(iter(psdg.by_lhs[first]))
+            todo.append(zip(psdg.by_lhs[first],
+                            psdg.production_probs(first, state)))
             break
         else:
             todo.pop()
@@ -97,9 +96,8 @@ def sample_chain(psdg: Psdg, symbol: Optional[str], state: tuple[int, ...],
     frames: list[tuple[int, int]] = []
     sym = symbol
     while sym is not None and not psdg.is_terminal(sym):
-        candidates = psdg.by_lhs[sym]
-        weights = [production_probability(psdg, a, state) for a in candidates]
-        a = candidates[_sample_indexed(weights, rng, sum(weights))]
+        weights = psdg.production_probs(sym, state)
+        a = psdg.by_lhs[sym][_sample_indexed(weights, rng, sum(weights))]
         frames.append((a, 1))
         sym = psdg.production(a).rhs[0]
     return tuple(frames)

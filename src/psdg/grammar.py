@@ -97,9 +97,10 @@ class RawGrammar:
 class FeatureSpec:
     """A validated feature.  `table` is the CPT compiled at validation:
     table[terminal][parent_key(prev)] is the first declared row matching
-    that terminal and those previous parent values.  `parent_key` reads
-    the parent values of a full previous state: a bare value index for
-    one parent, a tuple for several, () for none."""
+    that terminal and those previous parent values; equal rows are one
+    tuple object, shared between keys and terminals, and read-only.
+    `parent_key` reads the parent values of a full previous state: a bare
+    value index for one parent, a tuple for several, () for none."""
 
     name: str
     values: tuple[str, ...]
@@ -191,7 +192,10 @@ class ProbabilityFunction:
 
     def evaluate(self, idx: tuple[int, ...]) -> float:
         for guard, value in self.rules:
-            if all(idx[f] in vals for f, vals in guard):
+            for f, vals in guard:
+                if idx[f] not in vals:
+                    break
+            else:
                 return value
         return self.default
 
@@ -212,6 +216,8 @@ class Psdg:
     that every test on their feature treats alike form a class, named by
     its least value in `guard_classes`; a state's guard cell, on whose
     states every production evaluates alike, is named by its least state.
+    `cells[X]` is (class map per feature, {least state: X's production
+    probabilities}) over the features X's guards test, the others at 0.
     """
 
     def __init__(
@@ -245,6 +251,15 @@ class Psdg:
                                          for guard, _ in p.prob.rules
                                          for g, vals in guard if g == fi])
             for fi, f in enumerate(features))
+        self.cells = {}
+        for nt, prods in self.by_lhs.items():
+            funcs = [self._by_index[a].prob for a in prods]
+            scope = {fi for fn in funcs for g, _ in fn.rules for fi, _ in g}
+            classes = tuple(least if fi in scope else (0,) * len(least)
+                            for fi, least in enumerate(self.guard_classes))
+            self.cells[nt] = classes, {
+                idx: tuple(fn.evaluate(idx) for fn in funcs)
+                for idx in itertools.product(*map(sorted, map(set, classes)))}
 
     def is_terminal(self, sym: str) -> bool:
         return sym in self.terminal_set
@@ -252,6 +267,11 @@ class Psdg:
     def production(self, index: int) -> Production:
         """The production with this index; KeyError for an unknown one."""
         return self._by_index[index]
+
+    def production_probs(self, symbol: str, idx: tuple) -> tuple[float, ...]:
+        """`symbol`'s production probabilities (`by_lhs` order) at idx."""
+        classes, vectors = self.cells[symbol]
+        return vectors[tuple(least[v] for least, v in zip(classes, idx))]
 
     def guard_cell(self, idx: tuple[int, ...]) -> tuple[int, ...]:
         """The least state of the guard cell holding state `idx`."""
@@ -285,12 +305,6 @@ def _least_alike(n: int, tests) -> tuple[int, ...]:
 
 
 ### Evaluation.
-
-
-def production_probability(psdg: Psdg, index: int,
-                           idx: tuple[int, ...]) -> float:
-    """p(q) for the production with this index, at state idx."""
-    return psdg.production(index).prob.evaluate(idx)
 
 
 def prior_probability(psdg: Psdg, idx: tuple[int, ...]) -> float:
@@ -468,6 +482,7 @@ def validate_grammar(raw: RawGrammar) -> tuple[Psdg | None, list[Diagnostic]]:
         domains = [range(len(raw.features[pi].values)) for pi in pidx]
         slot_key = _key_getter(range(len(pidx)))
         table = {term: {} for term in terminals}
+        rows = {}               # each distinct row of the feature, one tuple
         if f.cpt is None:       # no dynamics given: the feature keeps its value
             n = len(f.values)
             keep = {vi: tuple(float(j == vi) for j in range(n))
@@ -508,7 +523,7 @@ def validate_grammar(raw: RawGrammar) -> tuple[Psdg | None, list[Diagnostic]]:
             keys = [slot_key(combo) for combo in itertools.product(*(
                 dom if v == "*" else (value_index[pi][v],)
                 for dom, pi, v in zip(domains, pidx, row.parent_values)))]
-            probs = tuple(row.probs)
+            probs = rows.setdefault(tuple(row.probs), tuple(row.probs))
             for term in terminals if row.terminal == "*" else (row.terminal,):
                 fill = table[term].setdefault
                 for key in keys:
@@ -575,20 +590,16 @@ def validate_grammar(raw: RawGrammar) -> tuple[Psdg | None, list[Diagnostic]]:
     # Normalization of production probabilities for every state.  A
     # function reads a state only through its guards, so the least state
     # of each guard cell stands for the whole cell; features no guard of
-    # the nonterminal tests stay pinned to value 0.  Cells are visited in
-    # order of their least states, and any failing state's cell has a
-    # least state no greater, so the first failure found is the
-    # lexicographically least failing state.
+    # the nonterminal tests stay pinned to value 0.  `Psdg.cells` holds
+    # each cell's vector, in order of the cells' least states, and any
+    # failing state's cell has a least state no greater, so the first
+    # failure found is the lexicographically least failing state.
     lv = {nt: tuple(sorted(levels.get(nt, set()))) for nt in nonterminals}
     psdg = Psdg(tuple(features), raw.start, tuple(productions), terminals,
                 nonterminals, lv, max(map(max, levels.values())))
     for nt in nonterminals:
-        funcs = [prod.prob for prod in by_lhs[nt]]
-        scope = {fi for fn in funcs for guard, _ in fn.rules for fi, _ in guard}
-        for idx in itertools.product(*(
-                sorted(set(least)) if fi in scope else (0,)
-                for fi, least in enumerate(psdg.guard_classes))):
-            s = sum(f.evaluate(idx) for f in funcs)
+        for idx, probs in psdg.cells[nt][1].items():
+            s = sum(probs)
             if abs(s - 1.0) > NORMALIZATION_TOL:
                 labels = ", ".join(map("=".join, psdg.labels(idx).items()))
                 diags.append(Diagnostic(

@@ -30,10 +30,10 @@ frozen and later observations simply constrain that frozen value.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import weakref
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Iterator, Optional
 
 from .errors import ExplosionBound, ZeroEvidence
@@ -93,7 +93,9 @@ class BranchTable:
     its production key ids: key k stands for `slots[k]`, a (level, (a,
     b)) pair, and implies `implied[k]`, its lhs and the terminal under its
     cursor or None (only the deepest frame's cursor sits on one), so
-    symbol and terminal tables derive from the keys.  Entries hold ids,
+    symbol and terminal tables derive from the keys.  `picks` maps each
+    (state, terminal) explain meets to its CPT rows' ids and rows, in
+    tuples, which the cyclic collector stops tracking.  Entries hold ids,
     never the move dicts, so the table has no reference cycle; it holds no
     reference to its grammar either, so the two die together by reference
     counting.
@@ -115,6 +117,7 @@ class BranchTable:
         self.moves: list[dict[State, tuple[tuple[BranchEntry, ...],
                                            tuple[float, ...]]]] = [{}]
         self.fixed: dict[int, BranchEntry] = {}
+        self.picks: dict[tuple, tuple[tuple, tuple]] = {}
 
     def entry(self, psdg: Psdg, branch: Stack) -> BranchEntry:
         hit = self.entries.get(branch)
@@ -463,7 +466,7 @@ class Explanation:
     evidence: float                      # Pr(Q^t ∈ R^t | earlier evidence)
     state_posterior: dict[State, float]
     completed_post: dict[State, float]
-    transitions: dict[tuple, dict[State, float]]   # (q, x) -> {q': π1}
+    transitions: dict[tuple, dict[State, float]]  # (q, x) -> {q': π1}, shared
     symbols: dict[int, dict[str, float]]
     productions: dict[int, dict[tuple, float]]
     terminal: dict[str, float]
@@ -481,41 +484,48 @@ def explain(psdg: Psdg, belief: BeliefState, observation: Observation
     Completed runs contribute where their frozen state satisfies the
     observation.  Raises ZeroEvidence when nothing does.  The slice
     marginals scale each group's production sums by its posterior share.
+    Groups that select the same CPT rows share one read-only transition row.
     """
     if observation.time != belief.time:
         raise ValueError(f"observation for t={observation.time} fed to a "
                          f"belief expecting t={belief.time}")
     constraint = observation.constraint
 
-    # Transition rows, one per live (state, emitted terminal) group.  The
-    # dynamics are factored, so a row is the product of each feature's
-    # nonzero allowed entries, picked once per call for each (feature,
-    # terminal, parent key); multiplying from 1.0 in feature order and
-    # iterating lexicographically gives the same keys, order and floats
-    # as a per-state product of CPT entries over constraint.iter_states().
-    groups = belief.groups
-    allowed = [sorted(s) for s in constraint.allowed]
-    kept: dict[tuple, tuple[list, list]] = {}
+    # Transition rows, one per live (state, emitted terminal) group: the
+    # product from 1.0, in feature order and lexicographically, of the
+    # nonzero allowed entries of the CPT rows the group selects, as a
+    # per-state product over constraint.iter_states() gives them.
+    groups, picks = belief.groups, branch_table(psdg).picks
+    cpts = [(f.table, f.parent_key, sorted(vals), {})  # {}: nonzeros by row id
+            for f, vals in zip(psdg.features, constraint.allowed)]
+    rows: dict[tuple, tuple[dict, float]] = {}  # by the CPT rows' ids
     transitions: dict[tuple, dict[State, float]] = {}
-    state_posterior: dict[State, float] = {}
+    sums, state_posterior = [], {}
     for q, x, mass in zip(groups.states, groups.leaves, groups.masses):
-        values, probs = [], []
-        for fi, vals in enumerate(allowed):
-            feat = psdg.features[fi]
-            key = (fi, x, feat.parent_key(q))
-            if key not in kept:
-                cpt_row = feat.table[x][key[2]]
-                vs = [v for v in vals if cpt_row[v] > 0.0]
-                kept[key] = (vs, [cpt_row[v] for v in vs])
-            values.append(kept[key][0])
-            probs.append(kept[key][1])
-        out = transitions[q, x] = {}
-        for q2, ps in zip(itertools.product(*values),
-                          itertools.product(*probs)):
-            p = math.prod(ps, start=1.0)
-            if p > 0.0:
-                out[q2] = p
-                state_posterior[q2] = state_posterior.get(q2, 0.0) + mass * p
+        pick = picks.get(qx := (q, x))
+        if pick is None:
+            picked = [table[x][key(q)] for table, key, _, _ in cpts]
+            pick = picks[qx] = tuple(map(id, picked)), tuple(picked)
+        hit = rows.get(pick[0])
+        if hit is None:
+            values, probs = [], []
+            for cpt, (_, _, vals, kept) in zip(pick[1], cpts):
+                pair = kept.get(id(cpt))
+                if pair is None:
+                    vs = [v for v in vals if cpt[v] > 0.0]
+                    pair = kept[id(cpt)] = vs, [cpt[v] for v in vs]
+                values.append(pair[0])
+                probs.append(pair[1])
+            out = {}
+            for q2, ps in zip(product(*values), product(*probs)):
+                p = math.prod(ps, start=1.0)
+                if p > 0.0:
+                    out[q2] = p
+            hit = rows[pick[0]] = out, math.fsum(out.values())
+        transitions[qx] = hit[0]
+        sums.append(hit[1])
+        for q2, p in hit[0].items():
+            state_posterior[q2] = state_posterior.get(q2, 0.0) + mass * p
     completed_post: dict[State, float] = {}
     for q, c in belief.completed.items():
         if q in constraint:
@@ -525,8 +535,7 @@ def explain(psdg: Psdg, belief: BeliefState, observation: Observation
     if evidence <= 0.0:
         raise ZeroEvidence(observation.time)
 
-    scales = [math.fsum(transitions[q, x].values()) / evidence
-              for q, x in zip(groups.states, groups.leaves)]
+    scales = [total / evidence for total in sums]
     completed_post = {q: c / evidence for q, c in completed_post.items()}
     return Explanation(
         evidence,

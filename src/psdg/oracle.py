@@ -27,8 +27,7 @@ from .errors import ExplosionBound, ZeroEvidence
 from .generate import (Stack, TimeStep, Trajectory, enumerate_chains,
                        stack_rule)
 from .grammar import (Psdg, StatePoint, StateSet, _feature_transition,
-                      enumerate_states, prior_probability,
-                      production_probability)
+                      enumerate_states, prior_probability)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -355,7 +354,7 @@ class Pcfg:
 
 
 def _completion_matrices(psdg: Psdg, states: list[tuple[int, ...]],
-                         probs: dict[int, list[float]]
+                         probs: dict[int, tuple[float, ...]]
                          ) -> dict[str, np.ndarray]:
     """E_sym[i, j] = Pr(an expansion of sym begun in state i completes,
     leaving state j after its final terminal).  probs[a][i] is production
@@ -423,8 +422,9 @@ def to_pcfg(psdg: Psdg) -> Pcfg:
     the root plan ever completes.  Raises ExplosionBound past PCFG_BOUND
     tuple symbols or PCFG_PRODUCTION_BOUND productions.
 
-    Each production is evaluated once per state, and each completion
-    matrix is read as plain-float rows with their (j, value) nonzeros.
+    Each production's probability is read once per state from its
+    symbol's per-cell vectors, and each completion matrix is read as
+    plain-float rows with their (j, value) nonzeros.
     A tuple production's rhs grows as a list of (state, factor, rhs)
     prefixes: every symbol but the last extends each prefix over the
     nonzeros of its row, and the last is read at q_out.
@@ -436,9 +436,9 @@ def to_pcfg(psdg: Psdg) -> Pcfg:
             f"{len(psdg.nonterminals)} nonterminals over {n} states exceeds "
             f"bound {PCFG_BOUND}")
     pos = {q: i for i, q in enumerate(states)}
-    probs = {prod.index: [production_probability(psdg, prod.index, q)
-                          for q in states]
-             for prod in psdg.productions if psdg.levels[prod.lhs]}
+    probs = {a: column for sym in psdg.nonterminals if psdg.levels[sym]
+             for a, column in zip(psdg.by_lhs[sym], zip(*(
+                 psdg.production_probs(sym, q) for q in states)))}
     mats = _completion_matrices(psdg, states, probs)
     rows = {y: m.tolist() for y, m in mats.items()}
     nonzero = {y: [[(j, v) for j, v in enumerate(row) if v > 0.0]

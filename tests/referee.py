@@ -1,7 +1,8 @@
 """Test-side referees: slow, obvious checks that nothing shipped calls.
 
 `replay` is the one check of a recorded run against the advance rules;
-`trajectory_probability` scores a run by it and by
+`trajectory_probability` scores a run by it, by `production_probability`
+(a production's probability read from its guard rules) and by
 `transition_probability`, one transition's probability, and `parse_tree`
 rebuilds a complete run's tree from it.  `Query`, `state_at`,
 `query_holds` and `exact_posterior` filter an `oracle.enumerate_joint`
@@ -17,9 +18,15 @@ from typing import Iterator, Optional
 
 from psdg.errors import InvalidTrajectory, PsdgError, ZeroEvidence
 from psdg.generate import Stack, TimeStep, Trajectory, stack_rule
-from psdg.grammar import (Psdg, StateSet, _feature_transition,
-                          prior_probability, production_probability)
+from psdg.grammar import Psdg, StateSet, _feature_transition, prior_probability
 from psdg.oracle import NT, TERM, JointTable, Pcfg
+
+
+def production_probability(psdg: Psdg, index: int,
+                           idx: tuple[int, ...]) -> float:
+    """p(q) for the production with this index, at state idx, from its
+    definition: the guard rules, not the grammar's per-cell vectors."""
+    return psdg.production(index).prob.evaluate(idx)
 
 
 class UnknownProduction(PsdgError):

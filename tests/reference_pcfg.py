@@ -14,9 +14,9 @@ import functools
 import numpy as np
 
 from psdg.errors import ExplosionBound
-from psdg.grammar import (Psdg, enumerate_states, prior_probability,
-                          production_probability)
+from psdg.grammar import Psdg, enumerate_states, prior_probability
 from psdg.oracle import NT, TERM, Pcfg, PcfgProduction, _transition_options
+from referee import production_probability
 
 PCFG_BOUND = 10**7      # to_pcfg's cap on tuple symbols
 

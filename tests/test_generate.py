@@ -19,9 +19,9 @@ from psdg.errors import InvalidTrajectory
 from psdg.generate import (TimeStep, Trajectory, _sample_indexed,
                            enumerate_chains, sample_chain, sample_trajectory,
                            stack_rule, trajectory_json_lines)
-from psdg.grammar import StatePoint, enumerate_states, production_probability
+from psdg.grammar import StatePoint, enumerate_states
 from psdg.oracle import enumerate_joint
-from referee import trajectory_probability
+from referee import production_probability, trajectory_probability
 
 
 def drive_pass_stack(pass_cursor: int):

@@ -15,15 +15,16 @@ import psdg.grammar as grammar_module
 from psdg.errors import ExplosionBound, GrammarError
 from psdg.grammar import (ProbabilityFunction, StateSet,
                           _feature_transition, enumerate_states,
-                          prior_probability, production_probability,
-                          validate_grammar, RawGrammar)
+                          prior_probability, validate_grammar, RawGrammar)
 from psdg.infer import Observation, recognize
 from psdg.oracle import compare_reports, streamed_reports
 from psdg.parse import load_file, parse_text, validate_text
-from referee import transition_probability
+from referee import production_probability, transition_probability
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_FACTORED_STATE = GOLDEN / "factored-state.psdg"
+BUNDLED = [TRAFFIC_PATH, GOLDEN_FACTORED_STATE, GOLDEN / "deep-plans.psdg"]
+BUNDLED_IDS = ["traffic", "factored-state", "deep-plans"]
 
 
 def two_flip_features():
@@ -576,6 +577,51 @@ class TestCompiledTables:
         for bad in ("nope", "Drive", "*"):
             with pytest.raises(ValueError):
                 transition_probability(g, q, bad, q)
+
+
+class TestLoadTimeTables:
+    """Every probability read after load is a lookup in a table built once:
+    per-cell production vectors and CPT rows, equal rows one object."""
+
+    @staticmethod
+    def assert_vectors_equal_guard_rules(g):
+        for q in enumerate_states(g):
+            for nt in g.nonterminals:
+                want = [g.production(a).prob.evaluate(q) for a in g.by_lhs[nt]]
+                assert list(g.production_probs(nt, q)) == want, (nt, q)
+
+    @pytest.mark.parametrize("path", BUNDLED, ids=BUNDLED_IDS)
+    def test_cell_vectors_equal_the_guard_rules(self, path):
+        self.assert_vectors_equal_guard_rules(load_file(path))
+
+    def test_cell_vectors_of_random_grammars(self):
+        for seed in range(40):
+            self.assert_vectors_equal_guard_rules(random_psdg(seed))
+
+    def test_equal_cpt_rows_are_one_object(self):
+        """traffic declares `| Left -> 1, 0, 0` at left-lane and at
+        center-lane; the table holds one tuple for both."""
+        g = traffic()
+        lane = g.features[g.feature_index["lane"]]
+        left, center = (lane.values.index(v) for v in ("left-lane",
+                                                       "center-lane"))
+        rows = lane.table["Left"]
+        assert rows[left] == (1.0, 0.0, 0.0)
+        assert rows[left] is rows[center]
+        for path in BUNDLED:
+            for f in load_file(path).features:
+                rows = [r for t in f.table.values() for r in t.values()]
+                assert len({id(r) for r in rows}) == len(set(rows)), f.name
+
+    @pytest.mark.parametrize("path", BUNDLED, ids=BUNDLED_IDS)
+    def test_interned_tables_hold_the_first_matching_row(self, path):
+        raw, _ = parse_text(Path(path).read_text(encoding="utf-8"))
+        g = load_file(path)
+        for prev in enumerate_states(g):
+            for x in g.terminals:
+                for fi, feat in enumerate(raw.features):
+                    assert (_feature_transition(g, fi, prev, x)
+                            == first_match_row(g, feat, prev, x))
 
 
 class TestGuardCells:

@@ -30,7 +30,7 @@ from psdg.cli import main as cli_main
 from psdg.errors import ExplosionBound, ZeroEvidence
 from psdg.generate import (enumerate_chains, observation_json_lines,
                            sample_trajectory, stack_rule)
-from psdg.grammar import StateSet, prior_probability
+from psdg.grammar import ProbabilityFunction, StateSet, prior_probability
 from psdg.infer import (BranchEntry, Observation, branch_table, explain,
                         init_belief, predict, recognize, step, update)
 from psdg.oracle import (compare_reports, enumerate_joint, joint_runs,
@@ -1527,6 +1527,50 @@ def group_bits(groups):
     """Everything a chart's groups hold, as exact text."""
     return repr((groups.states, groups.leaves, groups.masses, groups.acc,
                  groups.touched))
+
+
+class TestCompiledProbabilities:
+    def test_golden_stream_rows_are_per_group_products(self, monkeypatch):
+        """On the six golden engine streams every transition row equals
+        the per-state product of its group's CPT entries, in keys, order
+        and floats, and on traffic groups share rows."""
+        engine = json.loads((GOLDEN / "engine.json").read_text("utf-8"))
+        real, counts = explain, {}
+
+        def checked(psdg, belief, observation):
+            e = real(psdg, belief, observation)
+            assert_rows_are_per_state_products(psdg, e, observation.constraint)
+            rows = counts.setdefault(name, [0, 0])
+            rows[0] += len(e.transitions)
+            rows[1] += len({id(row) for row in e.transitions.values()})
+            return e
+        monkeypatch.setattr(infer_module, "explain", checked)
+        for run, want in sorted(engine["runs"].items()):
+            name = run.split("/")[0]
+            g = load_file(GRAMMARS[name])
+            stream = [json.loads(line) for line in want["stream"].splitlines()]
+            assert len(list(recognize(g, (
+                Observation.from_labels(g, o["t"], o["observe"])
+                for o in stream)))) == len(stream)
+        assert counts.keys() == {"traffic", "deep-plans", "factored-state"}
+        assert all(0 < built <= groups for groups, built in counts.values())
+        assert counts["traffic"][1] < counts["traffic"][0]
+
+    def test_recognize_evaluates_no_guard_rule(self, monkeypatch):
+        """Production probabilities are read from the vectors the grammar
+        built when it was loaded: neither drawing a traffic run nor
+        recognizing it evaluates a guard rule."""
+        g = load_file(TRAFFIC_PATH)
+        calls = []
+        real = ProbabilityFunction.evaluate
+        monkeypatch.setattr(ProbabilityFunction, "evaluate",
+                            lambda f, idx: calls.append(idx) or real(f, idx))
+        traj = sample_trajectory(g, 12, seed=5)
+        stream = [json.loads(line) for line in observation_json_lines(g, traj)]
+        reports = list(recognize(g, (
+            Observation.from_labels(g, o["t"], o["observe"]) for o in stream)))
+        assert len(reports) == len(traj.steps) > 0
+        assert calls == []
 
 
 class TestChartGroups:

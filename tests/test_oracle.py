@@ -862,8 +862,9 @@ class TestPcfgReference:
 
     def test_each_production_is_evaluated_once_per_state(self, monkeypatch):
         """|P| * |Q| = 7 * 18 values exist on traffic; the recursive
-        export evaluated 1,446 times."""
-        g = traffic()
+        export evaluated 1,446 times.  The grammar evaluates each
+        production at most once per state when it is built, and the export
+        reads its vectors without evaluating anything."""
         calls = []
         real = ProbabilityFunction.evaluate
 
@@ -871,8 +872,11 @@ class TestPcfgReference:
             calls.append(idx)
             return real(self, idx)
         monkeypatch.setattr(ProbabilityFunction, "evaluate", spy)
+        g = traffic()
+        built = len(calls)
         to_pcfg(g)
-        assert 0 < len(calls) <= len(g.productions) * g.state_count == 126
+        assert len(calls) == built
+        assert 0 < built <= len(g.productions) * g.state_count == 126
 
 
 class TestPcfgEquivalenceSuite:

